@@ -14,8 +14,8 @@ import json
 import sys
 
 from .errors import AndlabError, ValidationError
-from .experiments.config import EXPERIMENT_KINDS, load_config
-from .experiments.runner import run_experiment
+from .experiments.config import load_config
+from .experiments.runner import KINDS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="andlab",
         description="desk-scale numerical laboratory for continuum Anderson models")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
+    for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override root seed")

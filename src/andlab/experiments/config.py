@@ -2,8 +2,9 @@
 
 Configs are flat JSON documents with four sections; unknown keys are
 rejected by name.  Physics parameters have no silent defaults -- each
-experiment declares which are required.  Solver knobs default and are echoed
-into the manifest.
+experiment kind's entry in ``runner.KINDS`` declares which are required and
+which are optional, and may check its params further.  Solver knobs default
+and are echoed into the manifest.
 """
 
 from __future__ import annotations
@@ -20,41 +21,9 @@ from ..discretize import GridSpec, PeriodicField
 from ..errors import ValidationError
 from ..model import Atoms, Bernoulli, Mixture, SingleSiteDistribution, SiteProfile, Uniform01
 
-EXPERIMENT_KINDS = (
-    "covering-suite", "constants", "initial-scale", "goodness-ladder",
-    "dichotomy", "ids", "dynamical", "qucp", "periodic-gap",
-)
-
 _TOP_KEYS = {"experiment", "model", "params", "run"}
-_MODEL_KEYS = {"distribution", "profile", "v_per", "u_background", "grid"}
-_RUN_KEYS = {"root_seed", "n_samples", "workers", "out", "verbose"}
-
-_REQUIRED_PARAMS = {
-    "covering-suite": {"n_instances", "dims"},
-    "constants": {"d", "p"},
-    "initial-scale": {"scales", "p", "eps"},
-    "goodness-ladder": {"scales", "energy_rule", "m_rule", "varsigma", "p"},
-    "dichotomy": {"L", "interval", "M", "vartheta", "nu"},
-    "ids": {"L", "energy_grid"},
-    "dynamical": {"L", "interval", "b", "x0"},
-    "qucp": {"L", "delta", "theta_side", "probe_count"},
-    "periodic-gap": {"benchmarks"},
-}
-_OPTIONAL_PARAMS = {
-    "covering-suite": {"annulus_instances"},
-    "constants": {"p_tilde", "varsigma", "varsigma_prime", "tau", "rho1", "n1",
-                  "rho", "eta", "gamma", "m", "eps", "delta_plus", "q", "L_ref"},
-    "initial-scale": {"delta_plus", "q", "energy_factor"},
-    "goodness-ladder": {"pair_cap"},
-    "dichotomy": {"x0", "outer_factor"},
-    "ids": {"modulus_fit"},
-    "dynamical": {"t_grid"},
-    "qucp": {"theta_center", "D"},
-    "periodic-gap": set(),
-}
-
-_NEEDS_MODEL = {"initial-scale", "goodness-ladder", "dichotomy", "ids",
-                "dynamical", "qucp"}
+_MODEL_KEYS = {"distribution", "profile", "v_per", "grid"}
+_RUN_KEYS = {"root_seed", "n_samples", "workers", "out"}
 
 
 @dataclass(frozen=True)
@@ -89,27 +58,31 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
+    from .runner import KINDS  # the runner imports this module's builders
+
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
     kind = raw.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ValidationError(f"unknown experiment kind {kind!r}; "
-                              f"expected one of {EXPERIMENT_KINDS}")
+                              f"expected one of {tuple(KINDS)}")
+    entry = KINDS[kind]
     model = raw.get("model", {})
     _reject_unknown(model, _MODEL_KEYS, "model")
-    if kind in _NEEDS_MODEL:
+    if entry.needs_model:
         for required in ("distribution", "profile", "grid"):
             if required not in model:
                 raise ValidationError(f"experiment {kind!r} requires model.{required}")
     params = raw.get("params", {})
-    allowed = _REQUIRED_PARAMS[kind] | _OPTIONAL_PARAMS[kind]
-    _reject_unknown(params, allowed, "params")
-    missing = _REQUIRED_PARAMS[kind] - set(params)
+    _reject_unknown(params, entry.required | entry.optional, "params")
+    missing = entry.required - set(params)
     if missing:
         raise ValidationError(f"experiment {kind!r} missing params: {sorted(missing)}")
     run = raw.get("run", {})
     _reject_unknown(run, _RUN_KEYS, "run")
+    if entry.check is not None:
+        entry.check(params)
     return ExperimentConfig(kind, dict(model), dict(params), dict(run), raw=raw)
 
 

@@ -1,17 +1,20 @@
-"""Experiment execution: deterministic trial scheduling and persistence.
+"""Experiment execution: the kind registry, trial scheduling and persistence.
 
 Each experiment is a pure function of (config, root seed); Monte Carlo
 trials are independent, keyed by trial index, and may run in worker
 processes -- results are aggregated in index order, so output bytes do not
-depend on the worker count.
+depend on the worker count.  Estimators (ladder verdicts, IDS curves) live
+in the library; this module schedules trials and writes files.  Each kind
+is one entry of ``KINDS``, which the config schema and the CLI also read.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -19,19 +22,21 @@ import numpy as np
 
 from .. import __version__
 from ..covering import standard_covering_annulus, standard_covering_box
-from ..discretize import assemble_hamiltonian
+from ..discretize import GridSpec, assemble_hamiltonian
 from ..errors import ValidationError
-from ..ids import log_holder_modulus
+from ..ids import full_spectrum, ids_curve, log_holder_modulus
 from ..model import AnnulusSpec, BoxSpec, sample_configuration
-from ..msa import (check_goodness, FreeSitePolicy, initial_scale_values,
-                   msa_constants, wilson_interval)
+from ..msa import (PAIR_CAP, check_goodness, FreeSitePolicy, initial_scale_values,
+                   ladder_row, msa_constants)
 from ..observables import dichotomy_check, dynamical_moment
 from ..qucp import periodic_projection_gap, qucp_verify
 from ..rng import derive_key, uniforms
 from ..spectral import eigs_window, lowest_eigenvalue
-from .config import (ExperimentConfig, build_distribution, build_grid,
-                     build_profile, build_v_per)
+from .config import (ExperimentConfig, _reject_unknown, build_distribution, build_grid,
+                     build_profile, build_v_per, validate_config)
 from .emit import emit_plotdata, file_digest, write_csv, write_json
+
+D = 1  # CLI experiments run the 1-d desk bench; the library API is d-general
 
 
 def map_trials(fn: Callable, payloads: List[dict], workers: int) -> list:
@@ -43,60 +48,54 @@ def map_trials(fn: Callable, payloads: List[dict], workers: int) -> list:
         return list(pool.map(fn, payloads, chunksize=chunk))
 
 
-def _model_objects(model: dict):
-    dist = build_distribution(model["distribution"])
-    profile = build_profile(model["profile"])
-    grid = build_grid(model["grid"])
-    v_per = build_v_per(model.get("v_per"))
-    return dist, profile, grid, v_per
-
-
 # ---------------------------------------------------------------------------
 # per-trial workers (top level: picklable)
 # ---------------------------------------------------------------------------
 
+def _payloads(cfg: ExperimentConfig, **fixed) -> List[dict]:
+    """One payload per trial: the kind's fixed inputs plus the model spec,
+    root seed and trial index.  Workers rebuild the model from its spec,
+    since periodic fields hold closures."""
+    return [dict(fixed, model=cfg.model, root_seed=cfg.root_seed, trial=t)
+            for t in range(cfg.n_samples)]
+
+
+def _sample(payload: dict, side: float) -> tuple:
+    """``(box, grid, profile, configuration, v_per)`` of the payload's trial
+    on the box of side ``side`` centred at the origin."""
+    model = payload["model"]
+    box = BoxSpec(D, (0.0,) * D, float(side))
+    config = sample_configuration(build_distribution(model["distribution"]), box, None,
+                                  payload["root_seed"], payload["trial"])
+    return (box, build_grid(model["grid"]), build_profile(model["profile"]), config,
+            build_v_per(model.get("v_per")))
+
+
+def _hamiltonian(payload: dict):
+    return assemble_hamiltonian(*_sample(payload, payload["L"]))
+
+
 def _trial_initial_scale(payload: dict) -> bool:
-    dist, profile, grid, v_per = _model_objects(payload["model"])
-    L = payload["scale"]
-    d = payload["d"]
-    box = BoxSpec(d, tuple([0.0] * d), float(L))
-    cfg = sample_configuration(dist, box, None, payload["root_seed"], payload["trial"])
-    H = assemble_hamiltonian(box, grid, profile, cfg, v_per)
-    return bool(lowest_eigenvalue(H) >= payload["threshold"])
+    return bool(lowest_eigenvalue(_hamiltonian(payload)) >= payload["threshold"])
 
 
 def _trial_goodness(payload: dict) -> bool:
-    dist, profile, grid, v_per = _model_objects(payload["model"])
-    L = payload["scale"]
-    d = payload["d"]
-    box = BoxSpec(d, tuple([0.0] * d), float(L))
-    cfg = sample_configuration(dist, box, None, payload["root_seed"], payload["trial"])
-    rep = check_goodness(box, grid, profile, cfg, payload["energy"], payload["m"],
+    box, grid, profile, config, v_per = _sample(payload, payload["L"])
+    rep = check_goodness(box, grid, profile, config, payload["energy"], payload["m"],
                          payload["varsigma"], FreeSitePolicy(seed=payload["root_seed"]),
                          "good", v_per, pair_cap=payload["pair_cap"])
     return bool(rep.is_good)
 
 
 def _trial_ids_counts(payload: dict) -> list:
-    dist, profile, grid, v_per = _model_objects(payload["model"])
-    d = payload["d"]
-    box = BoxSpec(d, tuple([0.0] * d), float(payload["L"]))
-    cfg = sample_configuration(dist, box, None, payload["root_seed"], payload["trial"])
-    H = assemble_hamiltonian(box, grid, profile, cfg, v_per)
-    from ..ids import full_spectrum
-
-    spec = np.sort(full_spectrum(H))
-    return np.searchsorted(spec, np.asarray(payload["energy_grid"]),
+    return np.searchsorted(full_spectrum(_hamiltonian(payload)), payload["energy_grid"],
                            side="right").tolist()
 
 
 def _trial_dichotomy(payload: dict) -> list:
-    dist, profile, grid, v_per = _model_objects(payload["model"])
-    d = payload["d"]
     L = payload["L"]
-    outer = BoxSpec(d, tuple([0.0] * d), float(payload["outer_factor"]) * L)
-    cfg = sample_configuration(dist, outer, None, payload["root_seed"], payload["trial"])
-    records = dichotomy_check(outer, grid, profile, cfg, payload["x0"], L,
+    outer, grid, profile, config, v_per = _sample(payload, payload["outer_factor"] * L)
+    records = dichotomy_check(outer, grid, profile, config, payload["x0"], L,
                               tuple(payload["interval"]), payload["M"],
                               payload["vartheta"], payload["nu"], v_per)
     return [{"trial": payload["trial"], "energy": r.energy, "w_x": r.w_x,
@@ -105,45 +104,40 @@ def _trial_dichotomy(payload: dict) -> list:
             for r in records]
 
 
-def _trial_dynamical(payload: dict) -> dict:
-    dist, profile, grid, v_per = _model_objects(payload["model"])
-    d = payload["d"]
-    box = BoxSpec(d, tuple([0.0] * d), float(payload["L"]))
-    cfg = sample_configuration(dist, box, None, payload["root_seed"], payload["trial"])
-    H = assemble_hamiltonian(box, grid, profile, cfg, v_per)
-    dm = dynamical_moment(H, tuple(payload["interval"]), payload["b"],
+def _trial_dynamical(payload: dict) -> list:
+    dm = dynamical_moment(_hamiltonian(payload), tuple(payload["interval"]), payload["b"],
                           payload["x0"], tuple(payload["t_grid"]))
-    return {"trial": payload["trial"], "proxy": dm.proxy,
-            "samples": dm.samples, "count": dm.window_count}
+    return [{"trial": payload["trial"], "t": t, "moment": val, "proxy": dm.proxy,
+             "count": dm.window_count, "bounded": val <= dm.proxy + 1e-10}
+            for t, val in dm.samples]
 
 
 def _trial_qucp(payload: dict) -> list:
-    dist, profile, grid, v_per = _model_objects(payload["model"])
-    d = payload["d"]
-    box = BoxSpec(d, tuple([0.0] * d), float(payload["L"]))
-    cfg = sample_configuration(dist, box, None, payload["root_seed"], payload["trial"])
-    H = assemble_hamiltonian(box, grid, profile, cfg, v_per)
+    H = _hamiltonian(payload)
     upper = 4.0 * (np.pi / payload["L"]) ** 2 + float(np.max(H.potential)) + 1.0
     res = eigs_window(H, (-0.1, upper), max_count=4)
     if len(res.energies) == 0:
         return []
-    theta = BoxSpec(d, tuple(payload["theta_center"]), payload["theta_side"])
-    probes = payload["probes"]
+    theta = BoxSpec(D, tuple(payload["theta_center"]), payload["theta_side"])
     fit = qucp_verify(H, res.vectors[:, 0], float(res.energies[0]), theta,
-                      payload["delta"], probes, payload.get("D"))
-    rows = []
-    for r in fit.records:
-        rows.append({"trial": payload["trial"], "x": r.x[0] if d == 1 else str(r.x),
-                     "R": r.R, "K": r.K, "lhs": r.lhs, "rhs": r.rhs,
-                     "ratio": r.ratio, "kappa": r.kappa, "skipped": r.skipped})
-    return rows
+                      payload["delta"], payload["probes"], payload["D"])
+    return [{"trial": payload["trial"], "x": r.x[0] if D == 1 else str(r.x),
+             "R": r.R, "K": r.K, "lhs": r.lhs, "rhs": r.rhs,
+             "ratio": r.ratio, "kappa": r.kappa, "skipped": r.skipped}
+            for r in fit.records]
+
+
+def _trial_rows(cfg: ExperimentConfig, workers: int, trial: Callable, **fixed) -> list:
+    """The rows of every trial, in trial order."""
+    return [row for rows in map_trials(trial, _payloads(cfg, **fixed), workers)
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies
+# experiment bodies: (cfg, out, workers) -> names of the files written
 # ---------------------------------------------------------------------------
 
-def _run_covering_suite(cfg: ExperimentConfig, out: Path) -> list:
+def _run_covering_suite(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     n = int(cfg.params["n_instances"])
     dims = [int(v) for v in cfg.params["dims"]]
     n_ann = int(cfg.params.get("annulus_instances", max(1, n // 5)))
@@ -175,98 +169,71 @@ def _run_covering_suite(cfg: ExperimentConfig, out: Path) -> list:
     return ["covering_identities.csv"]
 
 
-def _run_constants(cfg: ExperimentConfig, out: Path) -> list:
-    params = msa_constants(**{k: v for k, v in cfg.params.items()})
-    write_json(out / "constants.json", params.to_dict())
+def _run_constants(cfg: ExperimentConfig, out: Path, workers: int) -> list:
+    write_json(out / "constants.json", msa_constants(**cfg.params).to_dict())
     return ["constants.json"]
 
 
-def _run_initial_scale(cfg: ExperimentConfig, out: Path, workers: int) -> list:
+def _initial_scale_inputs(params: dict, L: float) -> tuple:
+    E_L, m_L = initial_scale_values(L, float(params["p"]), D, float(params["eps"]),
+                                    float(params.get("delta_plus", 1.0)),
+                                    int(params.get("q", 1)))
+    return E_L, m_L, {"threshold": float(params.get("energy_factor", 2.0)) * E_L}
+
+
+# goodness-ladder energy/rate rules: kind -> (rule, L, p) -> (energy, m)
+_RULES = {
+    "initial-scale": lambda rule, L, p: initial_scale_values(
+        L, p, D, float(rule.get("eps", 1.0)), float(rule.get("delta_plus", 1.0)),
+        int(rule.get("q", 1))),
+    "fixed": lambda rule, L, p: (float(rule["energy"]), float(rule["m"])),
+}
+
+
+def _check_rules(params: dict) -> None:
+    for name in ("energy_rule", "m_rule"):
+        kind = params[name].get("kind")
+        if kind not in _RULES:
+            raise ValidationError(f"unknown rule kind {kind!r} in params.{name}")
+
+
+def _goodness_inputs(params: dict, L: float) -> tuple:
+    p = float(params["p"])
+    energy_rule, m_rule = params["energy_rule"], params["m_rule"]
+    energy, _ = _RULES[energy_rule["kind"]](energy_rule, L, p)
+    _, m = _RULES[m_rule["kind"]](m_rule, L, p)
+    return energy, m, {"energy": energy, "m": m, "varsigma": float(params["varsigma"]),
+                       "pair_cap": int(params.get("pair_cap", PAIR_CAP))}
+
+
+def _run_ladder(trial: Callable, inputs: Callable, columns: tuple, comment: str,
+                cfg: ExperimentConfig, out: Path, workers: int) -> list:
+    """Monte Carlo ladder: one :class:`~andlab.msa.LadderRow` per scale.
+
+    ``inputs(params, L)`` gives the scale's energy, rate and fixed trial
+    inputs; ``columns`` name the leading LadderRow fields, in order.
+    """
     p = float(cfg.params["p"])
-    eps = float(cfg.params["eps"])
-    dp = float(cfg.params.get("delta_plus", 1.0))
-    q = int(cfg.params.get("q", 1))
-    factor = float(cfg.params.get("energy_factor", 2.0))
-    d = 1  # CLI experiments run the 1-d desk bench; the library API is d-general
     rows = []
-    for L in cfg.params["scales"]:
-        E_L, m_L = initial_scale_values(float(L), p, d, eps, dp, q)
-        payloads = [{"model": cfg.model, "scale": float(L), "d": d,
-                     "threshold": factor * E_L, "root_seed": cfg.root_seed,
-                     "trial": t} for t in range(cfg.n_samples)]
-        hits = map_trials(_trial_initial_scale, payloads, workers)
-        succ = sum(hits)
-        lo, hi = wilson_interval(succ, len(hits))
-        target = 1.0 - float(L) ** (-p * d)
-        rows.append({"L": float(L), "E_L": E_L, "m_L": m_L, "n": len(hits),
-                     "successes": succ, "p_hat": succ / len(hits),
-                     "wilson_low": lo, "wilson_high": hi, "target": target,
-                     "verdict": (lo >= target) or (succ / len(hits) >= target)})
-    write_csv(out / "ladder.csv",
-              ("L", "E_L", "m_L", "n", "successes", "p_hat", "wilson_low",
-               "wilson_high", "target", "verdict"), rows,
-              comment="P{lambda_min >= factor * E_L} per scale")
-    emit_plotdata([{"L": r["L"], "p_hat": r["p_hat"],
-                    "halfwidth": (r["wilson_high"] - r["wilson_low"]) / 2.0}
-                   for r in rows], "ladder", out / "plot_ladder.csv")
-    return ["ladder.csv", "plot_ladder.csv"]
-
-
-def _rule_value(rule: dict, L: float, p: float, d: int) -> tuple:
-    kind = rule.get("kind")
-    if kind == "initial-scale":
-        E_L, m_L = initial_scale_values(L, p, d, float(rule.get("eps", 1.0)),
-                                        float(rule.get("delta_plus", 1.0)),
-                                        int(rule.get("q", 1)))
-        return E_L, m_L
-    if kind == "fixed":
-        return float(rule["energy"]), float(rule["m"])
-    raise ValidationError(f"unknown rule kind {rule.get('kind')!r}")
-
-
-def _run_goodness_ladder(cfg: ExperimentConfig, out: Path, workers: int) -> list:
-    p = float(cfg.params["p"])
-    varsigma = float(cfg.params["varsigma"])
-    pair_cap = int(cfg.params.get("pair_cap", 400))
-    d = 1
-    rows = []
-    for L in cfg.params["scales"]:
-        energy, _ = _rule_value(cfg.params["energy_rule"], float(L), p, d)
-        _, m = _rule_value(cfg.params["m_rule"], float(L), p, d)
-        payloads = [{"model": cfg.model, "scale": float(L), "d": d,
-                     "energy": energy, "m": m, "varsigma": varsigma,
-                     "pair_cap": pair_cap, "root_seed": cfg.root_seed,
-                     "trial": t} for t in range(cfg.n_samples)]
-        hits = map_trials(_trial_goodness, payloads, workers)
-        succ = sum(hits)
-        lo, hi = wilson_interval(succ, len(hits))
-        target = 1.0 - float(L) ** (-p * d)
-        rows.append({"L": float(L), "E": energy, "m": m, "n": len(hits),
-                     "good": succ, "p_hat": succ / len(hits), "wilson_low": lo,
-                     "wilson_high": hi, "target": target,
-                     "verdict": (lo >= target) or (succ / len(hits) >= target)})
-    write_csv(out / "ladder.csv",
-              ("L", "E", "m", "n", "good", "p_hat", "wilson_low", "wilson_high",
-               "target", "verdict"), rows,
-              comment="Monte Carlo goodness probability per scale")
-    emit_plotdata([{"L": r["L"], "p_hat": r["p_hat"],
-                    "halfwidth": (r["wilson_high"] - r["wilson_low"]) / 2.0}
+    for L in map(float, cfg.params["scales"]):
+        energy, m, fixed = inputs(cfg.params, L)
+        hits = map_trials(trial, _payloads(cfg, L=L, **fixed), workers)
+        rows.append(ladder_row(L, D, p, energy, m, sum(hits), len(hits)))
+    write_csv(out / "ladder.csv", columns, [dict(zip(columns, astuple(r))) for r in rows],
+              comment=comment)
+    emit_plotdata([{"L": r.scale, "p_hat": r.p_hat,
+                    "halfwidth": (r.wilson_high - r.wilson_low) / 2.0}
                    for r in rows], "ladder", out / "plot_ladder.csv")
     return ["ladder.csv", "plot_ladder.csv"]
 
 
 def _run_dichotomy(cfg: ExperimentConfig, out: Path, workers: int) -> list:
-    d = 1
-    x0 = cfg.params.get("x0", [0.0] * d)
-    payloads = [{"model": cfg.model, "d": d, "L": float(cfg.params["L"]),
-                 "interval": list(cfg.params["interval"]),
-                 "M": float(cfg.params["M"]), "vartheta": float(cfg.params["vartheta"]),
-                 "nu": float(cfg.params["nu"]),
-                 "outer_factor": float(cfg.params.get("outer_factor", 3.0)),
-                 "x0": list(x0), "root_seed": cfg.root_seed, "trial": t}
-                for t in range(cfg.n_samples)]
-    results = map_trials(_trial_dichotomy, payloads, workers)
-    rows = [row for chunk in results for row in chunk]
+    p = cfg.params
+    rows = _trial_rows(cfg, workers, _trial_dichotomy, L=float(p["L"]),
+                       interval=list(p["interval"]), M=float(p["M"]),
+                       vartheta=float(p["vartheta"]), nu=float(p["nu"]),
+                       outer_factor=float(p.get("outer_factor", 3.0)),
+                       x0=list(p.get("x0", [0.0] * D)))
     write_csv(out / "dichotomy.csv",
               ("trial", "energy", "w_x", "w_x_L", "branch_point",
                "branch_annulus", "product_ok"), rows,
@@ -275,55 +242,34 @@ def _run_dichotomy(cfg: ExperimentConfig, out: Path, workers: int) -> list:
 
 
 def _run_ids(cfg: ExperimentConfig, out: Path, workers: int) -> list:
-    d = 1
-    grid_spec = cfg.params["energy_grid"]
-    if isinstance(grid_spec, dict):
-        energies = np.linspace(float(grid_spec["start"]), float(grid_spec["stop"]),
-                               int(grid_spec["num"]))
+    spec = cfg.params["energy_grid"]
+    if isinstance(spec, dict):
+        energies = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
     else:
-        energies = np.asarray([float(v) for v in grid_spec])
-    payloads = [{"model": cfg.model, "d": d, "L": float(cfg.params["L"]),
-                 "energy_grid": energies.tolist(), "root_seed": cfg.root_seed,
-                 "trial": t} for t in range(cfg.n_samples)]
-    counts = np.asarray(map_trials(_trial_ids_counts, payloads, workers), dtype=float)
-    volume = float(cfg.params["L"]) ** d
-    values = counts.mean(axis=0) / volume
-    values = np.maximum.accumulate(values)
-    stderr = (counts.std(axis=0, ddof=1) / math.sqrt(len(counts)) / volume
-              if len(counts) > 1 else np.zeros_like(values))
+        energies = np.asarray([float(v) for v in spec])
+    L = float(cfg.params["L"])
+    counts = map_trials(_trial_ids_counts,
+                        _payloads(cfg, L=L, energy_grid=energies.tolist()), workers)
+    curve = ids_curve(energies, counts, L ** D)
     rows = [{"E": float(e), "N_hat": float(v), "se": float(s)}
-            for e, v, s in zip(energies, values, stderr)]
+            for e, v, s in zip(curve.energies, curve.values, curve.stderr)]
     files = ["ids_curve.csv", "plot_ids.csv"]
     write_csv(out / "ids_curve.csv", ("E", "N_hat", "se"), rows,
               comment="volume-normalized mean eigenvalue counts")
     emit_plotdata(rows, "ids", out / "plot_ids.csv")
     if cfg.params.get("modulus_fit", False):
-        from ..ids import IdsCurve
-
-        curve = IdsCurve(energies, values, stderr, cfg.n_samples, volume, False)
         fit = log_holder_modulus(curve)
-        write_json(out / "modulus.json", {"constant": fit.constant,
-                                          "slope": fit.slope,
+        write_json(out / "modulus.json", {"constant": fit.constant, "slope": fit.slope,
                                           "n_pairs": fit.n_pairs})
         files.append("modulus.json")
     return files
 
 
 def _run_dynamical(cfg: ExperimentConfig, out: Path, workers: int) -> list:
-    d = 1
-    payloads = [{"model": cfg.model, "d": d, "L": float(cfg.params["L"]),
-                 "interval": list(cfg.params["interval"]),
-                 "b": float(cfg.params["b"]), "x0": list(cfg.params["x0"]),
-                 "t_grid": list(cfg.params.get("t_grid", (0.0, 0.5, 1.0, 2.0, 5.0))),
-                 "root_seed": cfg.root_seed, "trial": t}
-                for t in range(cfg.n_samples)]
-    results = map_trials(_trial_dynamical, payloads, workers)
-    rows = []
-    for res in results:
-        for t, val in res["samples"]:
-            rows.append({"trial": res["trial"], "t": t, "moment": val,
-                         "proxy": res["proxy"], "count": res["count"],
-                         "bounded": val <= res["proxy"] + 1e-10})
+    p = cfg.params
+    rows = _trial_rows(cfg, workers, _trial_dynamical, L=float(p["L"]),
+                       interval=list(p["interval"]), b=float(p["b"]), x0=list(p["x0"]),
+                       t_grid=list(p.get("t_grid", (0.0, 0.5, 1.0, 2.0, 5.0))))
     write_csv(out / "dynamical.csv",
               ("trial", "t", "moment", "proxy", "count", "bounded"), rows,
               comment="evolved moment samples against the time-uniform proxy")
@@ -331,20 +277,16 @@ def _run_dynamical(cfg: ExperimentConfig, out: Path, workers: int) -> list:
 
 
 def _run_qucp(cfg: ExperimentConfig, out: Path, workers: int) -> list:
-    d = 1
-    L = float(cfg.params["L"])
-    count = int(cfg.params["probe_count"])
-    delta = float(cfg.params["delta"])
+    p = cfg.params
+    L = float(p["L"])
+    count = int(p["probe_count"])
+    delta = float(p["delta"])
     probes = [[-L / 2.0 + delta + (L - 2 * delta) * (k + 0.5) / count]
               for k in range(count)]
-    payloads = [{"model": cfg.model, "d": d, "L": L, "delta": delta,
-                 "theta_side": float(cfg.params["theta_side"]),
-                 "theta_center": list(cfg.params.get("theta_center", [0.0] * d)),
-                 "probes": probes, "D": cfg.params.get("D"),
-                 "root_seed": cfg.root_seed, "trial": t}
-                for t in range(cfg.n_samples)]
-    results = map_trials(_trial_qucp, payloads, workers)
-    rows = [row for chunk in results for row in chunk]
+    rows = _trial_rows(cfg, workers, _trial_qucp, L=L, delta=delta,
+                       theta_side=float(p["theta_side"]),
+                       theta_center=list(p.get("theta_center", [0.0] * D)),
+                       probes=probes, D=p.get("D"))
     write_csv(out / "qucp_records.csv",
               ("trial", "x", "R", "K", "lhs", "rhs", "ratio", "kappa", "skipped"),
               rows, comment="local-mass records per probe point")
@@ -357,20 +299,20 @@ def _run_qucp(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     return ["qucp_records.csv", "qucp_fit.json"]
 
 
-def _run_periodic_gap(cfg: ExperimentConfig, out: Path) -> list:
+_BENCHMARK_KEYS = {"q", "L", "delta", "interval", "points_per_unit", "dimension", "v_per"}
+
+
+def _check_benchmarks(params: dict) -> None:
+    for bench in params["benchmarks"]:
+        _reject_unknown(bench, _BENCHMARK_KEYS, "benchmark")
+
+
+def _run_periodic_gap(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     rows = []
     for bench in cfg.params["benchmarks"]:
-        allowed = {"q", "L", "delta", "interval", "points_per_unit", "dimension",
-                   "v_per"}
-        unknown = set(bench) - allowed
-        if unknown:
-            raise ValidationError(f"unknown key {sorted(unknown)[0]!r} in benchmark")
-        from ..discretize import GridSpec
-
-        v_per = build_v_per(bench.get("v_per"))
         res = periodic_projection_gap(
-            v_per, float(bench["L"]), GridSpec(int(bench["points_per_unit"]),
-                                               "periodic"),
+            build_v_per(bench.get("v_per")), float(bench["L"]),
+            GridSpec(int(bench["points_per_unit"]), "periodic"),
             tuple(bench["interval"]), float(bench["delta"]),
             int(bench.get("dimension", 1)))
         rows.append({"q": bench.get("q", 1), "L": bench["L"], "delta": bench["delta"],
@@ -388,6 +330,52 @@ def _run_periodic_gap(cfg: ExperimentConfig, out: Path) -> list:
 
 
 # ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind: its params, its model need and its body."""
+
+    body: Callable                     # (cfg, out, workers) -> file names
+    required: set
+    optional: set
+    needs_model: bool = True
+    check: Optional[Callable] = None   # params -> None; raises ValidationError
+
+
+KINDS = {
+    "covering-suite": Kind(_run_covering_suite, {"n_instances", "dims"},
+                           {"annulus_instances"}, needs_model=False),
+    "constants": Kind(_run_constants, {"d", "p"},
+                      {"p_tilde", "varsigma", "varsigma_prime", "tau", "rho1", "n1",
+                       "rho", "eta", "gamma", "m", "eps", "delta_plus", "q", "L_ref"},
+                      needs_model=False),
+    "initial-scale": Kind(
+        partial(_run_ladder, _trial_initial_scale, _initial_scale_inputs,
+                ("L", "E_L", "m_L", "n", "successes", "p_hat", "wilson_low",
+                 "wilson_high", "target", "verdict"),
+                "P{lambda_min >= factor * E_L} per scale"),
+        {"scales", "p", "eps"}, {"delta_plus", "q", "energy_factor"}),
+    "goodness-ladder": Kind(
+        partial(_run_ladder, _trial_goodness, _goodness_inputs,
+                ("L", "E", "m", "n", "good", "p_hat", "wilson_low", "wilson_high",
+                 "target", "verdict"),
+                "Monte Carlo goodness probability per scale"),
+        {"scales", "energy_rule", "m_rule", "varsigma", "p"}, {"pair_cap"},
+        check=_check_rules),
+    "dichotomy": Kind(_run_dichotomy, {"L", "interval", "M", "vartheta", "nu"},
+                      {"x0", "outer_factor"}),
+    "ids": Kind(_run_ids, {"L", "energy_grid"}, {"modulus_fit"}),
+    "dynamical": Kind(_run_dynamical, {"L", "interval", "b", "x0"}, {"t_grid"}),
+    "qucp": Kind(_run_qucp, {"L", "delta", "theta_side", "probe_count"},
+                 {"theta_center", "D"}),
+    "periodic-gap": Kind(_run_periodic_gap, {"benchmarks"}, set(), needs_model=False,
+                         check=_check_benchmarks),
+}
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -402,8 +390,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if workers_override is not None:
         run["workers"] = int(workers_override)
     raw["run"] = run
-    from .config import validate_config
-
     cfg = validate_config(raw)
     workers = cfg.workers
 
@@ -413,26 +399,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.monotonic()
-    if cfg.kind == "covering-suite":
-        files = _run_covering_suite(cfg, out)
-    elif cfg.kind == "constants":
-        files = _run_constants(cfg, out)
-    elif cfg.kind == "initial-scale":
-        files = _run_initial_scale(cfg, out, workers)
-    elif cfg.kind == "goodness-ladder":
-        files = _run_goodness_ladder(cfg, out, workers)
-    elif cfg.kind == "dichotomy":
-        files = _run_dichotomy(cfg, out, workers)
-    elif cfg.kind == "ids":
-        files = _run_ids(cfg, out, workers)
-    elif cfg.kind == "dynamical":
-        files = _run_dynamical(cfg, out, workers)
-    elif cfg.kind == "qucp":
-        files = _run_qucp(cfg, out, workers)
-    elif cfg.kind == "periodic-gap":
-        files = _run_periodic_gap(cfg, out)
-    else:  # pragma: no cover - validate_config guards this
-        raise ValidationError(f"unhandled experiment {cfg.kind!r}")
+    files = KINDS[cfg.kind].body(cfg, out, workers)
     elapsed = time.monotonic() - t0
 
     manifest = {

@@ -34,11 +34,28 @@ class IdsCurve:
 
 
 def full_spectrum(H) -> np.ndarray:
-    """All eigenvalues, with a tridiagonal fast path for 1-d Dirichlet."""
-    dense = H.matrix.toarray()
+    """All eigenvalues in ascending order, with a tridiagonal fast path for
+    1-d Dirichlet."""
     if H.grid.box.dimension == 1 and H.boundary == "dirichlet":
-        return la.eigvalsh_tridiagonal(np.diag(dense), np.diag(dense, 1))
-    return la.eigvalsh(dense)
+        return la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
+    return la.eigvalsh(H.matrix.toarray())
+
+
+def ids_curve(energy_grid, counts, volume: float) -> IdsCurve:
+    """IDS curve from per-trial eigenvalue counts (one row per trial).
+
+    The volume-normalized mean count is made nondecreasing by a running
+    maximum; standard errors come from the unbiased sample deviation.
+    """
+    counts = np.asarray(counts, dtype=float)
+    n_samples = len(counts)
+    values = counts.mean(axis=0) / volume
+    stderr = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / volume \
+        if n_samples > 1 else np.zeros_like(values)
+    monotone = np.maximum.accumulate(values)
+    corrected = bool(np.any(monotone != values))
+    return IdsCurve(np.asarray(energy_grid, dtype=float), monotone, stderr, n_samples,
+                    volume, corrected)
 
 
 def ids_estimate(
@@ -58,20 +75,13 @@ def ids_estimate(
     energy_grid = np.asarray(energy_grid, dtype=float)
     if not np.all(np.isfinite(energy_grid)):
         raise ValidationError("energy grid must be bounded")
-    volume = box.side ** box.dimension
     counts = np.zeros((n_samples, len(energy_grid)))
     for trial in range(n_samples):
         config = sample_configuration(dist, box, None, root_seed, trial)
         H = assemble_hamiltonian(box, grid_spec, profile, config, v_per,
                                  u_background)
-        spec = np.sort(full_spectrum(H))
-        counts[trial] = np.searchsorted(spec, energy_grid, side="right")
-    values = counts.mean(axis=0) / volume
-    stderr = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / volume \
-        if n_samples > 1 else np.zeros_like(values)
-    monotone = np.maximum.accumulate(values)
-    corrected = bool(np.any(monotone != values))
-    return IdsCurve(energy_grid, monotone, stderr, n_samples, volume, corrected)
+        counts[trial] = np.searchsorted(full_spectrum(H), energy_grid, side="right")
+    return ids_curve(energy_grid, counts, box.side ** box.dimension)
 
 
 @dataclass

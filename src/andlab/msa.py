@@ -262,6 +262,9 @@ class GoodnessReport:
         return self.weg_pass and self.decay_pass and not self.indeterminate
 
 
+PAIR_CAP = 4000   # default cap on the unit-box pairs probed per goodness check
+
+
 def _candidate_pairs(centers: np.ndarray, min_dist: float, pair_cap: int,
                      seed: int) -> list:
     """Index pairs at sup-distance >= min_dist: extremes plus a subsample."""
@@ -276,7 +279,6 @@ def _candidate_pairs(centers: np.ndarray, min_dist: float, pair_cap: int,
     dist = np.array([np.max(np.abs(centers[a] - centers[b])) for a, b in pairs])
     order = np.argsort(dist)
     keep = set(order[-pair_cap // 4:].tolist())        # extreme separations
-    want = pair_cap - len(keep)
     u = uniforms(derive_key(seed, 0xFA1), np.arange(len(pairs), dtype=np.uint64))
     for idx in np.argsort(u):
         if len(keep) >= pair_cap:
@@ -297,7 +299,7 @@ def check_goodness(
     variant: str = "good",
     v_per: Optional[PeriodicField] = None,
     u_background: Optional[Callable] = None,
-    pair_cap: int = 4000,
+    pair_cap: int = PAIR_CAP,
     probe_centers: Optional[np.ndarray] = None,
 ) -> GoodnessReport:
     """Evaluate the good-box criterion on one configuration.
@@ -399,7 +401,7 @@ def check_pgood(box: BoxSpec, grid_spec: GridSpec, profile: SiteProfile,
                 config: Configuration, energy: float, m: float, varsigma: float,
                 eta: float, v_per: Optional[PeriodicField] = None,
                 u_background: Optional[Callable] = None,
-                pair_cap: int = 4000) -> GoodnessReport:
+                pair_cap: int = PAIR_CAP) -> GoodnessReport:
     """pgood: every box of the standard ell-covering, ell = L^(1/(1+eta)),
     must be good (no free sites) on the restricted configuration."""
     L = box.side
@@ -480,6 +482,17 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def ladder_row(scale: float, dimension: int, p: float, energy: float, m: float,
+               successes: int, n_samples: int) -> LadderRow:
+    """One ladder row from ``successes`` of ``n_samples`` trials at side
+    ``scale``: the Wilson interval, the 1 - L^(-pd) target and the verdict."""
+    phat = successes / n_samples
+    low, high = wilson_interval(successes, n_samples)
+    target = 1.0 - scale ** (-p * dimension)
+    return LadderRow(scale, energy, m, n_samples, successes, phat, low, high, target,
+                     verdict=(low >= target) or (phat >= target))
+
+
 def goodness_probability(
     dist: SingleSiteDistribution,
     box: BoxSpec,
@@ -493,7 +506,7 @@ def goodness_probability(
     root_seed: int,
     v_per: Optional[PeriodicField] = None,
     u_background: Optional[Callable] = None,
-    pair_cap: int = 800,
+    pair_cap: int = PAIR_CAP,
 ) -> LadderRow:
     """Monte Carlo estimate of P{box is (E, m, varsigma)-good} with the
     Wilson interval and the 1 - L^(-pd) target."""
@@ -506,12 +519,7 @@ def goodness_probability(
                              FreeSitePolicy(seed=root_seed), "good", v_per,
                              u_background, pair_cap)
         good += int(rep.is_good)
-    phat = good / n_samples
-    low, high = wilson_interval(good, n_samples)
-    L, d = box.side, box.dimension
-    target = 1.0 - L ** (-p * d)
-    return LadderRow(L, energy, m, n_samples, good, phat, low, high, target,
-                     verdict=(low >= target) or (phat >= target))
+    return ladder_row(box.side, box.dimension, p, energy, m, good, n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from andlab.cli import main as cli_main
+from andlab.cli import build_parser, main as cli_main
 from andlab.errors import ValidationError
 from andlab.experiments.config import (build_distribution, build_grid,
                                        build_profile, build_v_per, load_config,
                                        validate_config)
 from andlab.experiments.emit import emit_plotdata, write_csv
-from andlab.experiments.runner import run_experiment
+from andlab.experiments.runner import KINDS, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,6 +50,14 @@ class TestConfigValidation:
         raw = {"experiment": "ids", "model": {},
                "params": {"L": 10, "energy_grid": [1.0]}, "run": {}}
         with pytest.raises(ValidationError, match="distribution"):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("section,key", [("model", "u_background"),
+                                             ("run", "verbose")])
+    def test_unused_keys_rejected(self, section, key):
+        raw = minimal_constants_config()
+        raw[section][key] = 1
+        with pytest.raises(ValidationError, match=key):
             validate_config(raw)
 
     def test_unknown_experiment(self):
@@ -159,3 +167,54 @@ class TestEnvOutputRoot:
         out_dir = Path(capsys.readouterr().out.strip())
         assert str(out_dir).startswith(str(tmp_path / "envroot"))
         assert (out_dir / "constants.json").exists()
+
+
+def periodic_gap_with_bad_entry():
+    raw = json.loads((CONFIG_DIR / "periodic_gap.json").read_text())
+    raw["params"]["benchmarks"][1]["wiggle"] = 1
+    return raw, "wiggle"
+
+
+def goodness_ladder_with_bad_rule():
+    raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+    raw["params"]["m_rule"]["kind"] = "guess"
+    return raw, "guess"
+
+
+@pytest.mark.parametrize("make_bad", [periodic_gap_with_bad_entry,
+                                      goodness_ladder_with_bad_rule])
+class TestConfigTimeChecks:
+    def test_validate_rejects(self, make_bad):
+        raw, name = make_bad()
+        with pytest.raises(ValidationError, match=name):
+            validate_config(raw)
+
+    def test_cli_creates_no_directory(self, make_bad, tmp_path, capsys):
+        raw, name = make_bad()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        out_root = tmp_path / "out"
+        assert cli_main([raw["experiment"], "--config", str(path),
+                         "--out", str(out_root)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out_root.exists()
+
+
+CONFIG_FOR_KIND = {json.loads(p.read_text())["experiment"]: p
+                   for p in CONFIG_DIR.glob("*.json")}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestRegistry:
+    def test_cli_subcommand(self, kind):
+        args = build_parser().parse_args([kind, "--config", "c.json"])
+        assert args.kind == kind
+
+    def test_shipped_config_validates(self, kind):
+        assert load_config(CONFIG_FOR_KIND[kind]).kind == kind
+
+    def test_unknown_param_rejected(self, kind):
+        raw = json.loads(CONFIG_FOR_KIND[kind].read_text())
+        raw["params"]["bogus_knob"] = 1
+        with pytest.raises(ValidationError, match="bogus_knob"):
+            validate_config(raw)

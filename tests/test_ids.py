@@ -103,3 +103,14 @@ class TestFullSpectrum:
         # periodic free Laplacian has the doubly degenerate cosine spectrum
         assert got[0] == pytest.approx(0.0, abs=1e-12)
         assert got[1] == pytest.approx(got[2], rel=1e-12)
+
+    def test_dirichlet_1d_tridiagonal_matches_dense(self):
+        import scipy.linalg as la
+
+        from andlab.ids import full_spectrum
+        from conftest import random_hamiltonian
+
+        H, _ = random_hamiltonian(1, 12.0, 4, Bernoulli(0.5), seed=4)
+        got = full_spectrum(H)
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.allclose(got, la.eigvalsh(H.matrix.toarray()), atol=1e-10)
