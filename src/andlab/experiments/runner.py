@@ -192,6 +192,8 @@ _RULES = {
 
 def _check_rules(params: dict) -> None:
     for name in ("energy_rule", "m_rule"):
+        if not isinstance(params[name], dict):
+            raise ValidationError(f"params.{name} must be an object")
         kind = params[name].get("kind")
         if kind not in _RULES:
             raise ValidationError(f"unknown rule kind {kind!r} in params.{name}")
@@ -303,7 +305,11 @@ _BENCHMARK_KEYS = {"q", "L", "delta", "interval", "points_per_unit", "dimension"
 
 
 def _check_benchmarks(params: dict) -> None:
+    if not isinstance(params["benchmarks"], list):
+        raise ValidationError("params.benchmarks must be a list")
     for bench in params["benchmarks"]:
+        if not isinstance(bench, dict):
+            raise ValidationError("each entry of params.benchmarks must be an object")
         _reject_unknown(bench, _BENCHMARK_KEYS, "benchmark")
 
 

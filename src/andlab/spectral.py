@@ -225,22 +225,15 @@ class ResolventFactorization:
 
         def matvec(x):
             full = np.zeros(n)
-            full[src] = np.ravel(x)
+            full[src] = x
             return self.solve(full)[tgt]
 
         def rmatvec(y):
             full = np.zeros(n)
-            full[tgt] = np.ravel(y)
+            full[tgt] = y
             return self.solve(full)[src]
 
-        op = spla.LinearOperator((len(tgt), len(src)), matvec=matvec, rmatvec=rmatvec)
-        try:
-            # svds iterates on the smaller of the two Gram operators
-            s = spla.svds(op, k=1, tol=0, v0=_start_vector(min(op.shape), 0x51D),
-                          return_singular_vectors=False, maxiter=10 * max_iter)
-            return ResolventProbe(self.energy, float(s[0]), "ok", max_iter, 0.0, self.gap)
-        except spla.ArpackError:  # ArpackNoConvergence included
-            pass  # fall back to plain power iteration on the normal operator
+        # power iteration on the normal operator (chi_S R chi_T)(chi_T R chi_S)
         v = _start_vector(len(src), 0x51D)
         sigma = 0.0
         for it in range(max_iter):

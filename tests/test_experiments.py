@@ -181,8 +181,29 @@ def goodness_ladder_with_bad_rule():
     return raw, "guess"
 
 
+def periodic_gap_with_non_object_entry():
+    raw = json.loads((CONFIG_DIR / "periodic_gap.json").read_text())
+    raw["params"]["benchmarks"][0] = "q1"
+    return raw, "benchmarks"
+
+
+def periodic_gap_with_non_list_benchmarks():
+    raw = json.loads((CONFIG_DIR / "periodic_gap.json").read_text())
+    raw["params"]["benchmarks"] = "all"
+    return raw, "benchmarks"
+
+
+def goodness_ladder_with_non_object_rule():
+    raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+    raw["params"]["energy_rule"] = "fixed"
+    return raw, "energy_rule"
+
+
 @pytest.mark.parametrize("make_bad", [periodic_gap_with_bad_entry,
-                                      goodness_ladder_with_bad_rule])
+                                      periodic_gap_with_non_object_entry,
+                                      periodic_gap_with_non_list_benchmarks,
+                                      goodness_ladder_with_bad_rule,
+                                      goodness_ladder_with_non_object_rule])
 class TestConfigTimeChecks:
     def test_validate_rejects(self, make_bad):
         raw, name = make_bad()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
 from andlab.discretize import unit_box_mask
 from andlab.errors import ValidationError
@@ -130,34 +129,6 @@ class TestResolventProbes:
         direct = fac.block_norm(src, tgt, materialize_limit=10**9)
         iterative = fac.block_norm(src, tgt, materialize_limit=0)
         assert iterative.norm_estimate == pytest.approx(direct.norm_estimate, rel=1e-6)
-
-    def _iterative_setup(self):
-        H, _ = random_hamiltonian(1, 30.0, 8, Uniform01(), seed=10)
-        fac = ResolventFactorization(H, -0.5)
-        src = H.grid.points()[:, 0] < 0.0
-        tgt = H.grid.points()[:, 0] > 5.0
-        return fac, src, tgt
-
-    def test_arpack_failure_falls_back_to_power_iteration(self, monkeypatch):
-        fac, src, tgt = self._iterative_setup()
-        direct = fac.block_norm(src, tgt, materialize_limit=10**9)
-
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.array([]), None)
-
-        monkeypatch.setattr(spla, "svds", no_convergence)
-        fallback = fac.block_norm(src, tgt, materialize_limit=0)
-        assert fallback.norm_estimate == pytest.approx(direct.norm_estimate, rel=1e-6)
-
-    def test_other_svds_errors_propagate(self, monkeypatch):
-        fac, src, tgt = self._iterative_setup()
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("not an ARPACK failure")
-
-        monkeypatch.setattr(spla, "svds", broken)
-        with pytest.raises(RuntimeError, match="not an ARPACK failure"):
-            fac.block_norm(src, tgt, materialize_limit=0)
 
 
 class TestWeylCounting:
