@@ -74,6 +74,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
         for required in ("distribution", "profile", "grid"):
             if required not in model:
                 raise ValidationError(f"experiment {kind!r} requires model.{required}")
+    for name, build in (("distribution", build_distribution), ("profile", build_profile),
+                        ("grid", build_grid), ("v_per", _v_per_kind)):
+        spec = model.get(name)
+        if spec is not None:
+            if not isinstance(spec, dict):
+                raise ValidationError(f"model.{name} must be an object")
+            build(spec)
     params = raw.get("params", {})
     _reject_unknown(params, entry.required | entry.optional, "params")
     missing = entry.required - set(params)
@@ -132,33 +139,37 @@ def build_grid(spec: dict) -> GridSpec:
     return GridSpec(int(spec["points_per_unit"]), spec.get("boundary", "dirichlet"))
 
 
-def build_v_per(spec: Optional[dict]) -> Optional[PeriodicField]:
-    if spec is None:
-        return None
+_V_PER_KEYS = {"zero": {"kind"},
+               "cosine": {"kind", "amplitude", "period", "offset", "auto_shift", "dimension"}}
+
+
+def _v_per_kind(spec: dict) -> str:
+    """The key-checked kind of a ``v_per`` spec; builds nothing, so a config
+    check never runs ``auto_shift``'s eigen-solve."""
     kind = spec.get("kind", "zero")
-    if kind == "zero":
-        _reject_unknown(spec, {"kind"}, "v_per")
+    if kind not in _V_PER_KEYS:
+        raise ValidationError(f"unknown v_per kind {kind!r}")
+    _reject_unknown(spec, _V_PER_KEYS[kind], "v_per")
+    return kind
+
+
+def build_v_per(spec: Optional[dict]) -> Optional[PeriodicField]:
+    if spec is None or _v_per_kind(spec) == "zero":
         return None
-    if kind == "cosine":
-        _reject_unknown(spec, {"kind", "amplitude", "period", "offset",
-                               "auto_shift", "dimension"}, "v_per")
-        amp = float(spec.get("amplitude", 1.0))
-        period = int(spec.get("period", 1))
-        off = float(spec.get("offset", 0.0))
+    amp = float(spec.get("amplitude", 1.0))
+    period = int(spec.get("period", 1))
+    off = float(spec.get("offset", 0.0))
 
-        def fn(points, _amp=amp, _p=period, _off=off):
-            points = np.atleast_2d(np.asarray(points, dtype=float))
-            return _off + _amp * np.sum(np.cos(2.0 * np.pi * points / _p), axis=1)
+    def fn(points, _amp=amp, _p=period, _off=off):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return _off + _amp * np.sum(np.cos(2.0 * np.pi * points / _p), axis=1)
 
-        field = PeriodicField(fn, period)
-        if spec.get("auto_shift", False):
-            # normalize inf spec(-Lap + V_per) to zero (off by default)
-            shift = periodic_ground_energy(field, int(spec.get("dimension", 1)))
-            shifted = PeriodicField(
-                lambda pts, _f=fn, _s=shift: _f(pts) - _s, period)
-            return shifted
-        return field
-    raise ValidationError(f"unknown v_per kind {kind!r}")
+    field = PeriodicField(fn, period)
+    if spec.get("auto_shift", False):
+        # normalize inf spec(-Lap + V_per) to zero (off by default)
+        shift = periodic_ground_energy(field, int(spec.get("dimension", 1)))
+        return PeriodicField(lambda pts, _f=fn, _s=shift: _f(pts) - _s, period)
+    return field
 
 
 def periodic_ground_energy(field: PeriodicField, dimension: int,

@@ -32,8 +32,8 @@ from ..observables import dichotomy_check, dynamical_moment
 from ..qucp import periodic_projection_gap, qucp_verify
 from ..rng import derive_key, uniforms
 from ..spectral import eigs_window, lowest_eigenvalue
-from .config import (ExperimentConfig, _reject_unknown, build_distribution, build_grid,
-                     build_profile, build_v_per, validate_config)
+from .config import (ExperimentConfig, _reject_unknown, _v_per_kind, build_distribution,
+                     build_grid, build_profile, build_v_per, validate_config)
 from .emit import emit_plotdata, file_digest, write_csv, write_json
 
 D = 1  # CLI experiments run the 1-d desk bench; the library API is d-general
@@ -181,12 +181,14 @@ def _initial_scale_inputs(params: dict, L: float) -> tuple:
     return E_L, m_L, {"threshold": float(params.get("energy_factor", 2.0)) * E_L}
 
 
-# goodness-ladder energy/rate rules: kind -> (rule, L, p) -> (energy, m)
+# goodness-ladder energy/rate rules: kind -> (keys, (rule, L, p) -> (energy, m))
 _RULES = {
-    "initial-scale": lambda rule, L, p: initial_scale_values(
-        L, p, D, float(rule.get("eps", 1.0)), float(rule.get("delta_plus", 1.0)),
-        int(rule.get("q", 1))),
-    "fixed": lambda rule, L, p: (float(rule["energy"]), float(rule["m"])),
+    "initial-scale": ({"kind", "eps", "delta_plus", "q"},
+                      lambda rule, L, p: initial_scale_values(
+                          L, p, D, float(rule.get("eps", 1.0)),
+                          float(rule.get("delta_plus", 1.0)), int(rule.get("q", 1)))),
+    "fixed": ({"kind", "energy", "m"},
+              lambda rule, L, p: (float(rule["energy"]), float(rule["m"]))),
 }
 
 
@@ -197,13 +199,14 @@ def _check_rules(params: dict) -> None:
         kind = params[name].get("kind")
         if kind not in _RULES:
             raise ValidationError(f"unknown rule kind {kind!r} in params.{name}")
+        _reject_unknown(params[name], _RULES[kind][0], f"params.{name}")
 
 
 def _goodness_inputs(params: dict, L: float) -> tuple:
     p = float(params["p"])
     energy_rule, m_rule = params["energy_rule"], params["m_rule"]
-    energy, _ = _RULES[energy_rule["kind"]](energy_rule, L, p)
-    _, m = _RULES[m_rule["kind"]](m_rule, L, p)
+    energy, _ = _RULES[energy_rule["kind"]][1](energy_rule, L, p)
+    _, m = _RULES[m_rule["kind"]][1](m_rule, L, p)
     return energy, m, {"energy": energy, "m": m, "varsigma": float(params["varsigma"]),
                        "pair_cap": int(params.get("pair_cap", PAIR_CAP))}
 
@@ -241,6 +244,11 @@ def _run_dichotomy(cfg: ExperimentConfig, out: Path, workers: int) -> list:
                "branch_annulus", "product_ok"), rows,
               comment="either/or concentration records per outer-box eigenvalue")
     return ["dichotomy.csv"]
+
+
+def _check_energy_grid(params: dict) -> None:
+    if isinstance(params["energy_grid"], dict):
+        _reject_unknown(params["energy_grid"], {"start", "stop", "num"}, "params.energy_grid")
 
 
 def _run_ids(cfg: ExperimentConfig, out: Path, workers: int) -> list:
@@ -311,6 +319,8 @@ def _check_benchmarks(params: dict) -> None:
         if not isinstance(bench, dict):
             raise ValidationError("each entry of params.benchmarks must be an object")
         _reject_unknown(bench, _BENCHMARK_KEYS, "benchmark")
+        if bench.get("v_per") is not None:
+            _v_per_kind(bench["v_per"])
 
 
 def _run_periodic_gap(cfg: ExperimentConfig, out: Path, workers: int) -> list:
@@ -372,7 +382,7 @@ KINDS = {
         check=_check_rules),
     "dichotomy": Kind(_run_dichotomy, {"L", "interval", "M", "vartheta", "nu"},
                       {"x0", "outer_factor"}),
-    "ids": Kind(_run_ids, {"L", "energy_grid"}, {"modulus_fit"}),
+    "ids": Kind(_run_ids, {"L", "energy_grid"}, {"modulus_fit"}, check=_check_energy_grid),
     "dynamical": Kind(_run_dynamical, {"L", "interval", "b", "x0"}, {"t_grid"}),
     "qucp": Kind(_run_qucp, {"L", "delta", "theta_side", "probe_count"},
                  {"theta_center", "D"}),

@@ -1,6 +1,14 @@
-"""Eigenvalue windows, resolvent block-norm probes, and unitary evolution.
+"""Eigenvalue counts and windows, resolvent block-norm probes, unitary evolution.
 
-Dense LAPACK below a size threshold, shift-invert Lanczos (ARPACK) above it.
+Windows are count-first: ``eigenvalue_count`` reads #{eigenvalues < E} from
+the inertia of ``H - E`` (Sylvester's law), so a window above the dense size
+is one shift-invert Lanczos (ARPACK) call for exactly its counted pairs,
+shifted just below the window so that a truncated window keeps its lowest
+pairs.  ``_dense`` alone chooses LAPACK or ARPACK.  Solves that return
+eigenvectors stay dense up to n = 3000: LAPACK resolves eigenvector tails
+(dichotomy masses down to 1e-33) far below ARPACK's floor of about 1e-14.
+Eigenvalue-only solves switch at the measured crossover, n = 300.
+
 Resolvent probes share one sparse factorization of ``H - E`` across block
 norms; near-resonant energies are reported as DIVERGENT rather than as a
 huge number, since the boundary-value extension of the resolvent norm at
@@ -21,8 +29,14 @@ from .discretize import HamiltonianMatrix
 from .errors import SolverError, ValidationError
 from .rng import derive_key, uniforms
 
-DENSE_THRESHOLD = 3000
+DENSE_MAX_VECTORS = 3000
+DENSE_MAX_VALUES = 300
 DIVERGENT = "divergent"
+
+
+def _dense(n: int, vectors: bool) -> bool:
+    """The size decision: dense LAPACK (True) or ARPACK shift-invert."""
+    return n <= (DENSE_MAX_VECTORS if vectors else DENSE_MAX_VALUES)
 
 
 def _start_vector(n: int, tag: int) -> np.ndarray:
@@ -32,10 +46,26 @@ def _start_vector(n: int, tag: int) -> np.ndarray:
     return v / nrm if nrm > 0 else np.ones(n) / np.sqrt(n)
 
 
-def _gershgorin_bounds(M: sp.spmatrix) -> tuple:
+def _gershgorin_lower(M: sp.spmatrix) -> float:
     d = M.diagonal()
-    radius = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(d)
-    return float(np.min(d - radius)), float(np.max(d + radius))
+    return float(np.min(d - (np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(d))))
+
+
+def eigenvalue_count(H: HamiltonianMatrix, energies) -> np.ndarray:
+    """``#{eigenvalues < E}`` for each E: the negative pivots of a symmetric-mode
+    LU of ``H - E`` without off-diagonal pivoting, ``P (H-E) P^T = L D L^T``."""
+    A, eye = H.matrix.tocsc(), sp.identity(H.size, format="csc")
+    counts = []
+    for E in np.atleast_1d(np.asarray(energies, dtype=float)):
+        try:
+            lu = spla.splu(A - E * eye, diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolverError(f"inertia factorization at E={E} failed: {exc}") from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SolverError(f"inertia factorization at E={E} pivoted off the diagonal")
+        counts.append(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return np.array(counts, dtype=np.int64)
 
 
 @dataclass
@@ -50,22 +80,19 @@ class EigenWindowResult:
     orthogonality_defect: float = 0.0
 
 
-def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6,
-                dense_threshold: int = DENSE_THRESHOLD) -> EigenWindowResult:
-    """All eigenpairs with energy in the bounded ``interval``, up to a cap."""
+def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6) -> EigenWindowResult:
+    """All eigenpairs with energy in the closed bounded ``interval``; beyond
+    ``max_count`` of them, the lowest ``max_count``, flagged truncated."""
     lo, hi = float(interval[0]), float(interval[1])
     if not np.isfinite([lo, hi]).all() or hi < lo:
         raise ValidationError(f"window must be a bounded interval, got {interval}")
-    n = H.size
-    if n <= dense_threshold:
-        dense = H.matrix.toarray()
-        vals, vecs = la.eigh(dense, subset_by_value=(np.nextafter(lo, -np.inf), hi))
-    else:
-        vals, vecs = _sparse_window(H, lo, hi, max_count)
-    truncated = False
-    if len(vals) > max_count:
+    if _dense(H.size, vectors=True):
+        vals, vecs = la.eigh(H.matrix.toarray(),
+                             subset_by_value=(np.nextafter(lo, -np.inf), hi))
+        truncated = len(vals) > max_count
         vals, vecs = vals[:max_count], vecs[:, :max_count]
-        truncated = True
+    else:
+        vals, vecs, truncated = _sparse_window(H, lo, hi, max_count)
     w = H.grid.weight()
     if vecs.size:
         vecs = vecs / (np.sqrt(w) * np.linalg.norm(vecs, axis=0))
@@ -80,37 +107,38 @@ def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6,
 
 
 def _sparse_window(H: HamiltonianMatrix, lo: float, hi: float, max_count: int):
+    """The lowest ``max_count`` pairs in ``[lo, hi]``: ``which="LA"`` on
+    ``1/(lambda - sigma)`` returns the pairs nearest above sigma.  Pairs in
+    ``[sigma, lo)`` are counted, requested and dropped."""
     n = H.size
-    sigma = 0.5 * (lo + hi)
-    k = min(max(8, 2), n - 2)
-    while True:
-        try:
-            vals, vecs = spla.eigsh(H.matrix, k=k, sigma=sigma, which="LM",
-                                    v0=_start_vector(n, k))
-        except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
-            raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
-        inside = (vals >= lo) & (vals <= hi)
-        # done when the found set already sticks out of the window on both
-        # sides (window exhausted) or the budget is reached
-        if (vals.min() < lo and vals.max() > hi) or k >= min(max_count + 2, n - 2):
-            order = np.argsort(vals[inside])
-            return vals[inside][order], vecs[:, inside][:, order]
-        k = min(2 * k, n - 2)
+    sigma = lo - 1e-8 * (abs(lo) + H.norm_bound())
+    below, upto = eigenvalue_count(H, [sigma, np.nextafter(hi, np.inf)])
+    k = min(int(upto - below), max_count)
+    if k == 0:
+        return np.zeros(0), np.zeros((n, 0)), upto - below > max_count
+    if k >= n - 1:
+        raise SolverError(f"window holds {k} of {n} eigenvalues; ARPACK needs k < n - 1")
+    vals, vecs = _shift_invert(H, k, sigma, vectors=True)
+    order = np.argsort(vals)
+    keep = order[(vals[order] >= lo) & (vals[order] <= hi)]
+    return vals[keep], vecs[:, keep], upto - below > max_count
 
 
-def lowest_eigenvalue(H: HamiltonianMatrix, dense_threshold: int = 2000) -> float:
-    """Smallest eigenvalue (dense below threshold, shift-invert above)."""
-    n = H.size
-    if n <= dense_threshold:
-        dense = H.matrix.toarray()
-        return float(la.eigh(dense, eigvals_only=True, subset_by_index=(0, 0))[0])
-    lower, _ = _gershgorin_bounds(H.matrix)
+def _shift_invert(H: HamiltonianMatrix, k: int, sigma: float, vectors: bool):
+    """The k eigenvalues nearest above ``sigma`` (with vectors if asked)."""
     try:
-        vals = spla.eigsh(H.matrix, k=1, sigma=lower - 1.0, which="LM",
-                          v0=_start_vector(n, 1), return_eigenvectors=False)
+        return spla.eigsh(H.matrix, k=k, sigma=sigma, which="LA", v0=_start_vector(H.size, k),
+                          return_eigenvectors=vectors)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
-        raise SolverError(f"lowest-eigenvalue solve failed: {exc}") from exc
-    return float(vals[0])
+        raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
+
+
+def lowest_eigenvalue(H: HamiltonianMatrix) -> float:
+    """Smallest eigenvalue."""
+    if _dense(H.size, vectors=False):
+        return float(la.eigh(H.matrix.toarray(), eigvals_only=True,
+                             subset_by_index=(0, 0))[0])
+    return float(_shift_invert(H, 1, _gershgorin_lower(H.matrix) - 1.0, vectors=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +154,7 @@ class ResolventProbe:
     status: str                    # "ok", "divergent", "empty"
     iterations: int = 0
     residual: float = 0.0
-    gap_estimate: float = np.inf   # estimated dist(E, spectrum)
+    gap_estimate: float = np.inf   # dist(E, spectrum)
 
     @property
     def divergent(self) -> bool:
@@ -164,10 +192,9 @@ class ResolventFactorization:
         except RuntimeError:
             self._lu = None
             self.singular = True
-            self.resolvent_norm = np.inf
-            self.gap = 0.0
+            self.resolvent_norm, self.gap, self.gap_solves = np.inf, 0.0, 0
             return
-        self.resolvent_norm, self.gap = self._estimate_gap()
+        self.resolvent_norm, self.gap, self.gap_solves = self._exact_gap()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         out = self._lu.solve(rhs)
@@ -175,22 +202,28 @@ class ResolventFactorization:
             raise FloatingPointError("non-finite resolvent solve")
         return out
 
-    def _estimate_gap(self, iters: int = 12) -> tuple:
-        """Power iteration on R = (H-E)^{-1}: |R| and the spectral gap 1/|R|."""
-        v = _start_vector(self.n, 0xB10C)
-        est = 0.0
+    def _exact_gap(self) -> tuple:
+        """|R|, the gap 1/|R| = dist(E, spectrum) and the solves taken: |R| is
+        the largest-magnitude eigenvalue of R, one Lanczos call over this LU."""
+        solves = 0
+
+        def apply(v):
+            nonlocal solves
+            solves += 1
+            return self.solve(v)
+
+        R = spla.LinearOperator((self.n, self.n), matvec=apply, dtype=float)
         try:
-            for _ in range(iters):
-                w = self.solve(v)
-                est = np.linalg.norm(w)
-                if est == 0.0 or not np.isfinite(est):
-                    break
-                v = w / est
+            nu = spla.eigsh(R, k=1, which="LM", v0=_start_vector(self.n, 0xB10C),
+                            return_eigenvectors=False)[0]
         except FloatingPointError:
-            return np.inf, 0.0
-        if not np.isfinite(est) or est == 0.0:
-            return np.inf, 0.0
-        return float(est), float(1.0 / est)
+            return np.inf, 0.0, solves
+        except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
+            raise SolverError(f"resolvent-norm Lanczos failed: {exc}") from exc
+        norm = abs(float(nu))
+        if not np.isfinite(norm) or norm == 0.0:
+            return np.inf, 0.0, solves
+        return norm, 1.0 / norm, solves
 
     @property
     def divergent(self) -> bool:
@@ -262,7 +295,7 @@ def resolvent_norm(H: HamiltonianMatrix, energy: float,
     fac = ResolventFactorization(H, energy, gap_tol)
     if fac.divergent:
         return ResolventProbe(energy, np.nan, DIVERGENT, 0, np.inf, fac.gap)
-    return ResolventProbe(energy, fac.resolvent_norm, "ok", 12, 0.0, fac.gap)
+    return ResolventProbe(energy, fac.resolvent_norm, "ok", fac.gap_solves, 0.0, fac.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +303,7 @@ def resolvent_norm(H: HamiltonianMatrix, energy: float,
 # ---------------------------------------------------------------------------
 
 def evolve(H: HamiltonianMatrix, psi0: np.ndarray, t: float,
-           window: Optional[tuple] = None,
-           dense_threshold: int = DENSE_THRESHOLD):
+           window: Optional[tuple] = None):
     """Evolve ``psi0`` to ``exp(-itH) psi0`` through an eigendecomposition.
 
     With ``window`` given only the spectral window is used; the h^d norm of
@@ -281,14 +313,10 @@ def evolve(H: HamiltonianMatrix, psi0: np.ndarray, t: float,
     nrm = np.sqrt(w) * np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-8:
         raise ValidationError("psi0 must be normalized in the h^d-weighted norm")
-    if window is None:
-        if H.size > dense_threshold:
-            raise SolverError("full evolution needs a dense decomposition; pass a window")
-        vals, vecs = la.eigh(H.matrix.toarray())
-    else:
-        result = eigs_window(H, window, dense_threshold=dense_threshold)
-        vals = result.energies
-        vecs = result.vectors * np.sqrt(w)  # back to plain l2-orthonormal columns
+    bound = H.norm_bound() + 1.0
+    result = eigs_window(H, (-bound, bound) if window is None else window)
+    vals = result.energies
+    vecs = result.vectors * np.sqrt(w)  # back to plain l2-orthonormal columns
     coeff = vecs.T @ psi0
     psi_t = vecs @ (np.exp(-1j * t * vals) * coeff)
     deficit = np.sqrt(w) * np.linalg.norm(psi0 - vecs @ coeff)

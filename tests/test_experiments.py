@@ -5,6 +5,7 @@ import pytest
 
 from andlab.cli import build_parser, main as cli_main
 from andlab.errors import ValidationError
+from andlab.experiments import config as config_module
 from andlab.experiments.config import (build_distribution, build_grid,
                                        build_profile, build_v_per, load_config,
                                        validate_config)
@@ -27,6 +28,15 @@ class TestConfigValidation:
     def test_minimal_constants(self):
         cfg = validate_config(minimal_constants_config())
         assert cfg.kind == "constants"
+
+    def test_v_per_checked_without_auto_shift_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("validate_config ran auto_shift's eigen-solve")
+
+        monkeypatch.setattr(config_module, "periodic_ground_energy", no_solve)
+        raw = json.loads((CONFIG_DIR / "dynamical.json").read_text())
+        raw["model"]["v_per"] = {"kind": "cosine", "period": 2, "auto_shift": True}
+        assert validate_config(raw).kind == "dynamical"
 
     def test_unknown_key_named(self):
         raw = minimal_constants_config()
@@ -199,11 +209,38 @@ def goodness_ladder_with_non_object_rule():
     return raw, "energy_rule"
 
 
+def _model_with(section, key):
+    def make():
+        raw = json.loads((CONFIG_DIR / "dynamical.json").read_text())
+        raw["model"].setdefault(section, {"kind": "cosine"})[key] = 1
+        return raw, key
+    make.__name__ = f"model_{section}_with_bad_key"
+    return make
+
+
+def goodness_ladder_with_bad_rule_key():
+    raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+    raw["params"]["energy_rule"]["energi"] = -0.5
+    return raw, "energi"
+
+
+def ids_with_bad_energy_grid_key():
+    raw = json.loads((CONFIG_DIR / "ids.json").read_text())
+    raw["params"]["energy_grid"] = {"start": 0.1, "stop": 1.5, "count": 8}
+    return raw, "count"
+
+
 @pytest.mark.parametrize("make_bad", [periodic_gap_with_bad_entry,
                                       periodic_gap_with_non_object_entry,
                                       periodic_gap_with_non_list_benchmarks,
                                       goodness_ladder_with_bad_rule,
-                                      goodness_ladder_with_non_object_rule])
+                                      goodness_ladder_with_non_object_rule,
+                                      _model_with("distribution", "qq"),
+                                      _model_with("profile", "u_plsu"),
+                                      _model_with("grid", "points_per_unti"),
+                                      _model_with("v_per", "amplitdue"),
+                                      goodness_ladder_with_bad_rule_key,
+                                      ids_with_bad_energy_grid_key])
 class TestConfigTimeChecks:
     def test_validate_rejects(self, make_bad):
         raw, name = make_bad()

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from andlab import spectral
 from andlab.discretize import unit_box_mask
-from andlab.errors import ValidationError
-from andlab.model import Bernoulli, Configuration, Uniform01, lattice_sites
-from andlab.spectral import (ResolventFactorization, eigs_window, evolve,
-                             lowest_eigenvalue, resolvent_block_norm,
+from andlab.errors import SolverError, ValidationError
+from andlab.model import (Bernoulli, Configuration, Uniform01, lattice_sites,
+                          sample_configuration)
+from andlab.spectral import (ResolventFactorization, eigenvalue_count, eigs_window,
+                             evolve, lowest_eigenvalue, resolvent_block_norm,
                              resolvent_norm)
 
 from conftest import assemble, make_box, random_hamiltonian
@@ -44,11 +48,50 @@ class TestEigsWindow:
         with pytest.raises(ValidationError):
             eigs_window(H, (0.0, np.inf))
 
-    def test_sparse_path_matches_dense(self):
+    @pytest.mark.parametrize("window, max_count", [
+        ((-5.0, -1.0), 10**6),     # below the spectrum
+        ((-1.0, 0.8), 10**6),      # touching its bottom
+        ((0.2, 0.8), 10**6),       # interior
+        ((60.0, 100.0), 10**6),    # touching its top
+        ((-1.0, 6.0), 4),          # bottom window, truncated to its lowest pairs
+    ], ids=["below", "bottom", "interior", "top", "truncated"])
+    def test_sparse_path_matches_dense(self, window, max_count, monkeypatch):
         H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=5)
-        dense = eigs_window(H, (0.2, 0.8))
-        sparse = eigs_window(H, (0.2, 0.8), dense_threshold=10)
+        dense = eigs_window(H, window, max_count)
+        monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
+        sparse = eigs_window(H, window, max_count)
         assert np.allclose(sparse.energies, dense.energies, atol=1e-9)
+        assert sparse.truncated == dense.truncated == (max_count == 4)
+        overlap = H.grid.weight() * np.abs(sparse.vectors.T @ dense.vectors)
+        assert np.allclose(overlap, np.eye(len(dense.energies)), atol=1e-6)
+        assert np.all(sparse.residuals <= 1e-8)
+
+    def test_sparse_window_beyond_arpack_raises(self, monkeypatch):
+        H = assemble(make_box(1, 3.0), n=4)
+        monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
+        with pytest.raises(SolverError):
+            eigs_window(H, (-1.0, 1e5))
+        psi0 = np.ones(H.size) / np.sqrt(H.grid.weight() * H.size)
+        with pytest.raises(SolverError):  # full evolution is a whole-spectrum window
+            evolve(H, psi0, 1.0)
+
+
+class TestEigenvalueCount:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), boundary=st.sampled_from(["dirichlet", "periodic"]),
+           seed=st.integers(0, 10**6), side=st.integers(2, 6),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_matches_dense_count(self, d, boundary, seed, side, fractions):
+        L = {1: 3 * side, 2: side, 3: min(side, 3)}[d]
+        box = make_box(d, L)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, seed, 0)
+        H = assemble(box, n=2, boundary=boundary, config=cfg)
+        vals = la.eigvalsh(H.matrix.toarray())
+        scale = H.norm_bound()
+        energies = vals[0] - 1.0 + np.asarray(fractions) * (vals[-1] - vals[0] + 2.0)
+        assume(np.min(np.abs(energies[:, None] - vals[None, :])) >= 1e-8 * scale)
+        expected = np.searchsorted(vals, energies)
+        assert eigenvalue_count(H, energies).tolist() == expected.tolist()
 
 
 class TestLowestEigenvalue:
@@ -70,10 +113,11 @@ class TestLowestEigenvalue:
         assert lowest_eigenvalue(assemble(box, config=ones)) >= \
             lowest_eigenvalue(assemble(box, config=zero))
 
-    def test_sparse_path(self):
+    def test_sparse_path(self, monkeypatch):
         H, _ = random_hamiltonian(1, 40.0, 8, Uniform01(), seed=4)
         dense = lowest_eigenvalue(H)
-        sparse = lowest_eigenvalue(H, dense_threshold=10)
+        monkeypatch.setattr(spectral, "DENSE_MAX_VALUES", 0)
+        sparse = lowest_eigenvalue(H)
         assert sparse == pytest.approx(dense, rel=1e-9)
 
 
@@ -84,6 +128,16 @@ class TestResolventProbes:
         probe = resolvent_norm(H, -1.0)
         assert probe.status == "ok"
         assert probe.norm_estimate <= 1.0 / (lam + 1.0) + 1e-8
+
+    @pytest.mark.parametrize("d, L, energy", [(1, 30.0, -0.5), (1, 30.0, 0.9),
+                                              (2, 6.0, 0.3)])
+    def test_whole_box_norm_is_exact(self, d, L, energy):
+        H, _ = random_hamiltonian(d, L, 4, Uniform01(), seed=14)
+        vals = la.eigvalsh(H.matrix.toarray())
+        probe = resolvent_norm(H, energy)
+        assert probe.status == "ok" and probe.iterations > 0
+        assert probe.norm_estimate == pytest.approx(
+            1.0 / np.min(np.abs(vals - energy)), rel=1e-8)
 
     def test_divergent_at_eigenvalue(self):
         H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=7)
