@@ -21,6 +21,7 @@ import scipy.linalg as la
 from .discretize import GridSpec, PeriodicField, assemble_hamiltonian
 from .errors import ValidationError
 from .model import BoxSpec, SingleSiteDistribution, SiteProfile, sample_configuration
+from .spectral import is_tridiagonal
 
 
 @dataclass
@@ -36,7 +37,7 @@ class IdsCurve:
 def full_spectrum(H) -> np.ndarray:
     """All eigenvalues in ascending order, with a tridiagonal fast path for
     1-d Dirichlet."""
-    if H.grid.box.dimension == 1 and H.boundary == "dirichlet":
+    if is_tridiagonal(H):
         return la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
     return la.eigvalsh(H.matrix.toarray())
 

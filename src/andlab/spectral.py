@@ -1,13 +1,22 @@
 """Eigenvalue counts and windows, resolvent block-norm probes, unitary evolution.
 
-Windows are count-first: ``eigenvalue_count`` reads #{eigenvalues < E} from
-the inertia of ``H - E`` (Sylvester's law), so a window above the dense size
-is one shift-invert Lanczos (ARPACK) call for exactly its counted pairs,
-shifted just below the window so that a truncated window keeps its lowest
-pairs.  ``_dense`` alone chooses LAPACK or ARPACK.  Solves that return
-eigenvectors stay dense up to n = 3000: LAPACK resolves eigenvector tails
-(dichotomy masses down to 1e-33) far below ARPACK's floor of about 1e-14.
-Eigenvalue-only solves switch at the measured crossover, n = 300.
+Structure decides first, then size.  A 1-d Dirichlet Hamiltonian is
+tridiagonal (``is_tridiagonal``), and its windows and smallest eigenvalue go
+straight to LAPACK's tridiagonal routines at every n: ``stebz`` bisection and
+``stein`` inverse iteration.  That is what dense ``dsyevr`` runs for a value
+range after reducing the matrix to tridiagonal form, and on an input that is
+already tridiagonal that reduction is exact, so the results are bitwise those
+of the dense solve, without its n x n copy or its O(n^3) Householder pass.
+
+For every other H, windows are count-first: ``eigenvalue_count`` reads
+#{eigenvalues < E} from the inertia of ``H - E`` (Sylvester's law), so a
+window above the dense size is one shift-invert Lanczos (ARPACK) call for
+exactly its counted pairs, shifted just below the window so that a truncated
+window keeps its lowest pairs.  ``_dense`` alone chooses LAPACK or ARPACK.
+Solves that return eigenvectors stay dense up to n = 3000: LAPACK resolves
+eigenvector tails (dichotomy masses down to 1e-33) far below ARPACK's floor of
+about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
+``EigenWindowResult.solver`` records which of the three ran.
 
 Resolvent probes share one sparse factorization of ``H - E`` across block
 norms; near-resonant energies are reported as DIVERGENT rather than as a
@@ -32,6 +41,11 @@ from .rng import derive_key, uniforms
 DENSE_MAX_VECTORS = 3000
 DENSE_MAX_VALUES = 300
 DIVERGENT = "divergent"
+
+
+def is_tridiagonal(H: HamiltonianMatrix) -> bool:
+    """1-d Dirichlet: the three-point stencil with no wrap-around entries."""
+    return H.grid.box.dimension == 1 and H.boundary == "dirichlet"
 
 
 def _dense(n: int, vectors: bool) -> bool:
@@ -78,6 +92,7 @@ class EigenWindowResult:
     residuals: np.ndarray        # h^d norms of H psi - E psi
     truncated: bool = False
     orthogonality_defect: float = 0.0
+    solver: str = "dense"        # "tridiagonal", "dense" or "arpack"
 
 
 def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6) -> EigenWindowResult:
@@ -86,12 +101,19 @@ def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6) -> Eigen
     lo, hi = float(interval[0]), float(interval[1])
     if not np.isfinite([lo, hi]).all() or hi < lo:
         raise ValidationError(f"window must be a bounded interval, got {interval}")
-    if _dense(H.size, vectors=True):
+    if max_count < 1:
+        raise ValidationError(f"max_count must be at least 1, got {max_count}")
+    if is_tridiagonal(H):
+        solver = "tridiagonal"
+        vals, vecs, truncated = _tridiagonal_window(H, lo, hi, max_count)
+    elif _dense(H.size, vectors=True):
+        solver = "dense"
         vals, vecs = la.eigh(H.matrix.toarray(),
                              subset_by_value=(np.nextafter(lo, -np.inf), hi))
         truncated = len(vals) > max_count
         vals, vecs = vals[:max_count], vecs[:, :max_count]
     else:
+        solver = "arpack"
         vals, vecs, truncated = _sparse_window(H, lo, hi, max_count)
     w = H.grid.weight()
     if vecs.size:
@@ -103,7 +125,24 @@ def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6) -> Eigen
     else:
         residuals = np.zeros(0)
         defect = 0.0
-    return EigenWindowResult((lo, hi), vals, vecs, residuals, truncated, defect)
+    return EigenWindowResult((lo, hi), vals, vecs, residuals, truncated, defect, solver)
+
+
+def _tridiagonal_window(H: HamiltonianMatrix, lo: float, hi: float, max_count: int):
+    """``stebz``/``stein`` on the diagonals.  A window that may hold more than
+    ``max_count`` pairs is counted first and then solved by index for its
+    lowest ``max_count``, never in full."""
+    d, e = H.matrix.diagonal(), H.matrix.diagonal(1)
+    if max_count < H.size:
+        below, upto = eigenvalue_count(H, [lo, np.nextafter(hi, np.inf)])
+        if upto - below > max_count:
+            vals, vecs = la.eigh_tridiagonal(d, e, select="i",
+                                             select_range=(below, below + max_count - 1))
+            keep = (vals >= lo) & (vals <= hi)  # a count tied at an edge
+            return vals[keep], vecs[:, keep], True
+    vals, vecs = la.eigh_tridiagonal(d, e, select="v",
+                                     select_range=(np.nextafter(lo, -np.inf), hi))
+    return vals, vecs, False
 
 
 def _sparse_window(H: HamiltonianMatrix, lo: float, hi: float, max_count: int):
@@ -135,6 +174,9 @@ def _shift_invert(H: HamiltonianMatrix, k: int, sigma: float, vectors: bool):
 
 def lowest_eigenvalue(H: HamiltonianMatrix) -> float:
     """Smallest eigenvalue."""
+    if is_tridiagonal(H):
+        return float(la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1),
+                                             select="i", select_range=(0, 0))[0])
     if _dense(H.size, vectors=False):
         return float(la.eigh(H.matrix.toarray(), eigvals_only=True,
                              subset_by_index=(0, 0))[0])

@@ -17,6 +17,26 @@ from conftest import assemble, make_box, random_hamiltonian
 from test_discretize import free_dirichlet_eigenvalues
 
 
+# the same window roles on every path; the periodic spectrum starts at 0.296
+WINDOWS = [
+    ((-5.0, -1.0), 10**6),     # below the spectrum
+    ((-1.0, 0.8), 10**6),      # touching its bottom
+    ((0.4, 1.2), 10**6),       # interior
+    ((60.0, 100.0), 10**6),    # touching its top
+    ((-1.0, 6.0), 4),          # bottom window, truncated to its lowest pairs
+]
+WINDOW_IDS = ["below", "bottom", "interior", "top", "truncated"]
+
+
+def periodic_hamiltonian(L, seed):
+    """A 1-d periodic box: not tridiagonal, so windows take the dense/ARPACK path."""
+    box = make_box(1, L)
+    H = assemble(box, n=4, boundary="periodic",
+                 config=sample_configuration(Uniform01(), box, None, seed, 0))
+    assert not spectral.is_tridiagonal(H)
+    return H
+
+
 class TestEigsWindow:
     def test_free_closed_form(self):
         H = assemble(make_box(1, 6.0), n=4)
@@ -48,18 +68,33 @@ class TestEigsWindow:
         with pytest.raises(ValidationError):
             eigs_window(H, (0.0, np.inf))
 
-    @pytest.mark.parametrize("window, max_count", [
-        ((-5.0, -1.0), 10**6),     # below the spectrum
-        ((-1.0, 0.8), 10**6),      # touching its bottom
-        ((0.2, 0.8), 10**6),       # interior
-        ((60.0, 100.0), 10**6),    # touching its top
-        ((-1.0, 6.0), 4),          # bottom window, truncated to its lowest pairs
-    ], ids=["below", "bottom", "interior", "top", "truncated"])
-    def test_sparse_path_matches_dense(self, window, max_count, monkeypatch):
+    def test_empty_cap_rejected(self):
+        H = assemble(make_box(1, 6.0), n=4)
+        with pytest.raises(ValidationError):
+            eigs_window(H, (0.0, 1.0), max_count=0)
+
+    @pytest.mark.parametrize("window, max_count", WINDOWS, ids=WINDOW_IDS)
+    def test_tridiagonal_path_matches_dense(self, window, max_count):
         H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=5)
+        tri = eigs_window(H, window, max_count)
+        assert tri.solver == "tridiagonal"
+        lo, hi = window
+        vals, vecs = la.eigh(H.matrix.toarray(),
+                             subset_by_value=(np.nextafter(lo, -np.inf), hi))
+        assert tri.truncated == (len(vals) > max_count) == (max_count == 4)
+        vals, vecs = vals[:max_count], vecs[:, :max_count]
+        assert np.allclose(tri.energies, vals, rtol=0.0, atol=1e-12)
+        overlap = np.sqrt(H.grid.weight()) * np.abs(tri.vectors.T @ vecs)
+        assert np.allclose(overlap, np.eye(len(vals)), atol=1e-8)
+        assert np.all(tri.residuals <= 1e-8)
+
+    @pytest.mark.parametrize("window, max_count", WINDOWS, ids=WINDOW_IDS)
+    def test_sparse_path_matches_dense(self, window, max_count, monkeypatch):
+        H = periodic_hamiltonian(30.0, seed=5)
         dense = eigs_window(H, window, max_count)
         monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
         sparse = eigs_window(H, window, max_count)
+        assert (dense.solver, sparse.solver) == ("dense", "arpack")
         assert np.allclose(sparse.energies, dense.energies, atol=1e-9)
         assert sparse.truncated == dense.truncated == (max_count == 4)
         overlap = H.grid.weight() * np.abs(sparse.vectors.T @ dense.vectors)
@@ -67,13 +102,38 @@ class TestEigsWindow:
         assert np.all(sparse.residuals <= 1e-8)
 
     def test_sparse_window_beyond_arpack_raises(self, monkeypatch):
-        H = assemble(make_box(1, 3.0), n=4)
+        H = periodic_hamiltonian(3.0, seed=0)
         monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
         with pytest.raises(SolverError):
             eigs_window(H, (-1.0, 1e5))
         psi0 = np.ones(H.size) / np.sqrt(H.grid.weight() * H.size)
         with pytest.raises(SolverError):  # full evolution is a whole-spectrum window
             evolve(H, psi0, 1.0)
+
+    def test_capped_window_stays_inside_at_a_tied_edge(self):
+        # at an edge that is an eigenvalue to roundoff, the inertia count and
+        # bisection can disagree; the pairs returned still lie in the window
+        H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=6)
+        lo = float(la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))[35])
+        res = eigs_window(H, (lo, lo + 50.0), max_count=2)
+        assert res.truncated and res.solver == "tridiagonal"
+        assert len(res.energies) and np.all(res.energies >= lo)
+
+    def test_tridiagonal_never_densifies_or_calls_arpack(self, monkeypatch):
+        H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense or ARPACK solve on a tridiagonal H")
+
+        monkeypatch.setattr(type(H.matrix), "toarray", refuse)
+        monkeypatch.setattr(spectral.la, "eigh", refuse)
+        monkeypatch.setattr(spectral.spla, "eigsh", refuse)
+        for dense_max in (10**9, 0):
+            monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", dense_max)
+            monkeypatch.setattr(spectral, "DENSE_MAX_VALUES", dense_max)
+            for window, max_count in WINDOWS:
+                assert eigs_window(H, window, max_count).solver == "tridiagonal"
+            assert lowest_eigenvalue(H) > 0.0
 
 
 class TestEigenvalueCount:
@@ -114,11 +174,25 @@ class TestLowestEigenvalue:
             lowest_eigenvalue(assemble(box, config=zero))
 
     def test_sparse_path(self, monkeypatch):
-        H, _ = random_hamiltonian(1, 40.0, 8, Uniform01(), seed=4)
+        H = periodic_hamiltonian(40.0, seed=4)
         dense = lowest_eigenvalue(H)
+        calls = []
+        shift_invert = spectral._shift_invert
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shift_invert(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_shift_invert", counted)
         monkeypatch.setattr(spectral, "DENSE_MAX_VALUES", 0)
         sparse = lowest_eigenvalue(H)
+        assert len(calls) == 1
         assert sparse == pytest.approx(dense, rel=1e-9)
+
+    def test_tridiagonal_matches_dense(self):
+        H, _ = random_hamiltonian(1, 40.0, 8, Uniform01(), seed=4)
+        dense = la.eigvalsh(H.matrix.toarray(), subset_by_index=(0, 0))[0]
+        assert lowest_eigenvalue(H) == pytest.approx(dense, rel=1e-12)
 
 
 class TestResolventProbes:
@@ -212,6 +286,19 @@ class TestEvolve:
         psi_t, deficit = evolve(H, psi0, 2.7)
         assert abs(np.sqrt(w) * np.linalg.norm(psi_t) - 1.0) <= 1e-10
         assert deficit <= 1e-10
+
+    def test_tridiagonal_whole_spectrum_at_any_size(self, monkeypatch):
+        # the whole-spectrum window needs k = n pairs, beyond ARPACK; a
+        # tridiagonal H never reaches the size decision
+        monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
+        H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=12)
+        w = H.grid.weight()
+        psi0 = np.zeros(H.size)
+        psi0[H.size // 3] = 1.0
+        psi0 /= np.sqrt(w) * np.linalg.norm(psi0)
+        psi_t, deficit = evolve(H, psi0, 2.7)
+        assert abs(np.sqrt(w) * np.linalg.norm(psi_t) - 1.0) <= 1e-10
+        assert deficit < 1e-10
 
     def test_two_site_closed_form(self):
         # two interior nodes: H = [[a, b], [b, a]];
