@@ -356,20 +356,13 @@ def check_goodness(
             src = mask_of(a, probe_centers[a])
             if not src.any():
                 continue
-            cols = np.flatnonzero(src)
-            rhs = np.zeros((H.size, len(cols)))
-            rhs[cols, np.arange(len(cols))] = 1.0
+            targets = [b for b in targets if mask_of(b, probe_centers[b]).any()]
             try:
-                sol = fac.solve(rhs)
+                norms = fac.block_norms(src, [masks[b] for b in targets])
             except FloatingPointError:
                 indeterminate = True
                 continue
-            for b in targets:
-                tgt = mask_of(b, probe_centers[b])
-                if not tgt.any():
-                    continue
-                block = sol[np.flatnonzero(tgt), :]
-                measured = float(np.linalg.svd(block, compute_uv=False)[0])
+            for b, measured in zip(targets, norms.tolist()):
                 distance = float(np.max(np.abs(probe_centers[a] - probe_centers[b])))
                 bound = factor * math.exp(-m * distance)
                 ratio = measured / bound if bound > 0 else math.inf

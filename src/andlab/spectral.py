@@ -18,10 +18,11 @@ eigenvector tails (dichotomy masses down to 1e-33) far below ARPACK's floor of
 about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
 ``EigenWindowResult.solver`` records which of the three ran.
 
-Resolvent probes share one sparse factorization of ``H - E`` across block
-norms; near-resonant energies are reported as DIVERGENT rather than as a
-huge number, since the boundary-value extension of the resolvent norm at
-spectral points is a limsup.
+Resolvent probes share one sparse factorization of ``H - E``.  Block norms
+are exact, all from ``block_norms``: one solve for the source columns and one
+SVD per target, with no iterative estimate.  Near-resonant energies are
+reported as DIVERGENT rather than as a huge number, since the boundary-value
+extension of the resolvent norm at spectral points is a limsup.
 """
 
 from __future__ import annotations
@@ -67,15 +68,20 @@ def _gershgorin_lower(M: sp.spmatrix) -> float:
 
 def eigenvalue_count(H: HamiltonianMatrix, energies) -> np.ndarray:
     """``#{eigenvalues < E}`` for each E: the negative pivots of a symmetric-mode
-    LU of ``H - E`` without off-diagonal pivoting, ``P (H-E) P^T = L D L^T``."""
+    LU of ``H - E`` without off-diagonal pivoting, ``P (H-E) P^T = L D L^T``;
+    one ulp below an E whose factor is exactly singular (E on an eigenvalue)."""
     A, eye = H.matrix.tocsc(), sp.identity(H.size, format="csc")
     counts = []
     for E in np.atleast_1d(np.asarray(energies, dtype=float)):
-        try:
-            lu = spla.splu(A - E * eye, diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SolverError(f"inertia factorization at E={E} failed: {exc}") from exc
+        for shift in (E, np.nextafter(E, -np.inf)):
+            try:
+                lu = spla.splu(A - shift * eye, diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+                break
+            except RuntimeError as exc:
+                error = exc
+        else:
+            raise SolverError(f"inertia factorization at E={E} failed: {error}") from error
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise SolverError(f"inertia factorization at E={E} pivoted off the diagonal")
         counts.append(np.count_nonzero(lu.U.diagonal() < 0.0))
@@ -271,57 +277,31 @@ class ResolventFactorization:
     def divergent(self) -> bool:
         return self.singular or self.gap < self.gap_tol
 
-    def block_norm(self, source_mask: np.ndarray, target_mask: np.ndarray,
-                   tol: float = 1e-6, max_iter: int = 200,
-                   materialize_limit: int = 64) -> ResolventProbe:
+    def block_norms(self, source_mask: np.ndarray, target_masks) -> np.ndarray:
+        """Exact ``|chi_target R chi_source|`` for each target: one solve for the
+        source columns, one SVD per target.  Masks must be non-empty; raises
+        ``FloatingPointError`` on a non-finite solve."""
+        cols = np.flatnonzero(source_mask)
+        rhs = np.zeros((self.n, len(cols)))
+        rhs[cols, np.arange(len(cols))] = 1.0
+        sol = self.solve(rhs)
+        return np.array([np.linalg.svd(sol[np.flatnonzero(t), :], compute_uv=False)[0]
+                         for t in target_masks])
+
+    def block_norm(self, source_mask: np.ndarray, target_mask: np.ndarray) -> ResolventProbe:
         """Largest singular value of ``chi_target R chi_source``."""
         if self.divergent:
             return ResolventProbe(self.energy, np.nan, DIVERGENT, 0, np.inf, self.gap)
-        src = np.flatnonzero(np.asarray(source_mask, dtype=bool))
-        tgt = np.flatnonzero(np.asarray(target_mask, dtype=bool))
-        if len(src) == 0 or len(tgt) == 0:
+        # R is symmetric: solve from the smaller mask (the source on a tie)
+        src, tgt = sorted((np.asarray(m, dtype=bool) for m in (source_mask, target_mask)),
+                          key=np.count_nonzero)
+        if not src.any():
             return ResolventProbe(self.energy, 0.0, "empty", 0, 0.0, self.gap)
-        # R is symmetric: materialize from whichever side is cheaper
-        if min(len(src), len(tgt)) <= materialize_limit:
-            cols, rows = (src, tgt) if len(src) <= len(tgt) else (tgt, src)
-            rhs = np.zeros((self.n, len(cols)))
-            rhs[cols, np.arange(len(cols))] = 1.0
-            try:
-                sol = self.solve(rhs)
-            except FloatingPointError:
-                return ResolventProbe(self.energy, np.nan, DIVERGENT, 0, np.inf, 0.0)
-            block = sol[rows, :]
-            norm = float(la.svdvals(block)[0]) if block.size else 0.0
-            return ResolventProbe(self.energy, norm, "ok", len(cols), 0.0, self.gap)
-        return self._block_norm_iterative(src, tgt, tol, max_iter)
-
-    def _block_norm_iterative(self, src, tgt, tol, max_iter) -> ResolventProbe:
-        n = self.n
-
-        def matvec(x):
-            full = np.zeros(n)
-            full[src] = x
-            return self.solve(full)[tgt]
-
-        def rmatvec(y):
-            full = np.zeros(n)
-            full[tgt] = y
-            return self.solve(full)[src]
-
-        # power iteration on the normal operator (chi_S R chi_T)(chi_T R chi_S)
-        v = _start_vector(len(src), 0x51D)
-        sigma = 0.0
-        for it in range(max_iter):
-            w = rmatvec(matvec(v))
-            new = np.sqrt(np.linalg.norm(w))
-            if new == 0.0:
-                return ResolventProbe(self.energy, 0.0, "ok", it, 0.0, self.gap)
-            v = w / np.linalg.norm(w)
-            if abs(new - sigma) <= tol * max(new, 1e-300):
-                return ResolventProbe(self.energy, float(new), "ok", it + 1,
-                                      abs(new - sigma), self.gap)
-            sigma = new
-        return ResolventProbe(self.energy, float(sigma), "ok", max_iter, np.inf, self.gap)
+        try:
+            norm = float(self.block_norms(src, [tgt])[0])
+        except FloatingPointError:
+            return ResolventProbe(self.energy, np.nan, DIVERGENT, 0, np.inf, 0.0)
+        return ResolventProbe(self.energy, norm, "ok", np.count_nonzero(src), 0.0, self.gap)
 
 
 def resolvent_block_norm(H: HamiltonianMatrix, energy: float,

@@ -11,7 +11,7 @@ from andlab.msa import (FreeSitePolicy, GAMMA_CRITICAL, check_goodness, check_pg
                         goodness_probability, initial_scale_values, minimal_n1,
                         msa_constants, n_hat, reduced_spectrum,
                         restrict_configuration, scale_ladder, wilson_interval)
-from andlab.spectral import eigs_window, lowest_eigenvalue
+from andlab.spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
 from conftest import assemble, make_box
 
@@ -110,6 +110,33 @@ class TestGoodness:
         tgt = np.flatnonzero(unit_box_mask(H.grid, wp.y))
         oracle = la.svdvals(dense[np.ix_(tgt, src)])[0]
         assert wp.measured == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("d, L, seed", [(1, 20.0, 21), (2, 6.0, 22)])
+    def test_worst_pair_matches_dense_inverse(self, d, L, seed):
+        import scipy.linalg as la
+        from andlab.discretize import unit_box_mask
+
+        box = make_box(d, L)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, seed, 0)
+        rep = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1)
+        H = assemble(box, n=4, config=cfg)
+        dense = np.linalg.inv(H.matrix.toarray() + 0.5 * np.eye(H.size))
+        wp = rep.worst_pair
+        src = np.flatnonzero(unit_box_mask(H.grid, wp.x))
+        tgt = np.flatnonzero(unit_box_mask(H.grid, wp.y))
+        oracle = la.svdvals(dense[np.ix_(tgt, src)])[0]
+        assert not rep.indeterminate
+        assert wp.measured == pytest.approx(oracle, rel=1e-10)
+
+    def test_non_finite_solve_is_indeterminate(self, monkeypatch):
+        def blow_up(self, source_mask, target_masks):
+            raise FloatingPointError("non-finite resolvent solve")
+
+        monkeypatch.setattr(ResolventFactorization, "block_norms", blow_up)
+        box = make_box(1, 12.0)
+        rep = check_goodness(box, GridSpec(4), SiteProfile(),
+                             empty_configuration(box), -1.0, 0.4, 0.1)
+        assert rep.indeterminate and not rep.is_good
 
     def test_divergent_energy_fails(self):
         box = make_box(1, 12.0)

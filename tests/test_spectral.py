@@ -153,6 +153,16 @@ class TestEigenvalueCount:
         expected = np.searchsorted(vals, energies)
         assert eigenvalue_count(H, energies).tolist() == expected.tolist()
 
+    def test_energy_on_an_eigenvalue(self):
+        # E is 2 ulps above a computed eigenvalue: the LU of H - E has an
+        # exactly zero pivot, and the count is read one ulp below E
+        H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=6)
+        E = 14.136049715622182
+        vals = la.eigvalsh(H.matrix.toarray())
+        slack = 1e-12 * np.max(np.abs(vals))
+        count = int(eigenvalue_count(H, [E])[0])
+        assert np.count_nonzero(vals < E - slack) <= count <= np.count_nonzero(vals <= E + slack)
+
 
 class TestLowestEigenvalue:
     def test_free_closed_form(self):
@@ -249,14 +259,38 @@ class TestResolventProbes:
         probe = resolvent_block_norm(H, -1.0, empty, np.ones(H.size, bool))
         assert probe.status == "empty" and probe.norm_estimate == 0.0
 
-    def test_iterative_path_matches_materialized(self):
-        H, _ = random_hamiltonian(1, 30.0, 8, Uniform01(), seed=10)
-        fac = ResolventFactorization(H, -0.5)
-        src = H.grid.points()[:, 0] < 0.0
-        tgt = H.grid.points()[:, 0] > 5.0
-        direct = fac.block_norm(src, tgt, materialize_limit=10**9)
-        iterative = fac.block_norm(src, tgt, materialize_limit=0)
-        assert iterative.norm_estimate == pytest.approx(direct.norm_estimate, rel=1e-6)
+    @pytest.mark.parametrize("d, L, n, centers", [
+        (1, 30.0, 8, None),                         # half-box masks, 119 and 79 nodes
+        (2, 6.0, 12, ((-2.0, -2.0), (2.0, 1.0))),   # 121-node unit boxes
+    ], ids=["1d-half-boxes", "2d-unit-boxes"])
+    def test_large_masks_match_dense_inverse(self, d, L, n, centers):
+        H, _ = random_hamiltonian(d, L, n, Uniform01(), seed=10)
+        E = -0.5
+        if centers is None:
+            x = H.grid.points()[:, 0]
+            src, tgt = x < 0.0, x > 5.0
+        else:
+            src, tgt = (unit_box_mask(H.grid, c) for c in centers)
+        assert min(np.count_nonzero(src), np.count_nonzero(tgt)) > 64
+        probe = ResolventFactorization(H, E).block_norm(src, tgt)
+        # dense columns R e_j, j in the source mask (an n x n inverse restricted)
+        shifted = H.matrix.toarray()
+        shifted[np.diag_indices(H.size)] -= E
+        cols = la.lu_solve(la.lu_factor(shifted, overwrite_a=True),
+                           np.eye(H.size)[:, np.flatnonzero(src)])
+        oracle = la.svdvals(cols[np.flatnonzero(tgt), :])[0]
+        assert probe.status == "ok"
+        assert probe.norm_estimate == pytest.approx(oracle, rel=1e-10)
+
+    def test_non_finite_solve_is_divergent(self, monkeypatch):
+        def blow_up(self, source_mask, target_masks):
+            raise FloatingPointError("non-finite resolvent solve")
+
+        monkeypatch.setattr(ResolventFactorization, "block_norms", blow_up)
+        H, _ = random_hamiltonian(1, 12.0, 4, Uniform01(), seed=8)
+        probe = resolvent_block_norm(H, -0.4, unit_box_mask(H.grid, (-3.0,)),
+                                     unit_box_mask(H.grid, (3.0,)))
+        assert probe.divergent and np.isnan(probe.norm_estimate)
 
 
 class TestWeylCounting:
