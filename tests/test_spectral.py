@@ -276,8 +276,9 @@ class TestResolventProbes:
         # dense columns R e_j, j in the source mask (an n x n inverse restricted)
         shifted = H.matrix.toarray()
         shifted[np.diag_indices(H.size)] -= E
-        cols = la.lu_solve(la.lu_factor(shifted, overwrite_a=True),
-                           np.eye(H.size)[:, np.flatnonzero(src)])
+        rhs = np.zeros((H.size, np.count_nonzero(src)))
+        rhs[np.flatnonzero(src), np.arange(rhs.shape[1])] = 1.0
+        cols = la.lu_solve(la.lu_factor(shifted, overwrite_a=True), rhs)
         oracle = la.svdvals(cols[np.flatnonzero(tgt), :])[0]
         assert probe.status == "ok"
         assert probe.norm_estimate == pytest.approx(oracle, rel=1e-10)
