@@ -126,9 +126,10 @@ def _laplacian_1d(m: int, h: float, periodic: bool) -> sp.csr_matrix:
     main = np.full(m, 2.0 / h**2)
     off = np.full(m - 1, -1.0 / h**2)
     T = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    if periodic and m > 2:
-        T[0, m - 1] = -1.0 / h**2
-        T[m - 1, 0] = -1.0 / h**2
+    if periodic:
+        # added, not set: a 2-node ring couples its two nodes twice
+        T[0, m - 1] += -1.0 / h**2
+        T[m - 1, 0] += -1.0 / h**2
     return T.tocsr()
 
 
@@ -144,6 +145,37 @@ def _laplacian(grid: Grid) -> sp.csr_matrix:
                        format="csr")
         lap = term if lap is None else lap + term
     return lap.tocsr()
+
+
+def bloch_blocks(cell: HamiltonianMatrix, periods: int):
+    """Floquet-Bloch blocks of a periodic box of ``periods``^d copies of ``cell``.
+
+    ``cell`` is the periodic operator on one period q.  The box operator
+    commutes with translation by q, so it is the direct sum over
+    k in {0, ..., periods - 1}^d of the cell operator on functions with
+    psi(x + q e_a) = e^{i theta_a} psi(x), theta_a = 2 pi k_a / periods:
+    each axis's wrap-around coupling from its last node to its first carries
+    the phase e^{i theta_a}, and the reverse coupling its conjugate.
+    Yields the dense Hermitian blocks in C order of k; the first, k = 0, is
+    the cell itself.
+    """
+    grid = cell.grid
+    phases = np.exp(2j * np.pi * np.arange(periods) / periods)
+    base = np.diag(cell.potential)
+    forward = []
+    for a, m in enumerate(grid.shape):
+        left = np.eye(int(np.prod(grid.shape[:a], dtype=int)))
+        right = np.eye(int(np.prod(grid.shape[a + 1:], dtype=int)))
+        closed = _laplacian_1d(m, grid.h, True).toarray()
+        wrap = closed - _laplacian_1d(m, grid.h, False).toarray()
+        # I (x) T (x) I on the C-order raveled cell
+        base = base + np.kron(left, np.kron(closed - wrap, right))
+        forward.append(np.kron(left, np.kron(np.tril(wrap), right)))
+    for k in np.ndindex(*([periods] * len(grid.shape))):
+        block = base.astype(complex)
+        for F, ka in zip(forward, k):
+            block += phases[ka] * F + np.conj(phases[ka]) * F.T
+        yield block
 
 
 class HamiltonianMatrix:

@@ -173,15 +173,23 @@ def build_v_per(spec: Optional[dict]) -> Optional[PeriodicField]:
 
 
 def periodic_ground_energy(field: PeriodicField, dimension: int,
-                           supercell_periods: int = 8,
                            points_per_unit: int = 8) -> float:
-    """inf spec(-Lap + V_per) approximated on a periodic supercell."""
+    """inf spec(-Lap + V_per) on the grid: the lowest eigenvalue on one period.
+
+    The periodic operator's ground state is positive and simple
+    (Perron-Frobenius), hence invariant under translation by a period, so it
+    lies in the k = 0 Floquet-Bloch block of every periodic box: the
+    one-period cell, whose lowest eigenvalue is exactly that of any
+    multi-period supercell on the same nodes.
+    """
     from ..discretize import assemble_hamiltonian, empty_configuration
     from ..model import BoxSpec
     from ..spectral import lowest_eigenvalue
 
-    side = float(field.period * supercell_periods)
-    box = BoxSpec(dimension, tuple([0.0] * dimension), side)
+    side = float(field.period)
+    # corner on q Z^d: V_per is sampled where an origin-centred box of an
+    # even number of periods samples it
+    box = BoxSpec(dimension, tuple([side / 2.0] * dimension), side)
     H = assemble_hamiltonian(box, GridSpec(points_per_unit, "periodic"),
                              SiteProfile(), empty_configuration(box), field)
     return lowest_eigenvalue(H)

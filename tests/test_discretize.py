@@ -186,6 +186,14 @@ class TestEigenvalueMonotonicity:
 
 
 class TestExternalInterfaces:
+    def test_two_node_periodic_ring(self):
+        # both neighbours of each node are the other node: spectrum {0, 4/h^2}
+        from andlab.discretize import _laplacian_1d
+
+        T = _laplacian_1d(2, 0.5, True).toarray()
+        assert T[0, 1] == T[1, 0] == -8.0
+        assert la.eigvalsh(T) == pytest.approx([0.0, 16.0], abs=1e-12)
+
     def test_periodic_period_fit_error(self):
         from andlab.discretize import PeriodicField
 

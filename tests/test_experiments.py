@@ -38,6 +38,22 @@ class TestConfigValidation:
         raw["model"]["v_per"] = {"kind": "cosine", "period": 2, "auto_shift": True}
         assert validate_config(raw).kind == "dynamical"
 
+    @pytest.mark.parametrize("d, period", [(1, 2), (2, 1)])
+    def test_periodic_ground_energy_equals_supercell(self, d, period):
+        # the ground state is translation invariant, so one period gives the
+        # lowest eigenvalue of an 8-period supercell on the same nodes
+        from andlab.discretize import GridSpec, assemble_hamiltonian, empty_configuration
+        from andlab.model import BoxSpec, SiteProfile
+        from andlab.spectral import lowest_eigenvalue
+
+        field = build_v_per({"kind": "cosine", "amplitude": 0.7, "period": period,
+                             "offset": 0.3})
+        box = BoxSpec(d, tuple([0.0] * d), 8.0 * period)
+        H = assemble_hamiltonian(box, GridSpec(8, "periodic"), SiteProfile(),
+                                 empty_configuration(box), field)
+        assert config_module.periodic_ground_energy(field, d) == pytest.approx(
+            lowest_eigenvalue(H), abs=1e-10)
+
     def test_unknown_key_named(self):
         raw = minimal_constants_config()
         raw["mesch"] = 3

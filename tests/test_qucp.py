@@ -152,21 +152,43 @@ class TestQucpVerify:
         assert fit.kappa_hat <= 4.0 / 3.0 + 0.3
 
 
+COSINE_1D = PeriodicField(lambda pts: 0.5 + 0.5 * np.cos(
+    np.pi * np.atleast_2d(pts)[:, 0]), 2)
+COSINE_2D = PeriodicField(lambda pts: 0.5 + 0.25 * np.sum(
+    np.cos(np.pi * np.atleast_2d(pts)), axis=1), 2)
+
+
 class TestPeriodicGap:
-    def test_free_benchmark_against_dense_oracle(self):
-        res = periodic_projection_gap(None, 8.0, GridSpec(4, "periodic"),
-                                      (0.0, 0.5), 0.5, 1)
-        assert res.gap is not None and res.gap > 0.0
-        # independent oracle: min eigenvalue of P W P + penalty (I - P)
-        box = make_box(1, 8.0)
-        H = assemble(box, n=4, boundary="periodic")
+    @pytest.mark.parametrize("v_per, d, L, n, interval, delta, count", [
+        (None, 1, 8.0, 4, (0.0, 0.5), 0.5, 1),
+        (COSINE_1D, 1, 8.0, 4, (0.0, 1.2), 1.0, 3),
+        (None, 1, 8.0, 2, (0.0, 1.0), 0.5, 3),
+        (None, 2, 8.0, 4, (0.0, 0.8), 0.5, 5),
+        (COSINE_2D, 2, 8.0, 3, (0.0, 1.2), 1.0, 5),
+    ], ids=["d1-free", "d1-cosine-q2", "d1-two-node-cells", "d2-free-zero-mode-on-edge",
+            "d2-cosine-q2"])
+    def test_free_benchmark_against_dense_oracle(self, v_per, d, L, n, interval, delta,
+                                                 count):
+        res = periodic_projection_gap(v_per, L, GridSpec(n, "periodic"), interval, delta, d)
+        # independent oracle: dense eigh of the whole box, same edge convention
+        H = assemble(make_box(d, L), n=n, boundary="periodic", v_per=v_per)
         vals, vecs = la.eigh(H.matrix.toarray())
-        inside = (vals >= 0.0) & (vals <= 0.5)
-        P = vecs[:, inside] @ vecs[:, inside].T
-        W = np.diag(periodized_ball_indicator(H.grid.points(), 1, 0.5))
-        big = P @ W @ P + 100.0 * (np.eye(H.size) - P)
-        oracle = la.eigvalsh(big)[0]
-        assert res.gap == pytest.approx(oracle, abs=1e-8)
+        tol = 1e-12 * H.norm_bound()
+        inside = (vals >= interval[0] - tol) & (vals <= interval[1] + tol)
+        q = 1 if v_per is None else v_per.period
+        W = periodized_ball_indicator(H.grid.points(), q, delta)
+        P = vecs[:, inside]
+        oracle = la.eigvalsh(P.T @ (W[:, None] * P))[0]
+        assert res.count == int(inside.sum()) == count
+        assert res.gap == pytest.approx(oracle, rel=1e-12)
+
+    def test_2d_beyond_dense_reach(self):
+        # n = 160^2 = 25600 nodes: a dense solve would need 5 GB
+        res = periodic_projection_gap(None, 40.0, GridSpec(4, "periodic"),
+                                      (0.0, 0.5), 0.5, 2)
+        mu = 64.0 * np.sin(np.pi * np.arange(160) / 160) ** 2
+        assert res.count == int(np.sum(mu[:, None] + mu[None, :] <= 0.5)) == 69
+        assert 0.0 < res.gap <= 1.0
 
     def test_covering_delta_gap_at_least_one(self):
         # h = 1/3 grid never meets the half-integer boundary, so delta = q
@@ -187,9 +209,7 @@ class TestPeriodicGap:
         assert all(a <= b + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
     def test_positive_with_cosine_potential(self):
-        field = PeriodicField(lambda pts: 0.5 + 0.5 * np.cos(
-            np.pi * np.atleast_2d(pts)[:, 0]), 2)
-        res = periodic_projection_gap(field, 8.0, GridSpec(4, "periodic"),
+        res = periodic_projection_gap(COSINE_1D, 8.0, GridSpec(4, "periodic"),
                                       (0.0, 1.2), 1.0, 1)
         assert res.count > 0 and res.gap > 0.0
 
