@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -153,22 +154,25 @@ def _v_per_kind(spec: dict) -> str:
     return kind
 
 
+def _cosine(amplitude: float, period: int, offset: float, shift: float, points):
+    """``offset + amplitude * sum_a cos(2 pi x_a / period) - shift`` per point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return offset + amplitude * np.sum(np.cos(2.0 * np.pi * points / period), axis=1) - shift
+
+
 def build_v_per(spec: Optional[dict]) -> Optional[PeriodicField]:
+    """The periodic field of a ``v_per`` spec; picklable, so a model built
+    once per run crosses to worker processes."""
     if spec is None or _v_per_kind(spec) == "zero":
         return None
-    amp = float(spec.get("amplitude", 1.0))
     period = int(spec.get("period", 1))
-    off = float(spec.get("offset", 0.0))
-
-    def fn(points, _amp=amp, _p=period, _off=off):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _off + _amp * np.sum(np.cos(2.0 * np.pi * points / _p), axis=1)
-
-    field = PeriodicField(fn, period)
+    cosine = partial(_cosine, float(spec.get("amplitude", 1.0)), period,
+                     float(spec.get("offset", 0.0)))
+    field = PeriodicField(partial(cosine, 0.0), period)
     if spec.get("auto_shift", False):
         # normalize inf spec(-Lap + V_per) to zero (off by default)
         shift = periodic_ground_energy(field, int(spec.get("dimension", 1)))
-        return PeriodicField(lambda pts, _f=fn, _s=shift: _f(pts) - _s, period)
+        return PeriodicField(partial(cosine, shift), period)
     return field
 
 

@@ -3,9 +3,9 @@
 Each experiment is a pure function of (config, root seed); Monte Carlo
 trials are independent, keyed by trial index, and may run in worker
 processes -- results are aggregated in index order, so output bytes do not
-depend on the worker count.  Estimators (ladder verdicts, IDS curves) live
-in the library; this module schedules trials and writes files.  Each kind
-is one entry of ``KINDS``, which the config schema and the CLI also read.
+depend on the worker count.  Estimators and their trial functions live in
+the library; this module maps trials and writes files.  Each kind is one
+entry of ``KINDS``, which the config schema and the CLI also read.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,10 +24,9 @@ from .. import __version__
 from ..covering import standard_covering_annulus, standard_covering_box
 from ..discretize import GridSpec, assemble_hamiltonian
 from ..errors import ValidationError
-from ..ids import full_spectrum, ids_curve, log_holder_modulus
+from ..ids import ids_counts, ids_curve, log_holder_modulus
 from ..model import AnnulusSpec, BoxSpec, sample_configuration
-from ..msa import (PAIR_CAP, check_goodness, FreeSitePolicy, initial_scale_values,
-                   ladder_row, msa_constants)
+from ..msa import PAIR_CAP, goodness_trial, initial_scale_values, ladder_row, msa_constants
 from ..observables import dichotomy_check, dynamical_moment
 from ..qucp import periodic_projection_gap, qucp_verify
 from ..rng import derive_key, uniforms
@@ -39,98 +38,79 @@ from .emit import emit_plotdata, file_digest, write_csv, write_json
 D = 1  # CLI experiments run the 1-d desk bench; the library API is d-general
 
 
-def map_trials(fn: Callable, payloads: List[dict], workers: int) -> list:
-    """Order-preserving map over payloads, optionally across processes."""
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    chunk = max(1, len(payloads) // (4 * workers))
+def map_trials(fn: Callable, trials: range, workers: int) -> list:
+    """Order-preserving map over trial indices, optionally across processes."""
+    if workers <= 1 or len(trials) <= 1:
+        return [fn(t) for t in trials]
+    chunk = max(1, len(trials) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunk))
+        return list(pool.map(fn, trials, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
-# per-trial workers (top level: picklable)
+# per-trial functions (top level: picklable) of a model built once per run
 # ---------------------------------------------------------------------------
 
-def _payloads(cfg: ExperimentConfig, **fixed) -> List[dict]:
-    """One payload per trial: the kind's fixed inputs plus the model spec,
-    root seed and trial index.  Workers rebuild the model from its spec,
-    since periodic fields hold closures."""
-    return [dict(fixed, model=cfg.model, root_seed=cfg.root_seed, trial=t)
-            for t in range(cfg.n_samples)]
+def _model(cfg: ExperimentConfig) -> tuple:
+    """``(distribution, grid, profile, v_per)`` of the config's model."""
+    model = cfg.model
+    return (build_distribution(model["distribution"]), build_grid(model["grid"]),
+            build_profile(model["profile"]), build_v_per(model.get("v_per")))
 
 
-def _sample(payload: dict, side: float) -> tuple:
-    """``(box, grid, profile, configuration, v_per)`` of the payload's trial
-    on the box of side ``side`` centred at the origin."""
-    model = payload["model"]
-    box = BoxSpec(D, (0.0,) * D, float(side))
-    config = sample_configuration(build_distribution(model["distribution"]), box, None,
-                                  payload["root_seed"], payload["trial"])
-    return (box, build_grid(model["grid"]), build_profile(model["profile"]), config,
-            build_v_per(model.get("v_per")))
+def _hamiltonian(model: tuple, root_seed: int, L: float, trial: int):
+    dist, grid, profile, v_per = model
+    box = BoxSpec(D, (0.0,) * D, L)
+    return assemble_hamiltonian(box, grid, profile,
+                                sample_configuration(dist, box, None, root_seed, trial), v_per)
 
 
-def _hamiltonian(payload: dict):
-    return assemble_hamiltonian(*_sample(payload, payload["L"]))
+def _trial_initial_scale(model: tuple, root_seed: int, L: float, threshold: float,
+                         trial: int) -> bool:
+    return bool(lowest_eigenvalue(_hamiltonian(model, root_seed, L, trial)) >= threshold)
 
 
-def _trial_initial_scale(payload: dict) -> bool:
-    return bool(lowest_eigenvalue(_hamiltonian(payload)) >= payload["threshold"])
-
-
-def _trial_goodness(payload: dict) -> bool:
-    box, grid, profile, config, v_per = _sample(payload, payload["L"])
-    rep = check_goodness(box, grid, profile, config, payload["energy"], payload["m"],
-                         payload["varsigma"], FreeSitePolicy(seed=payload["root_seed"]),
-                         "good", v_per, pair_cap=payload["pair_cap"])
-    return bool(rep.is_good)
-
-
-def _trial_ids_counts(payload: dict) -> list:
-    return np.searchsorted(full_spectrum(_hamiltonian(payload)), payload["energy_grid"],
-                           side="right").tolist()
-
-
-def _trial_dichotomy(payload: dict) -> list:
-    L = payload["L"]
-    outer, grid, profile, config, v_per = _sample(payload, payload["outer_factor"] * L)
-    records = dichotomy_check(outer, grid, profile, config, payload["x0"], L,
-                              tuple(payload["interval"]), payload["M"],
-                              payload["vartheta"], payload["nu"], v_per)
-    return [{"trial": payload["trial"], "energy": r.energy, "w_x": r.w_x,
+def _trial_dichotomy(model: tuple, root_seed: int, L: float, interval: tuple, M: float,
+                     vartheta: float, nu: float, outer_factor: float, x0: list,
+                     trial: int) -> list:
+    dist, grid, profile, v_per = model
+    outer = BoxSpec(D, (0.0,) * D, outer_factor * L)
+    config = sample_configuration(dist, outer, None, root_seed, trial)
+    records = dichotomy_check(outer, grid, profile, config, x0, L, interval, M, vartheta,
+                              nu, v_per)
+    return [{"trial": trial, "energy": r.energy, "w_x": r.w_x,
              "w_x_L": r.w_x_L, "branch_point": r.branch_point,
              "branch_annulus": r.branch_annulus, "product_ok": r.product_ok}
             for r in records]
 
 
-def _trial_dynamical(payload: dict) -> list:
-    dm = dynamical_moment(_hamiltonian(payload), tuple(payload["interval"]), payload["b"],
-                          payload["x0"], tuple(payload["t_grid"]))
-    return [{"trial": payload["trial"], "t": t, "moment": val, "proxy": dm.proxy,
+def _trial_dynamical(model: tuple, root_seed: int, L: float, interval: tuple, b: float,
+                     x0: list, t_grid: tuple, trial: int) -> list:
+    dm = dynamical_moment(_hamiltonian(model, root_seed, L, trial), interval, b, x0, t_grid)
+    return [{"trial": trial, "t": t, "moment": val, "proxy": dm.proxy,
              "count": dm.window_count, "bounded": val <= dm.proxy + 1e-10}
             for t, val in dm.samples]
 
 
-def _trial_qucp(payload: dict) -> list:
-    H = _hamiltonian(payload)
-    upper = 4.0 * (np.pi / payload["L"]) ** 2 + float(np.max(H.potential)) + 1.0
+def _trial_qucp(model: tuple, root_seed: int, L: float, delta: float, theta: BoxSpec,
+                probes: list, D_bound: Optional[float], trial: int) -> list:
+    H = _hamiltonian(model, root_seed, L, trial)
+    upper = 4.0 * (np.pi / L) ** 2 + float(np.max(H.potential)) + 1.0
     res = eigs_window(H, (-0.1, upper), max_count=4)
     if len(res.energies) == 0:
         return []
-    theta = BoxSpec(D, tuple(payload["theta_center"]), payload["theta_side"])
-    fit = qucp_verify(H, res.vectors[:, 0], float(res.energies[0]), theta,
-                      payload["delta"], payload["probes"], payload["D"])
-    return [{"trial": payload["trial"], "x": r.x[0] if D == 1 else str(r.x),
+    fit = qucp_verify(H, res.vectors[:, 0], float(res.energies[0]), theta, delta, probes,
+                      D_bound)
+    return [{"trial": trial, "x": r.x[0] if D == 1 else str(r.x),
              "R": r.R, "K": r.K, "lhs": r.lhs, "rhs": r.rhs,
              "ratio": r.ratio, "kappa": r.kappa, "skipped": r.skipped}
             for r in fit.records]
 
 
-def _trial_rows(cfg: ExperimentConfig, workers: int, trial: Callable, **fixed) -> list:
+def _trial_rows(cfg: ExperimentConfig, workers: int, trial: Callable, *fixed) -> list:
     """The rows of every trial, in trial order."""
-    return [row for rows in map_trials(trial, _payloads(cfg, **fixed), workers)
-            for row in rows]
+    fn = partial(trial, _model(cfg), cfg.root_seed, *fixed)
+    return [row for rows in map_trials(fn, range(cfg.n_samples), workers) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -174,20 +154,21 @@ def _run_constants(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     return ["constants.json"]
 
 
-def _initial_scale_inputs(params: dict, L: float) -> tuple:
+def _initial_scale_inputs(params: dict, root_seed: int, model: tuple, L: float) -> tuple:
     E_L, m_L = initial_scale_values(L, float(params["p"]), D, float(params["eps"]),
                                     float(params.get("delta_plus", 1.0)),
                                     int(params.get("q", 1)))
-    return E_L, m_L, {"threshold": float(params.get("energy_factor", 2.0)) * E_L}
+    threshold = float(params.get("energy_factor", 2.0)) * E_L
+    return E_L, m_L, partial(_trial_initial_scale, model, root_seed, L, threshold)
 
 
-# goodness-ladder energy/rate rules: kind -> (keys, (rule, L, p) -> (energy, m))
+# goodness-ladder energy/rate rules: kind -> (keys, required, (rule, L, p) -> (energy, m))
 _RULES = {
-    "initial-scale": ({"kind", "eps", "delta_plus", "q"},
+    "initial-scale": ({"kind", "eps", "delta_plus", "q"}, set(),
                       lambda rule, L, p: initial_scale_values(
                           L, p, D, float(rule.get("eps", 1.0)),
                           float(rule.get("delta_plus", 1.0)), int(rule.get("q", 1)))),
-    "fixed": ({"kind", "energy", "m"},
+    "fixed": ({"kind", "energy", "m"}, {"energy", "m"},
               lambda rule, L, p: (float(rule["energy"]), float(rule["m"]))),
 }
 
@@ -200,29 +181,35 @@ def _check_rules(params: dict) -> None:
         if kind not in _RULES:
             raise ValidationError(f"unknown rule kind {kind!r} in params.{name}")
         _reject_unknown(params[name], _RULES[kind][0], f"params.{name}")
+        missing = sorted(_RULES[kind][1] - set(params[name]))
+        if missing:
+            raise ValidationError(f"missing key {missing[0]!r} in params.{name}")
 
 
-def _goodness_inputs(params: dict, L: float) -> tuple:
+def _goodness_inputs(params: dict, root_seed: int, model: tuple, L: float) -> tuple:
     p = float(params["p"])
     energy_rule, m_rule = params["energy_rule"], params["m_rule"]
-    energy, _ = _RULES[energy_rule["kind"]][1](energy_rule, L, p)
-    _, m = _RULES[m_rule["kind"]][1](m_rule, L, p)
-    return energy, m, {"energy": energy, "m": m, "varsigma": float(params["varsigma"]),
-                       "pair_cap": int(params.get("pair_cap", PAIR_CAP))}
+    energy, _ = _RULES[energy_rule["kind"]][2](energy_rule, L, p)
+    _, m = _RULES[m_rule["kind"]][2](m_rule, L, p)
+    dist, grid, profile, v_per = model
+    return energy, m, partial(goodness_trial, dist, BoxSpec(D, (0.0,) * D, L), grid, profile,
+                              energy, m, float(params["varsigma"]), root_seed, v_per, None,
+                              int(params.get("pair_cap", PAIR_CAP)))
 
 
-def _run_ladder(trial: Callable, inputs: Callable, columns: tuple, comment: str,
+def _run_ladder(inputs: Callable, columns: tuple, comment: str,
                 cfg: ExperimentConfig, out: Path, workers: int) -> list:
     """Monte Carlo ladder: one :class:`~andlab.msa.LadderRow` per scale.
 
-    ``inputs(params, L)`` gives the scale's energy, rate and fixed trial
-    inputs; ``columns`` name the leading LadderRow fields, in order.
+    ``inputs(params, root_seed, model, L)`` gives the scale's energy, rate and trial
+    function; ``columns`` name the leading LadderRow fields, in order.
     """
     p = float(cfg.params["p"])
+    model = _model(cfg)
     rows = []
     for L in map(float, cfg.params["scales"]):
-        energy, m, fixed = inputs(cfg.params, L)
-        hits = map_trials(trial, _payloads(cfg, L=L, **fixed), workers)
+        energy, m, trial = inputs(cfg.params, cfg.root_seed, model, L)
+        hits = map_trials(trial, range(cfg.n_samples), workers)
         rows.append(ladder_row(L, D, p, energy, m, sum(hits), len(hits)))
     write_csv(out / "ladder.csv", columns, [dict(zip(columns, astuple(r))) for r in rows],
               comment=comment)
@@ -234,11 +221,9 @@ def _run_ladder(trial: Callable, inputs: Callable, columns: tuple, comment: str,
 
 def _run_dichotomy(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     p = cfg.params
-    rows = _trial_rows(cfg, workers, _trial_dichotomy, L=float(p["L"]),
-                       interval=list(p["interval"]), M=float(p["M"]),
-                       vartheta=float(p["vartheta"]), nu=float(p["nu"]),
-                       outer_factor=float(p.get("outer_factor", 3.0)),
-                       x0=list(p.get("x0", [0.0] * D)))
+    rows = _trial_rows(cfg, workers, _trial_dichotomy, float(p["L"]), tuple(p["interval"]),
+                       float(p["M"]), float(p["vartheta"]), float(p["nu"]),
+                       float(p.get("outer_factor", 3.0)), list(p.get("x0", [0.0] * D)))
     write_csv(out / "dichotomy.csv",
               ("trial", "energy", "w_x", "w_x_L", "branch_point",
                "branch_annulus", "product_ok"), rows,
@@ -258,9 +243,10 @@ def _run_ids(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     else:
         energies = np.asarray([float(v) for v in spec])
     L = float(cfg.params["L"])
-    counts = map_trials(_trial_ids_counts,
-                        _payloads(cfg, L=L, energy_grid=energies.tolist()), workers)
-    curve = ids_curve(energies, counts, L ** D)
+    dist, grid, profile, v_per = _model(cfg)
+    trial = partial(ids_counts, dist, BoxSpec(D, (0.0,) * D, L), grid, profile, energies,
+                    cfg.root_seed, v_per, None)
+    curve = ids_curve(energies, map_trials(trial, range(cfg.n_samples), workers), L ** D)
     rows = [{"E": float(e), "N_hat": float(v), "se": float(s)}
             for e, v, s in zip(curve.energies, curve.values, curve.stderr)]
     files = ["ids_curve.csv", "plot_ids.csv"]
@@ -277,9 +263,9 @@ def _run_ids(cfg: ExperimentConfig, out: Path, workers: int) -> list:
 
 def _run_dynamical(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     p = cfg.params
-    rows = _trial_rows(cfg, workers, _trial_dynamical, L=float(p["L"]),
-                       interval=list(p["interval"]), b=float(p["b"]), x0=list(p["x0"]),
-                       t_grid=list(p.get("t_grid", (0.0, 0.5, 1.0, 2.0, 5.0))))
+    rows = _trial_rows(cfg, workers, _trial_dynamical, float(p["L"]), tuple(p["interval"]),
+                       float(p["b"]), list(p["x0"]),
+                       tuple(p.get("t_grid", (0.0, 0.5, 1.0, 2.0, 5.0))))
     write_csv(out / "dynamical.csv",
               ("trial", "t", "moment", "proxy", "count", "bounded"), rows,
               comment="evolved moment samples against the time-uniform proxy")
@@ -293,10 +279,8 @@ def _run_qucp(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     delta = float(p["delta"])
     probes = [[-L / 2.0 + delta + (L - 2 * delta) * (k + 0.5) / count]
               for k in range(count)]
-    rows = _trial_rows(cfg, workers, _trial_qucp, L=L, delta=delta,
-                       theta_side=float(p["theta_side"]),
-                       theta_center=list(p.get("theta_center", [0.0] * D)),
-                       probes=probes, D=p.get("D"))
+    theta = BoxSpec(D, tuple(p.get("theta_center", [0.0] * D)), float(p["theta_side"]))
+    rows = _trial_rows(cfg, workers, _trial_qucp, L, delta, theta, probes, p.get("D"))
     write_csv(out / "qucp_records.csv",
               ("trial", "x", "R", "K", "lhs", "rhs", "ratio", "kappa", "skipped"),
               rows, comment="local-mass records per probe point")
@@ -368,13 +352,13 @@ KINDS = {
                        "rho", "eta", "gamma", "m", "eps", "delta_plus", "q", "L_ref"},
                       needs_model=False),
     "initial-scale": Kind(
-        partial(_run_ladder, _trial_initial_scale, _initial_scale_inputs,
+        partial(_run_ladder, _initial_scale_inputs,
                 ("L", "E_L", "m_L", "n", "successes", "p_hat", "wilson_low",
                  "wilson_high", "target", "verdict"),
                 "P{lambda_min >= factor * E_L} per scale"),
         {"scales", "p", "eps"}, {"delta_plus", "q", "energy_factor"}),
     "goodness-ladder": Kind(
-        partial(_run_ladder, _trial_goodness, _goodness_inputs,
+        partial(_run_ladder, _goodness_inputs,
                 ("L", "E", "m", "n", "good", "p_hat", "wilson_low", "wilson_high",
                  "target", "verdict"),
                 "Monte Carlo goodness probability per scale"),

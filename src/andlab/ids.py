@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,6 +60,16 @@ def ids_curve(energy_grid, counts, volume: float) -> IdsCurve:
                     volume, corrected)
 
 
+def ids_counts(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
+               profile: SiteProfile, energy_grid: np.ndarray, root_seed: int,
+               v_per: Optional[PeriodicField], u_background: Optional[Callable],
+               trial: int) -> np.ndarray:
+    """#{eigenvalues <= E} at each grid energy in Monte Carlo trial ``trial``."""
+    config = sample_configuration(dist, box, None, root_seed, trial)
+    H = assemble_hamiltonian(box, grid_spec, profile, config, v_per, u_background)
+    return np.searchsorted(full_spectrum(H), energy_grid, side="right")
+
+
 def ids_estimate(
     dist: SingleSiteDistribution,
     box: BoxSpec,
@@ -76,13 +87,9 @@ def ids_estimate(
     energy_grid = np.asarray(energy_grid, dtype=float)
     if not np.all(np.isfinite(energy_grid)):
         raise ValidationError("energy grid must be bounded")
-    counts = np.zeros((n_samples, len(energy_grid)))
-    for trial in range(n_samples):
-        config = sample_configuration(dist, box, None, root_seed, trial)
-        H = assemble_hamiltonian(box, grid_spec, profile, config, v_per,
-                                 u_background)
-        counts[trial] = np.searchsorted(full_spectrum(H), energy_grid, side="right")
-    return ids_curve(energy_grid, counts, box.side ** box.dimension)
+    trial = partial(ids_counts, dist, box, grid_spec, profile, energy_grid, root_seed,
+                    v_per, u_background)
+    return ids_curve(energy_grid, [trial(t) for t in range(n_samples)], box.side ** box.dimension)
 
 
 @dataclass

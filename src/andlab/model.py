@@ -309,9 +309,6 @@ class BoxSpec:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.max(np.abs(points - np.asarray(self.center)), axis=1) < self.side / 2.0
 
-    def scaled(self, factor: float) -> "BoxSpec":
-        return BoxSpec(self.dimension, self.center, self.side * factor)
-
 
 @dataclass(frozen=True)
 class AnnulusSpec:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -486,6 +487,17 @@ def ladder_row(scale: float, dimension: int, p: float, energy: float, m: float,
                      verdict=(low >= target) or (phat >= target))
 
 
+def goodness_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
+                   profile: SiteProfile, energy: float, m: float, varsigma: float,
+                   root_seed: int, v_per: Optional[PeriodicField],
+                   u_background: Optional[Callable], pair_cap: int, trial: int) -> bool:
+    """Whether the box is (E, m, varsigma)-good in Monte Carlo trial ``trial``."""
+    config = sample_configuration(dist, box, None, root_seed, trial)
+    return bool(check_goodness(box, grid_spec, profile, config, energy, m, varsigma,
+                               FreeSitePolicy(seed=root_seed), "good", v_per,
+                               u_background, pair_cap).is_good)
+
+
 def goodness_probability(
     dist: SingleSiteDistribution,
     box: BoxSpec,
@@ -505,13 +517,9 @@ def goodness_probability(
     Wilson interval and the 1 - L^(-pd) target."""
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    good = 0
-    for trial in range(n_samples):
-        config = sample_configuration(dist, box, None, root_seed, trial)
-        rep = check_goodness(box, grid_spec, profile, config, energy, m, varsigma,
-                             FreeSitePolicy(seed=root_seed), "good", v_per,
-                             u_background, pair_cap)
-        good += int(rep.is_good)
+    trial = partial(goodness_trial, dist, box, grid_spec, profile, energy, m, varsigma,
+                    root_seed, v_per, u_background, pair_cap)
+    good = sum(trial(t) for t in range(n_samples))
     return ladder_row(box.side, box.dimension, p, energy, m, good, n_samples)
 
 

@@ -580,26 +580,38 @@ def test_criterion_12_qucp():
 
 
 # ---------------------------------------------------------------------------
-# 13. determinism of shipped configs
+# 13. determinism of shipped and benchmark configs
 # ---------------------------------------------------------------------------
+
+BENCH_CONFIG_DIR = CONFIG_DIR.parent / "perfbench" / "configs"
+
+
+def _file_digests(out) -> dict:
+    return json.loads((out / "manifest.json").read_text())["files"]
+
 
 def test_criterion_13_determinism(tmp_path):
     mc_kinds = {"initial-scale", "goodness-ladder", "ids", "dichotomy",
                 "dynamical", "qucp"}
-    problems = []
-    for config_path in sorted(CONFIG_DIR.glob("*.json")):
+    problems, compared = [], 0
+    shipped = sorted(CONFIG_DIR.glob("*.json"))
+    benchmark = sorted(BENCH_CONFIG_DIR.glob("*/*.json"))
+    # shipped configs are rerun; worker-count independence is checked on
+    # the benchmark's heavier configs too
+    for config_path in shipped + benchmark:
         cfg = load_config(config_path)
-        out1 = run_experiment(cfg, str(tmp_path / "a"))
-        out2 = run_experiment(cfg, str(tmp_path / "b"))
-        m1 = json.loads((out1 / "manifest.json").read_text())["files"]
-        m2 = json.loads((out2 / "manifest.json").read_text())["files"]
-        if m1 != m2:
-            problems.append(f"{cfg.kind}: rerun mismatch")
+        name = f"{config_path.parent.name}/{config_path.name}"
+        m1 = _file_digests(run_experiment(cfg, str(tmp_path / "a"), workers_override=1))
+        if config_path in shipped and \
+                m1 != _file_digests(run_experiment(cfg, str(tmp_path / "b"),
+                                                   workers_override=1)):
+            problems.append(f"{name}: rerun mismatch")
         if cfg.kind in mc_kinds:
-            out4 = run_experiment(cfg, str(tmp_path / "c"), workers_override=4)
-            m4 = json.loads((out4 / "manifest.json").read_text())["files"]
-            if m1 != m4:
-                problems.append(f"{cfg.kind}: 1-vs-4 workers mismatch")
+            compared += 1
+            if m1 != _file_digests(run_experiment(cfg, str(tmp_path / "c"),
+                                                  workers_override=4)):
+                problems.append(f"{name}: 1-vs-4 workers mismatch")
     report(13, "determinism", not problems,
-           f"{len(list(CONFIG_DIR.glob('*.json')))} configs byte-stable"
+           f"{len(shipped)} shipped configs byte-stable, "
+           f"{compared} Monte Carlo configs equal at 1 and 4 workers"
            + (f"; problems: {problems}" if problems else ""))

@@ -1,6 +1,8 @@
 import json
+import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from andlab.cli import build_parser, main as cli_main
@@ -149,6 +151,43 @@ class TestRunnerDeterminism:
                                        workers=(1, 4))
         assert f1 == f2
 
+    def test_model_built_once_and_crosses_the_pool(self, tmp_path, monkeypatch):
+        # an auto-shifted periodic field is built once per run, in the
+        # parent process, and reaches the pool's workers by pickling
+        solves = []
+        ground_energy = config_module.periodic_ground_energy
+
+        def counted(*args):
+            solves.append(args)
+            return ground_energy(*args)
+
+        monkeypatch.setattr(config_module, "periodic_ground_energy", counted)
+        raw = json.loads((CONFIG_DIR / "ids.json").read_text())
+        raw["model"]["v_per"] = {"kind": "cosine", "period": 2, "amplitude": 0.5,
+                                 "auto_shift": True}
+        raw["run"]["n_samples"] = 3
+        cfg = validate_config(raw)
+        data = {}
+        for workers in (1, 2):
+            solves.clear()
+            out = run_experiment(cfg, str(tmp_path / f"w{workers}"), workers_override=workers)
+            assert len(solves) == 1
+            names = json.loads((out / "manifest.json").read_text())["files"]
+            data[workers] = {name: (out / name).read_bytes() for name in names}
+        assert data[1] == data[2]
+
+    def test_v_per_field_pickles_bitwise(self):
+        spec = {"kind": "cosine", "period": 2, "amplitude": 0.5, "offset": 0.25,
+                "auto_shift": True}
+        field = build_v_per(spec)
+        points = np.linspace(-3.0, 3.0, 97)[:, None]
+        shift = config_module.periodic_ground_energy(build_v_per(dict(spec, auto_shift=False)), 1)
+        expected = 0.25 + 0.5 * np.sum(np.cos(2.0 * np.pi * points / 2), axis=1) - shift
+        assert field(points).tobytes() == expected.tobytes()
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy.period == 2
+        assert copy(points).tobytes() == field(points).tobytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = load_config(CONFIG_DIR / "ids.json")
         out1 = run_experiment(cfg, str(tmp_path / "s1"), seed_override=1)
@@ -240,6 +279,12 @@ def goodness_ladder_with_bad_rule_key():
     return raw, "energi"
 
 
+def goodness_ladder_with_fixed_rule_missing_key():
+    raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+    del raw["params"]["energy_rule"]["m"]
+    return raw, "missing key 'm'"
+
+
 def ids_with_bad_energy_grid_key():
     raw = json.loads((CONFIG_DIR / "ids.json").read_text())
     raw["params"]["energy_grid"] = {"start": 0.1, "stop": 1.5, "count": 8}
@@ -256,6 +301,7 @@ def ids_with_bad_energy_grid_key():
                                       _model_with("grid", "points_per_unti"),
                                       _model_with("v_per", "amplitdue"),
                                       goodness_ladder_with_bad_rule_key,
+                                      goodness_ladder_with_fixed_rule_missing_key,
                                       ids_with_bad_energy_grid_key])
 class TestConfigTimeChecks:
     def test_validate_rejects(self, make_bad):
