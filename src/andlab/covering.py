@@ -107,10 +107,6 @@ class BoxCoveringStructure:
     def count(self) -> int:
         return self.per_axis ** self.box.dimension
 
-    def axis_centers(self, axis: int) -> list:
-        c = _frac(self.box.center[axis])
-        return [c + self.spacing * k for k in range(-self.steps, self.steps + 1)]
-
 
 def box_covering_structure(box: BoxSpec, ell,
                            alpha: Optional[Fraction] = None) -> BoxCoveringStructure:

@@ -12,6 +12,7 @@ inequalities checked downstream are sandwich-stable under pointwise sampling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -123,28 +124,31 @@ def annulus_shell_mask(grid: Grid, x, L: float) -> np.ndarray:
 
 
 def _laplacian_1d(m: int, h: float, periodic: bool) -> sp.csr_matrix:
-    main = np.full(m, 2.0 / h**2)
     off = np.full(m - 1, -1.0 / h**2)
-    T = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+    T = sp.diags([off, np.full(m, 2.0 / h**2), off], [-1, 0, 1], format="csr")
     if periodic:
         # added, not set: a 2-node ring couples its two nodes twice
-        T[0, m - 1] += -1.0 / h**2
-        T[m - 1, 0] += -1.0 / h**2
-    return T.tocsr()
+        T = T + sp.csr_matrix((np.full(2, -1.0 / h**2), ([0, m - 1], [m - 1, 0])),
+                              shape=(m, m))
+    return T
 
 
-def _laplacian(grid: Grid) -> sp.csr_matrix:
-    periodic = grid.spec.boundary == "periodic"
-    mats = [_laplacian_1d(m, grid.h, periodic) for m in grid.shape]
+@functools.lru_cache(maxsize=16)
+def _laplacian(shape: tuple, h: float, periodic: bool) -> sp.csr_matrix:
+    """The grid Laplacian, built once per (shape, h, boundary).  Every caller
+    shares the cached matrix, so its arrays are read-only."""
     lap = None
-    for a, T in enumerate(mats):
-        left = int(np.prod(grid.shape[:a], dtype=int)) if a > 0 else 1
-        right = int(np.prod(grid.shape[a + 1:], dtype=int)) if a + 1 < len(mats) else 1
+    for a, m in enumerate(shape):
+        left = int(np.prod(shape[:a], dtype=int))
+        right = int(np.prod(shape[a + 1:], dtype=int))
         term = sp.kron(sp.identity(left, format="csr"),
-                       sp.kron(T, sp.identity(right, format="csr"), format="csr"),
+                       sp.kron(_laplacian_1d(m, h, periodic),
+                               sp.identity(right, format="csr"), format="csr"),
                        format="csr")
         lap = term if lap is None else lap + term
-    return lap.tocsr()
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.flags.writeable = False
+    return lap
 
 
 def bloch_blocks(cell: HamiltonianMatrix, periods: int):
@@ -214,37 +218,40 @@ class HamiltonianMatrix:
 
 def _site_potential(grid: Grid, profile: SiteProfile, sites: np.ndarray,
                     couplings: np.ndarray) -> np.ndarray:
-    """Sum of coupling * u(. - site) sampled on the grid, shape grid.shape."""
-    out = np.zeros(grid.shape, dtype=float)
-    if len(sites) == 0:
-        return out
+    """Sum of coupling * u(. - site) sampled on the grid, shape grid.shape.
+
+    Supports are open boxes of side delta_plus, so a node on the edge is
+    outside.  They are expanded to node indices in site order and summed by
+    one ``bincount``, which adds in input order: where supports overlap the
+    sum is the one a loop over sites would give, bit for bit."""
+    d = grid.box.dimension
+    couplings = np.asarray(couplings, dtype=float)
+    live = couplings != 0.0
+    sites, couplings = np.reshape(sites, (-1, d))[live], couplings[live]
     half = profile.delta_plus / 2.0
-    default_box = profile.shape is None
-    for site, coupling in zip(np.atleast_2d(sites), couplings):
-        if coupling == 0.0:
-            continue
-        sub = []
-        for a, axis in enumerate(grid.axes):
-            lo = np.searchsorted(axis, site[a] - half, side="right")
-            hi = np.searchsorted(axis, site[a] + half, side="left")
-            # strict inequality at the support edge
-            while lo < len(axis) and axis[lo] <= site[a] - half:
-                lo += 1
-            while hi > lo and axis[hi - 1] >= site[a] + half:
-                hi -= 1
-            sub.append((lo, hi))
-        if any(hi <= lo for lo, hi in sub):
-            continue
-        block = tuple(slice(lo, hi) for lo, hi in sub)
-        if default_box:
-            out[block] += coupling * profile.u_plus
-        else:
-            local_axes = [grid.axes[a][s] - site[a] for a, s in enumerate(block)]
-            mesh = np.meshgrid(*local_axes, indexing="ij")
-            offsets = np.stack([g.ravel() for g in mesh], axis=1)
-            out[block] += coupling * profile.evaluate(offsets).reshape(
-                tuple(hi - lo for lo, hi in sub))
-    return out
+    lo = np.array([np.searchsorted(axis, sites[:, a] - half, side="right")
+                   for a, axis in enumerate(grid.axes)], dtype=np.intp)
+    hi = np.array([np.searchsorted(axis, sites[:, a] + half, side="left")
+                   for a, axis in enumerate(grid.axes)], dtype=np.intp)
+    ext = hi - lo
+    counts = np.prod(ext, axis=0)
+    owner = np.repeat(np.arange(len(couplings)), counts)
+    # C-order rank of each node inside its site's support, unravelled per axis
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    nodes = np.empty((d, owner.size), dtype=np.intp)
+    for a in reversed(range(d)):
+        rank, nodes[a] = np.divmod(rank, ext[a][owner])
+        nodes[a] += lo[a][owner]
+    if profile.shape is None:
+        weights = np.repeat(couplings * profile.u_plus, counts)
+    elif owner.size:
+        offsets = np.stack([axis[nodes[a]] - sites[owner, a]
+                            for a, axis in enumerate(grid.axes)], axis=1)
+        weights = couplings[owner] * profile.evaluate(offsets)
+    else:
+        weights = np.zeros(0)
+    flat = np.ravel_multi_index(tuple(nodes), grid.shape)
+    return np.bincount(flat, weights=weights, minlength=grid.size).reshape(grid.shape)
 
 
 def assemble_hamiltonian(
@@ -296,7 +303,8 @@ def assemble_hamiltonian(
     sites, values = config.all_sites_and_values()
     potential += _site_potential(grid, profile, sites, values)
 
-    H = _laplacian(grid) + sp.diags(potential.ravel(), format="csr")
+    lap = _laplacian(grid.shape, grid.h, grid_spec.boundary == "periodic")
+    H = lap + sp.diags(potential.ravel(), format="csr")
     H = ((H + H.T) * 0.5).tocsr()  # symmetrize away roundoff
 
     cfg_digest = hashlib.sha256(config.to_json().encode()).hexdigest()[:16]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -267,25 +267,23 @@ PAIR_CAP = 4000   # default cap on the unit-box pairs probed per goodness check
 
 
 def _candidate_pairs(centers: np.ndarray, min_dist: float, pair_cap: int,
-                     seed: int) -> list:
-    """Index pairs at sup-distance >= min_dist: extremes plus a subsample."""
-    m = len(centers)
-    pairs = []
-    for i in range(m):
-        diff = np.max(np.abs(centers[i + 1:] - centers[i]), axis=1)
-        for j in np.flatnonzero(diff >= min_dist):
-            pairs.append((i, i + 1 + int(j)))
-    if len(pairs) <= pair_cap:
-        return pairs
-    dist = np.array([np.max(np.abs(centers[a] - centers[b])) for a, b in pairs])
-    order = np.argsort(dist)
-    keep = set(order[-pair_cap // 4:].tolist())        # extreme separations
-    u = uniforms(derive_key(seed, 0xFA1), np.arange(len(pairs), dtype=np.uint64))
-    for idx in np.argsort(u):
-        if len(keep) >= pair_cap:
-            break
-        keep.add(int(idx))
-    return [pairs[i] for i in sorted(keep)]
+                     seed: int) -> tuple:
+    """Index pairs ``i < j`` at sup-distance >= min_dist, in lexicographic
+    order, with their distances: all of them up to ``pair_cap``, else the
+    extreme separations plus a seeded subsample.  Returns ``(i, j, dist)``."""
+    first, second = np.triu_indices(len(centers), k=1)
+    dist = np.max(np.abs(centers[second] - centers[first]), axis=1)
+    far = dist >= min_dist
+    first, second, dist = first[far], second[far], dist[far]
+    if len(dist) <= pair_cap:
+        return first, second, dist
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[np.argsort(dist)[-pair_cap // 4:]] = True        # extreme separations
+    u = uniforms(derive_key(seed, 0xFA1), np.arange(len(dist), dtype=np.uint64))
+    drawn = np.argsort(u)
+    drawn = drawn[~keep[drawn]]
+    keep[drawn[:max(pair_cap - np.count_nonzero(keep), 0)]] = True
+    return first[keep], second[keep], dist[keep]
 
 
 def check_goodness(
@@ -316,8 +314,11 @@ def check_goodness(
 
     if probe_centers is None:
         probe_centers = lattice_sites(box).astype(float)
-    pairs = _candidate_pairs(np.asarray(probe_centers, float), L / 100.0, pair_cap,
-                             policy.seed)
+    first, second, distance = _candidate_pairs(np.asarray(probe_centers, float), L / 100.0,
+                                               pair_cap, policy.seed)
+    # math.exp on the few distinct distances keeps each bound the scalar formula's
+    uniq, inverse = np.unique(distance, return_inverse=True)
+    bound = factor * np.array([math.exp(-m * d) for d in uniq])[inverse]
 
     if config.free_sites is not None and len(config.free_sites) > 0:
         assignments = policy.assignments(len(config.free_sites))
@@ -330,7 +331,8 @@ def check_goodness(
     weg_norms: list = []
     worst: Optional[PairResult] = None
     worst_ratio = -np.inf
-    log_pts: List[tuple] = []
+    fit = [np.zeros((2, 0))]                           # (distance, -log measured)
+    groups = None
 
     for label, cfg in configs:
         H = assemble_hamiltonian(box, grid_spec, profile, cfg, v_per, u_background)
@@ -343,45 +345,37 @@ def check_goodness(
         weg_norms.append((label, fac.resolvent_norm))
         if fac.resolvent_norm > weg_threshold:
             weg_pass = False
-        masks = {}
+        if groups is None:
+            # every t_S shares the grid: one mask per probe, pairs grouped by
+            # source; a source with nodes is solved even when no target has any
+            masks = [unit_box_mask(H.grid, center) for center in probe_centers]
+            occupied = np.array([mask.any() for mask in masks], dtype=bool)
+            rows = np.flatnonzero(occupied[first])
+            sources, starts = np.unique(first[rows], return_index=True)
+            groups = [(masks[a], g[occupied[second[g]]])
+                      for a, g in zip(sources, np.split(rows, starts[1:]))]
 
-        def mask_of(idx, center):
-            if idx not in masks:
-                masks[idx] = unit_box_mask(H.grid, center)
-            return masks[idx]
-
-        by_source: dict = {}
-        for a, b in pairs:
-            by_source.setdefault(a, []).append(b)
-        for a, targets in by_source.items():
-            src = mask_of(a, probe_centers[a])
-            if not src.any():
-                continue
-            targets = [b for b in targets if mask_of(b, probe_centers[b]).any()]
+        measured = np.full(len(distance), np.nan)     # NaN: pair not probed
+        for src, sel in groups:
             try:
-                norms = fac.block_norms(src, [masks[b] for b in targets])
+                measured[sel] = fac.block_norms(src, [masks[b] for b in second[sel]])
             except FloatingPointError:
                 indeterminate = True
-                continue
-            for b, measured in zip(targets, norms.tolist()):
-                distance = float(np.max(np.abs(probe_centers[a] - probe_centers[b])))
-                bound = factor * math.exp(-m * distance)
-                ratio = measured / bound if bound > 0 else math.inf
-                if ratio > worst_ratio:
-                    worst_ratio = ratio
-                    worst = PairResult(tuple(probe_centers[a]), tuple(probe_centers[b]),
-                                       distance, measured, bound)
-                if measured > bound:
-                    decay_pass = False
-                if measured > 1e-300:
-                    log_pts.append((distance, -math.log(measured)))
+        sel = np.flatnonzero(~np.isnan(measured))
+        ratio = np.divide(measured[sel], bound[sel], out=np.full(len(sel), np.inf),
+                          where=bound[sel] > 0)
+        top = np.argmax(ratio) if len(sel) else None    # the first maximum
+        if top is not None and ratio[top] > worst_ratio:
+            worst_ratio, k = ratio[top], sel[top]
+            worst = PairResult(tuple(probe_centers[first[k]]), tuple(probe_centers[second[k]]),
+                               float(distance[k]), float(measured[k]), float(bound[k]))
+        if np.any(measured[sel] > bound[sel]):
+            decay_pass = False
+        sel = sel[measured[sel] > 1e-300]
+        fit.append(np.stack([distance[sel], -np.log(measured[sel])]))
 
-    if log_pts:
-        xs = np.array([t[0] for t in log_pts])
-        ys = np.array([t[1] for t in log_pts])
-        rate = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 1 else 0.0
-    else:
-        rate = 0.0
+    xs, ys = np.concatenate(fit, axis=1)
+    rate = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 1 else 0.0
 
     return GoodnessReport(
         box=box, energy=energy, m=m, varsigma=varsigma, variant=variant,

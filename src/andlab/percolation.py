@@ -68,12 +68,6 @@ class PercolationGraph:
     def position(self, k: Vertex) -> np.ndarray:
         return np.asarray(self.origin) + self.spacing * np.asarray(k, dtype=float)
 
-    def set_labels_from(self, fn) -> None:
-        """Label every non-seed vertex with ``fn(position) -> bad?``."""
-        for k in self.vertices():
-            if not self.is_seed(k):
-                self.labels[k] = bool(fn(self.position(k)))
-
 
 def bad_cluster(graph: PercolationGraph) -> Set[Vertex]:
     """Connected bad component(s) containing the seed set (BFS).

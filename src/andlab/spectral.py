@@ -279,14 +279,21 @@ class ResolventFactorization:
 
     def block_norms(self, source_mask: np.ndarray, target_masks) -> np.ndarray:
         """Exact ``|chi_target R chi_source|`` for each target: one solve for the
-        source columns, one SVD per target.  Masks must be non-empty; raises
-        ``FloatingPointError`` on a non-finite solve."""
+        source columns, then one batched SVD per distinct target node count.
+        Masks must be non-empty; raises ``FloatingPointError`` on a non-finite
+        solve."""
         cols = np.flatnonzero(source_mask)
         rhs = np.zeros((self.n, len(cols)))
         rhs[cols, np.arange(len(cols))] = 1.0
         sol = self.solve(rhs)
-        return np.array([np.linalg.svd(sol[np.flatnonzero(t), :], compute_uv=False)[0]
-                         for t in target_masks])
+        rows = [np.flatnonzero(t) for t in target_masks]
+        sizes = np.array([len(r) for r in rows])
+        norms = np.empty(len(rows))
+        for size in np.unique(sizes):
+            group = np.flatnonzero(sizes == size)
+            stack = sol[np.stack([rows[g] for g in group])]
+            norms[group] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        return norms
 
     def block_norm(self, source_mask: np.ndarray, target_mask: np.ndarray) -> ResolventProbe:
         """Largest singular value of ``chi_target R chi_source``."""

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from andlab.discretize import (GridSpec, annulus_shell_mask, assemble_hamiltonian,
-                               empty_configuration, indicator_operator,
-                               unit_box_mask, Grid)
+from andlab.discretize import (GridSpec, _laplacian, _site_potential, annulus_shell_mask,
+                               assemble_hamiltonian, empty_configuration,
+                               indicator_operator, unit_box_mask, Grid)
 from andlab.errors import GridError, ValidationError
 from andlab.model import (Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
+from andlab.spectral import ResolventFactorization
 
 from conftest import assemble, make_box
 
@@ -213,3 +217,185 @@ class TestExternalInterfaces:
         for i, j, v in triples:
             dense[int(i), int(j)] = float(v)
         assert np.array_equal(dense, H.matrix.toarray())
+
+
+# ---------------------------------------------------------------------------
+# loop-free assembly against reference copies of the loop and lil builds
+# ---------------------------------------------------------------------------
+
+def _reference_laplacian_1d(m, h, periodic):
+    off = np.full(m - 1, -1.0 / h**2)
+    T = sp.diags([off, np.full(m, 2.0 / h**2), off], [-1, 0, 1], format="lil")
+    if periodic:
+        T[0, m - 1] += -1.0 / h**2
+        T[m - 1, 0] += -1.0 / h**2
+    return T.tocsr()
+
+
+def _reference_laplacian(shape, h, periodic):
+    lap = None
+    for a, m in enumerate(shape):
+        left = int(np.prod(shape[:a], dtype=int))
+        right = int(np.prod(shape[a + 1:], dtype=int))
+        term = sp.kron(sp.identity(left, format="csr"),
+                       sp.kron(_reference_laplacian_1d(m, h, periodic),
+                               sp.identity(right, format="csr"), format="csr"),
+                       format="csr")
+        lap = term if lap is None else lap + term
+    return lap.tocsr()
+
+
+def _reference_site_potential(grid, profile, sites, couplings):
+    out = np.zeros(grid.shape, dtype=float)
+    if len(sites) == 0:
+        return out
+    half = profile.delta_plus / 2.0
+    for site, coupling in zip(np.atleast_2d(sites), couplings):
+        if coupling == 0.0:
+            continue
+        sub = []
+        for a, axis in enumerate(grid.axes):
+            lo = np.searchsorted(axis, site[a] - half, side="right")
+            hi = np.searchsorted(axis, site[a] + half, side="left")
+            while lo < len(axis) and axis[lo] <= site[a] - half:
+                lo += 1
+            while hi > lo and axis[hi - 1] >= site[a] + half:
+                hi -= 1
+            sub.append((lo, hi))
+        if any(hi <= lo for lo, hi in sub):
+            continue
+        block = tuple(slice(lo, hi) for lo, hi in sub)
+        if profile.shape is None:
+            out[block] += coupling * profile.u_plus
+        else:
+            local_axes = [grid.axes[a][s] - site[a] for a, s in enumerate(block)]
+            mesh = np.meshgrid(*local_axes, indexing="ij")
+            offsets = np.stack([g.ravel() for g in mesh], axis=1)
+            out[block] += coupling * profile.evaluate(offsets).reshape(
+                tuple(hi - lo for lo, hi in sub))
+    return out
+
+
+def _reference_hamiltonian(grid, potential):
+    H = _reference_laplacian(grid.shape, grid.h, grid.spec.boundary == "periodic") \
+        + sp.diags(potential.ravel(), format="csr")
+    return ((H + H.T) * 0.5).tocsr()
+
+
+def _same_csr(A, B):
+    return (A.dtype == B.dtype and A.indices.dtype == B.indices.dtype
+            and A.data.tobytes() == B.data.tobytes()
+            and A.indices.tobytes() == B.indices.tobytes()
+            and A.indptr.tobytes() == B.indptr.tobytes())
+
+
+def _tent(offsets):
+    # 1 on the inner quarter box, falling linearly to 1/2 at sup-radius 1/2
+    sup = np.max(np.abs(offsets), axis=1)
+    return np.where(sup < 0.25, 1.0, np.where(sup < 0.5, 1.5 - 2.0 * sup, 0.0))
+
+
+def _too_tall(offsets):
+    return np.where(np.max(np.abs(offsets), axis=1) < 0.5, 1.5, 0.0)
+
+
+PROFILES = {"box": SiteProfile(), "wide": SiteProfile(u_plus=1.5, delta_plus=2.5),
+            "tent": SiteProfile(u_minus=1.0, delta_minus=0.5, shape=_tent),
+            "too-tall": SiteProfile(delta_minus=0.5, shape=_too_tall)}
+
+
+class TestLoopFreeAssembly:
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.sampled_from([1, 2]), boundary=st.sampled_from(["dirichlet", "periodic"]),
+           n=st.integers(2, 5), side=st.integers(1, 4), shift=st.sampled_from([0.0, 0.25, 0.5]),
+           profile=st.sampled_from(sorted(PROFILES)),
+           couplings=st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.375]) | st.floats(0.0, 1.0),
+                              min_size=1, max_size=64))
+    @example(d=2, boundary="periodic", n=2, side=1, shift=0.0, profile="wide",
+             couplings=[1.0])                                  # 2-node rings
+    @example(d=1, boundary="dirichlet", n=4, side=3, shift=0.0, profile="box",
+             couplings=[0.0, 1.0, 0.5])                        # edges on nodes
+    @example(d=2, boundary="periodic", n=3, side=3, shift=0.25, profile="wide",
+             couplings=[0.2, 0.7, 0.0, 1.0])                   # overlaps
+    @example(d=1, boundary="periodic", n=2, side=2, shift=0.5, profile="too-tall",
+             couplings=[0.0, 0.3])                             # sandwich violated
+    def test_matches_loop_and_lil_builds(self, d, boundary, n, side, shift, profile,
+                                         couplings):
+        # side 1 at n = 2 is the 2-node periodic ring (one node per axis under
+        # Dirichlet); at shift 0 and even n a delta_+ = 1 support edge lies on
+        # a grid node
+        L = float(side if d == 2 else 2 * side)
+        box = BoxSpec(d, tuple([shift] * d), L)
+        prof = PROFILES[profile]
+        sites = lattice_sites(box)
+        values = np.resize(np.asarray(couplings), len(sites))
+        cfg = Configuration(box, sites, values)
+        grid = Grid(box, GridSpec(n, boundary))
+        periodic = boundary == "periodic"
+
+        lap = _laplacian(grid.shape, grid.h, periodic)
+        assert _same_csr(lap, _reference_laplacian(grid.shape, grid.h, periodic))
+
+        try:
+            expected = _reference_site_potential(grid, prof, sites, values)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="sandwich"):
+                _site_potential(grid, prof, sites, values)
+            with pytest.raises(ValidationError, match="sandwich"):
+                assemble_hamiltonian(box, GridSpec(n, boundary), prof, cfg)
+            return
+        potential = _site_potential(grid, prof, sites, values)
+        assert potential.tobytes() == expected.tobytes()
+        H = assemble_hamiltonian(box, GridSpec(n, boundary), prof, cfg)
+        assert _same_csr(H.matrix, _reference_hamiltonian(grid, expected))
+
+    def test_support_edge_on_a_node_is_outside(self):
+        # nodes every 1/2 from -1.5 to 1.5; the unit support of the site at 0
+        # has its edges on the nodes -1/2 and 1/2, which stay outside
+        box = make_box(1, 4.0)
+        grid = Grid(box, GridSpec(2))
+        pot = _site_potential(grid, SiteProfile(), np.array([[0]]), np.array([1.0]))
+        assert grid.axes[0].tolist() == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+        assert pot.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_no_sites_and_all_zero_couplings(self):
+        grid = Grid(make_box(2, 3.0), GridSpec(3))
+        for sites, values in [(np.zeros((0, 2), dtype=int), np.zeros(0)),
+                              (lattice_sites(grid.box), np.zeros(9))]:
+            for prof in PROFILES.values():
+                pot = _site_potential(grid, prof, sites, values)
+                assert pot.shape == grid.shape and not pot.any()
+
+
+class TestLaplacianCache:
+    def test_cached_matrix_survives_its_uses(self):
+        box = make_box(2, 3.0)
+        cfg = sample_configuration(Uniform01(), box, None, 5, 0)
+        spec = GridSpec(4)
+        first = assemble_hamiltonian(box, spec, SiteProfile(), cfg)
+        shifted = first.shifted(0.7)
+        shifted.matrix.data *= 1.0          # results are the caller's to write
+        ResolventFactorization(shifted, -0.3).block_norm(
+            unit_box_mask(first.grid, (-1.0, -1.0)), unit_box_mask(first.grid, (1.0, 1.0)))
+        again = assemble_hamiltonian(box, spec, SiteProfile(), cfg)
+        _laplacian.cache_clear()
+        uncached = assemble_hamiltonian(box, spec, SiteProfile(), cfg)
+        assert _same_csr(again.matrix, uncached.matrix)
+        assert _same_csr(again.matrix, _reference_hamiltonian(again.grid, again.potential))
+
+    def test_boundaries_do_not_share_an_entry(self):
+        # both grids are 12 x 12 at h = 1/4: Dirichlet drops the face nodes
+        dirichlet = Grid(make_box(2, 3.25), GridSpec(4, "dirichlet"))
+        periodic = Grid(make_box(2, 3.0), GridSpec(4, "periodic"))
+        assert dirichlet.shape == periodic.shape == (12, 12)
+        assert dirichlet.h == periodic.h
+        for grid in (dirichlet, periodic):
+            H = assemble(grid.box, n=4, boundary=grid.spec.boundary)
+            assert _same_csr(H.matrix, _reference_hamiltonian(grid, H.potential))
+        assert _laplacian((12, 12), 0.25, True).nnz > _laplacian((12, 12), 0.25, False).nnz
+
+    def test_cached_arrays_are_read_only(self):
+        lap = _laplacian((6,), 0.5, True)
+        for arr in (lap.data, lap.indices, lap.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]

@@ -7,10 +7,12 @@ from andlab.discretize import GridSpec, empty_configuration
 from andlab.errors import ScaleError, ValidationError
 from andlab.model import (Atoms, Bernoulli, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
-from andlab.msa import (FreeSitePolicy, GAMMA_CRITICAL, check_goodness, check_pgood,
+from andlab.msa import (FreeSitePolicy, GAMMA_CRITICAL, _candidate_pairs, check_goodness,
+                        check_pgood,
                         goodness_probability, initial_scale_values, minimal_n1,
                         msa_constants, n_hat, reduced_spectrum,
                         restrict_configuration, scale_ladder, wilson_interval)
+from andlab.rng import derive_key, uniforms
 from andlab.spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
 from conftest import assemble, make_box
@@ -197,6 +199,44 @@ class TestGoodness:
                           -1.0, 0.5, 0.1, eta=1.8)
         assert rep.subreports and rep.is_good
         assert all(sub.is_good for sub in rep.subreports)
+
+
+def _reference_candidate_pairs(centers, min_dist, pair_cap, seed):
+    """The per-row loop and per-pair distance list the broadcast replaced."""
+    m = len(centers)
+    pairs = []
+    for i in range(m):
+        diff = np.max(np.abs(centers[i + 1:] - centers[i]), axis=1)
+        for j in np.flatnonzero(diff >= min_dist):
+            pairs.append((i, i + 1 + int(j)))
+    if len(pairs) <= pair_cap:
+        return pairs
+    dist = np.array([np.max(np.abs(centers[a] - centers[b])) for a, b in pairs])
+    order = np.argsort(dist)
+    keep = set(order[-pair_cap // 4:].tolist())
+    u = uniforms(derive_key(seed, 0xFA1), np.arange(len(pairs), dtype=np.uint64))
+    for idx in np.argsort(u):
+        if len(keep) >= pair_cap:
+            break
+        keep.add(int(idx))
+    return [pairs[i] for i in sorted(keep)]
+
+
+class TestCandidatePairs:
+    # 39 centers give 741 pairs in 1-d and 121 centers 7260 in 2-d; caps of
+    # 3 and 201 are not multiples of 4
+    @pytest.mark.parametrize("d, L, min_dist, pair_cap", [
+        (1, 40.0, 0.4, 4000), (1, 40.0, 5.0, 4000), (1, 40.0, 0.4, 201), (1, 40.0, 0.4, 3),
+        (2, 12.0, 0.12, 10**5), (2, 12.0, 0.12, 4000), (2, 12.0, 4.0, 500),
+    ])
+    def test_matches_double_loop(self, d, L, min_dist, pair_cap):
+        centers = lattice_sites(make_box(d, L)).astype(float)
+        expected = _reference_candidate_pairs(centers, min_dist, pair_cap, seed=7)
+        first, second, dist = _candidate_pairs(centers, min_dist, pair_cap, seed=7)
+        assert list(zip(first.tolist(), second.tolist())) == expected
+        assert len(expected) == min(pair_cap, len(expected)) > 0
+        assert dist.tolist() == [float(np.max(np.abs(centers[a] - centers[b])))
+                                 for a, b in expected]
 
 
 class TestGoodnessProbability:

@@ -283,6 +283,29 @@ class TestResolventProbes:
         assert probe.status == "ok"
         assert probe.norm_estimate == pytest.approx(oracle, rel=1e-10)
 
+    def test_block_norms_of_unequal_targets(self):
+        # unit boxes clipped by the box edge hold 9, 6 or 4 nodes; the
+        # batched SVDs per node count equal one SVD per target, bit for bit
+        H, _ = random_hamiltonian(2, 6.0, 4, Uniform01(), seed=12)
+        fac = ResolventFactorization(H, -0.5)
+        source = unit_box_mask(H.grid, (0.0, 0.0))
+        centers = [(2.0, 1.0), (-2.8, 0.0), (0.0, 2.9), (2.9, 2.9), (-1.0, 2.0),
+                   (-2.9, -2.8), (1.0, -2.9), (2.0, -2.0), (-2.8, 2.0)]
+        targets = [unit_box_mask(H.grid, c) for c in centers]
+        counts = [int(t.sum()) for t in targets]
+        assert sorted(set(counts)) == [4, 6, 9]
+        norms = fac.block_norms(source, targets)
+        rhs = np.zeros((H.size, int(source.sum())))
+        rhs[np.flatnonzero(source), np.arange(rhs.shape[1])] = 1.0
+        sol = fac.solve(rhs)
+        one_by_one = np.array([np.linalg.svd(sol[np.flatnonzero(t), :], compute_uv=False)[0]
+                               for t in targets])
+        assert norms.tobytes() == one_by_one.tobytes()
+        dense = np.linalg.inv(H.matrix.toarray() + 0.5 * np.eye(H.size))
+        oracle = [la.svdvals(dense[np.ix_(np.flatnonzero(t), np.flatnonzero(source))])[0]
+                  for t in targets]
+        assert norms == pytest.approx(oracle, rel=1e-12)
+
     def test_non_finite_solve_is_divergent(self, monkeypatch):
         def blow_up(self, source_mask, target_masks):
             raise FloatingPointError("non-finite resolvent solve")
