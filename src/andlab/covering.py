@@ -142,13 +142,10 @@ def standard_covering_box(box: BoxSpec, ell, alpha: Optional[Fraction] = None,
     n, a, spacing = struct.steps, struct.alpha, struct.spacing
     if (2 * n + 1) ** box.dimension > max_centers:
         raise GeometryError(f"covering would have more than {max_centers} centers")
-    ks = range(-n, n + 1)
-    x0 = [_frac(c) for c in box.center]
-    exact = tuple(
-        tuple(x0[i] + spacing * k[i] for i in range(box.dimension))
-        for k in itertools.product(ks, repeat=box.dimension)
-    )
-    centers = np.array([[float(v) for v in row] for row in exact], dtype=float)
+    axes = [[_frac(c) + spacing * k for k in range(-n, n + 1)] for c in box.center]
+    exact = tuple(itertools.product(*axes))
+    centers = np.array(list(itertools.product(*[[float(v) for v in axis] for axis in axes])),
+                       dtype=float)
     return Covering(box, float(ell), a, centers, exact, steps_per_axis=n)
 
 

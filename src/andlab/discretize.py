@@ -303,9 +303,12 @@ def assemble_hamiltonian(
     sites, values = config.all_sites_and_values()
     potential += _site_potential(grid, profile, sites, values)
 
+    # lap + diag(potential), exactly symmetric: the potential added onto the
+    # stored diagonal, whose exact zeros are dropped as the sparse sum drops them
     lap = _laplacian(grid.shape, grid.h, grid_spec.boundary == "periodic")
-    H = lap + sp.diags(potential.ravel(), format="csr")
-    H = ((H + H.T) * 0.5).tocsr()  # symmetrize away roundoff
+    H = sp.csr_matrix((lap.data.copy(), lap.indices.copy(), lap.indptr.copy()), lap.shape)
+    H.data[H.indices == np.repeat(np.arange(grid.size), np.diff(H.indptr))] += potential.ravel()
+    H.eliminate_zeros()
 
     cfg_digest = hashlib.sha256(config.to_json().encode()).hexdigest()[:16]
     pot_digest = hashlib.sha256(np.ascontiguousarray(potential).tobytes()).hexdigest()[:16]

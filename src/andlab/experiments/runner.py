@@ -184,6 +184,9 @@ def _check_rules(params: dict) -> None:
         missing = sorted(_RULES[kind][1] - set(params[name]))
         if missing:
             raise ValidationError(f"missing key {missing[0]!r} in params.{name}")
+    cap = params.get("pair_cap", PAIR_CAP)
+    if type(cap) is not int or cap < 1:  # a bool is not a cap
+        raise ValidationError(f"params.pair_cap must be an integer >= 1, got {cap!r}")
 
 
 def _goodness_inputs(params: dict, root_seed: int, model: tuple, L: float) -> tuple:
@@ -194,7 +197,11 @@ def _goodness_inputs(params: dict, root_seed: int, model: tuple, L: float) -> tu
     dist, grid, profile, v_per = model
     return energy, m, partial(goodness_trial, dist, BoxSpec(D, (0.0,) * D, L), grid, profile,
                               energy, m, float(params["varsigma"]), root_seed, v_per, None,
-                              int(params.get("pair_cap", PAIR_CAP)))
+                              params.get("pair_cap", PAIR_CAP))
+
+
+def _ladder_trial(trials: tuple, n_samples: int, index: int) -> bool:
+    return trials[index // n_samples](index % n_samples)
 
 
 def _run_ladder(inputs: Callable, columns: tuple, comment: str,
@@ -206,11 +213,14 @@ def _run_ladder(inputs: Callable, columns: tuple, comment: str,
     """
     p = float(cfg.params["p"])
     model = _model(cfg)
-    rows = []
-    for L in map(float, cfg.params["scales"]):
-        energy, m, trial = inputs(cfg.params, cfg.root_seed, model, L)
-        hits = map_trials(trial, range(cfg.n_samples), workers)
-        rows.append(ladder_row(L, D, p, energy, m, sum(hits), len(hits)))
+    n = cfg.n_samples
+    scales = [float(L) for L in cfg.params["scales"]]
+    per_scale = [inputs(cfg.params, cfg.root_seed, model, L) for L in scales]
+    # one pool for the whole ladder: trial index k * n + t is trial t at scale k
+    hits = map_trials(partial(_ladder_trial, tuple(trial for _, _, trial in per_scale), n),
+                      range(len(scales) * n), workers)
+    rows = [ladder_row(L, D, p, energy, m, sum(hits[k * n:(k + 1) * n]), n)
+            for k, (L, (energy, m, _)) in enumerate(zip(scales, per_scale))]
     write_csv(out / "ladder.csv", columns, [dict(zip(columns, astuple(r))) for r in rows],
               comment=comment)
     emit_plotdata([{"L": r.scale, "p_hat": r.p_hat,

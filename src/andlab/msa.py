@@ -19,8 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .covering import standard_covering_box
-from .discretize import (GridSpec, PeriodicField, assemble_hamiltonian,
-                         unit_box_mask)
+from .discretize import GridSpec, PeriodicField, assemble_hamiltonian
 from .errors import ScaleError, ValidationError
 from .model import BoxSpec, Configuration, SingleSiteDistribution, SiteProfile, \
     lattice_sites, sample_configuration
@@ -271,6 +270,8 @@ def _candidate_pairs(centers: np.ndarray, min_dist: float, pair_cap: int,
     """Index pairs ``i < j`` at sup-distance >= min_dist, in lexicographic
     order, with their distances: all of them up to ``pair_cap``, else the
     extreme separations plus a seeded subsample.  Returns ``(i, j, dist)``."""
+    if pair_cap < 1:
+        raise ValidationError(f"pair_cap must be at least 1, got {pair_cap}")
     first, second = np.triu_indices(len(centers), k=1)
     dist = np.max(np.abs(centers[second] - centers[first]), axis=1)
     far = dist >= min_dist
@@ -346,19 +347,21 @@ def check_goodness(
         if fac.resolvent_norm > weg_threshold:
             weg_pass = False
         if groups is None:
-            # every t_S shares the grid: one mask per probe, pairs grouped by
-            # source; a source with nodes is solved even when no target has any
-            masks = [unit_box_mask(H.grid, center) for center in probe_centers]
-            occupied = np.array([mask.any() for mask in masks], dtype=bool)
+            # every t_S shares the grid: each probe's unit-box nodes from one point
+            # set, pairs grouped by source; a source with nodes is always solved
+            points = H.grid.points()
+            nodes = [np.flatnonzero(BoxSpec(box.dimension, tuple(c), 1.0).contains(points))
+                     for c in probe_centers]
+            occupied = np.array([len(k) > 0 for k in nodes], dtype=bool)
             rows = np.flatnonzero(occupied[first])
             sources, starts = np.unique(first[rows], return_index=True)
-            groups = [(masks[a], g[occupied[second[g]]])
+            groups = [(nodes[a], g[occupied[second[g]]])
                       for a, g in zip(sources, np.split(rows, starts[1:]))]
 
         measured = np.full(len(distance), np.nan)     # NaN: pair not probed
         for src, sel in groups:
             try:
-                measured[sel] = fac.block_norms(src, [masks[b] for b in second[sel]])
+                measured[sel] = fac.block_norms(src, [nodes[b] for b in second[sel]])
             except FloatingPointError:
                 indeterminate = True
         sel = np.flatnonzero(~np.isnan(measured))

@@ -19,10 +19,15 @@ about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
 ``EigenWindowResult.solver`` records which of the three ran.
 
 Resolvent probes share one sparse factorization of ``H - E``.  Block norms
-are exact, all from ``block_norms``: one solve for the source columns and one
-SVD per target, with no iterative estimate.  Near-resonant energies are
-reported as DIVERGENT rather than as a huge number, since the boundary-value
-extension of the resolvent norm at spectral points is a limsup.
+are exact, all from ``block_norms``: one solve for the source columns, then
+each target block's largest singular value.  For tridiagonal H - E the
+nullity theorem (Fiedler-Markham) makes every block of the inverse wholly
+above or below the diagonal rank one, so a target on one side of its source
+takes its block's Frobenius norm, with no SVD.  In d >= 2, or with periodic
+wrap-around, such blocks are not rank one and every target takes the SVD.
+Near-resonant energies are reported as DIVERGENT rather than as a huge number,
+since the boundary-value extension of the resolvent norm at spectral points
+is a limsup.
 """
 
 from __future__ import annotations
@@ -124,7 +129,8 @@ def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6) -> Eigen
     w = H.grid.weight()
     if vecs.size:
         vecs = vecs / (np.sqrt(w) * np.linalg.norm(vecs, axis=0))
-        res = H.matrix @ vecs - vecs * vals
+        res = H.matrix @ vecs
+        res -= vecs * vals  # in place: one n x k temporary fewer at the peak
         residuals = np.sqrt(w) * np.linalg.norm(res, axis=0)
         gram = w * (vecs.T @ vecs)
         defect = float(np.max(np.abs(gram - np.eye(len(vals))))) if len(vals) > 1 else 0.0
@@ -277,21 +283,28 @@ class ResolventFactorization:
     def divergent(self) -> bool:
         return self.singular or self.gap < self.gap_tol
 
-    def block_norms(self, source_mask: np.ndarray, target_masks) -> np.ndarray:
-        """Exact ``|chi_target R chi_source|`` for each target: one solve for the
-        source columns, then one batched SVD per distinct target node count.
-        Masks must be non-empty; raises ``FloatingPointError`` on a non-finite
-        solve."""
-        cols = np.flatnonzero(source_mask)
-        rhs = np.zeros((self.n, len(cols)))
-        rhs[cols, np.arange(len(cols))] = 1.0
+    def block_norms(self, source: np.ndarray, targets) -> np.ndarray:
+        """Exact ``|chi_target R chi_source|`` for each target, all given as
+        sorted, non-empty node index arrays: one solve for the source columns,
+        then the rank-one rule for tridiagonal H and targets on one side of the
+        source, and one batched SVD per distinct node count for the rest.
+        Raises ``FloatingPointError`` on a non-finite solve."""
+        rhs = np.zeros((self.n, len(source)))
+        rhs[source, np.arange(len(source))] = 1.0
         sol = self.solve(rhs)
-        rows = [np.flatnonzero(t) for t in target_masks]
-        sizes = np.array([len(r) for r in rows])
-        norms = np.empty(len(rows))
-        for size in np.unique(sizes):
-            group = np.flatnonzero(sizes == size)
-            stack = sol[np.stack([rows[g] for g in group])]
+        sizes = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
+        nodes = np.concatenate(targets) if len(targets) else np.zeros(0, dtype=np.intp)
+        norms = np.empty(len(targets))
+        first = np.cumsum(sizes) - sizes
+        one_sided = is_tridiagonal(self.H) & ((nodes[first + sizes - 1] < source[0])
+                                              | (nodes[first] > source[-1]))
+        if one_sided.any():
+            norms[one_sided] = _frobenius(sol[nodes[np.repeat(one_sided, sizes)]],
+                                          sizes[one_sided])
+        rest = np.flatnonzero(~one_sided)
+        for size in np.unique(sizes[rest]):
+            group = rest[sizes[rest] == size]
+            stack = sol[np.stack([targets[g] for g in group])]
             norms[group] = np.linalg.svd(stack, compute_uv=False)[:, 0]
         return norms
 
@@ -300,15 +313,23 @@ class ResolventFactorization:
         if self.divergent:
             return ResolventProbe(self.energy, np.nan, DIVERGENT, 0, np.inf, self.gap)
         # R is symmetric: solve from the smaller mask (the source on a tie)
-        src, tgt = sorted((np.asarray(m, dtype=bool) for m in (source_mask, target_mask)),
-                          key=np.count_nonzero)
-        if not src.any():
+        src, tgt = sorted((np.flatnonzero(m) for m in (source_mask, target_mask)), key=len)
+        if not len(src):
             return ResolventProbe(self.energy, 0.0, "empty", 0, 0.0, self.gap)
         try:
             norm = float(self.block_norms(src, [tgt])[0])
         except FloatingPointError:
             return ResolventProbe(self.energy, np.nan, DIVERGENT, 0, np.inf, 0.0)
-        return ResolventProbe(self.energy, norm, "ok", np.count_nonzero(src), 0.0, self.gap)
+        return ResolventProbe(self.energy, norm, "ok", len(src), 0.0, self.gap)
+
+
+def _frobenius(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Frobenius norms of consecutive row blocks of the given sizes, each block
+    scaled by its largest entry so that no square underflows."""
+    starts = np.cumsum(sizes) - sizes
+    peak = np.maximum.reduceat(np.max(np.abs(rows), axis=1), starts)
+    scaled = rows / np.repeat(np.where(peak > 0.0, peak, 1.0), sizes)[:, None]
+    return peak * np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", scaled, scaled), starts))
 
 
 def resolvent_block_norm(H: HamiltonianMatrix, energy: float,

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,24 @@ class TestBoxCovering:
         cov = standard_covering_box(box, 2.0)
         assert struct.alpha == cov.alpha
         assert struct.count() == len(cov)
+
+    def test_centers_match_per_center_fractions(self):
+        # random boxes as in the covering suite, in d = 1 and 2, against
+        # Fraction arithmetic for every center and axis
+        rng = np.random.default_rng(41)
+        for i in range(40):
+            d = 1 + i % 2
+            L = 12.0 + 188.0 * rng.random()
+            ell = L / 6.0 * (0.3 + 0.7 * rng.random())
+            box = BoxSpec(d, tuple(20.0 * (rng.random(d) - 0.5)), L)
+            cov = standard_covering_box(box, ell)
+            n, spacing = cov.steps_per_axis, cov.spacing
+            x0 = [Fraction(c) for c in box.center]
+            exact = tuple(tuple(x0[a] + spacing * k[a] for a in range(d))
+                          for k in itertools.product(range(-n, n + 1), repeat=d))
+            assert cov.centers_exact == exact
+            assert cov.centers.tobytes() == np.array(
+                [[float(v) for v in row] for row in exact], dtype=float).tobytes()
 
 
 class TestAnnulusCovering:

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from andlab.discretize import (GridSpec, _laplacian, _site_potential, annulus_shell_mask,
+from andlab.discretize import (GridSpec, PeriodicField, _laplacian, _site_potential, annulus_shell_mask,
                                assemble_hamiltonian, empty_configuration,
                                indicator_operator, unit_box_mask, Grid)
 from andlab.errors import GridError, ValidationError
@@ -357,6 +357,14 @@ class TestLoopFreeAssembly:
         pot = _site_potential(grid, SiteProfile(), np.array([[0]]), np.array([1.0]))
         assert grid.axes[0].tolist() == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
         assert pot.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_diagonal_that_cancels_is_dropped(self):
+        # a background of -2/h^2 cancels the 1-d Laplacian's diagonal exactly;
+        # the sparse sum H = lap + diag(V) stores no entry there
+        cancel = PeriodicField(lambda pts: np.full(len(pts), -32.0))
+        H = assemble(make_box(1, 3.0), n=4, v_per=cancel)
+        assert not H.matrix.diagonal().any() and H.matrix.nnz == 2 * (H.size - 1)
+        assert _same_csr(H.matrix, _reference_hamiltonian(H.grid, H.potential))
 
     def test_no_sites_and_all_zero_couplings(self):
         grid = Grid(make_box(2, 3.0), GridSpec(3))

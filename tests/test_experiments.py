@@ -12,6 +12,7 @@ from andlab.experiments.config import (build_distribution, build_grid,
                                        build_profile, build_v_per, load_config,
                                        validate_config)
 from andlab.experiments.emit import emit_plotdata, write_csv
+from andlab.experiments import runner
 from andlab.experiments.runner import KINDS, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -176,6 +177,23 @@ class TestRunnerDeterminism:
             data[workers] = {name: (out / name).read_bytes() for name in names}
         assert data[1] == data[2]
 
+    def test_ladder_rows_count_their_own_scale(self, tmp_path):
+        # one pool maps every (scale, trial) pair of the ladder; each row
+        # counts the trials of its own scale, as a serial map per scale does
+        raw = json.loads((CONFIG_DIR / "initial_scale.json").read_text())
+        raw["params"]["energy_factor"] = 50.0     # 4 of 24 pass at L = 20, 10 at L = 30
+        cfg = validate_config(raw)
+        out = run_experiment(cfg, str(tmp_path), workers_override=2)
+        rows = [line.split(",") for line in (out / "ladder.csv").read_text().splitlines()[2:]]
+        model = runner._model(cfg)
+        expected = []
+        for L in cfg.params["scales"]:
+            _, _, trial = runner._initial_scale_inputs(cfg.params, cfg.root_seed, model,
+                                                       float(L))
+            expected.append(sum(trial(t) for t in range(cfg.n_samples)))
+        assert [int(row[4]) for row in rows] == expected
+        assert len(set(expected)) == len(expected)    # a swapped split would show
+
     def test_v_per_field_pickles_bitwise(self):
         spec = {"kind": "cosine", "period": 2, "amplitude": 0.5, "offset": 0.25,
                 "auto_shift": True}
@@ -285,6 +303,20 @@ def goodness_ladder_with_fixed_rule_missing_key():
     return raw, "missing key 'm'"
 
 
+def goodness_ladder_with_zero_pair_cap():
+    # a cap of 0 would keep all 741 pairs at L = 40
+    raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+    raw["params"]["pair_cap"] = 0
+    return raw, "pair_cap"
+
+
+def goodness_ladder_with_negative_pair_cap():
+    # a cap of -5 would keep 740 of 741
+    raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+    raw["params"]["pair_cap"] = -5
+    return raw, "pair_cap"
+
+
 def ids_with_bad_energy_grid_key():
     raw = json.loads((CONFIG_DIR / "ids.json").read_text())
     raw["params"]["energy_grid"] = {"start": 0.1, "stop": 1.5, "count": 8}
@@ -302,7 +334,9 @@ def ids_with_bad_energy_grid_key():
                                       _model_with("v_per", "amplitdue"),
                                       goodness_ladder_with_bad_rule_key,
                                       goodness_ladder_with_fixed_rule_missing_key,
-                                      ids_with_bad_energy_grid_key])
+                                      ids_with_bad_energy_grid_key,
+                                      goodness_ladder_with_zero_pair_cap,
+                                      goodness_ladder_with_negative_pair_cap])
 class TestConfigTimeChecks:
     def test_validate_rejects(self, make_bad):
         raw, name = make_bad()

@@ -239,6 +239,44 @@ class TestCandidatePairs:
                                  for a, b in expected]
 
 
+    @pytest.mark.parametrize("pair_cap", [0, -5])
+    def test_cap_below_one_rejected(self, pair_cap):
+        centers = lattice_sites(make_box(1, 40.0)).astype(float)
+        with pytest.raises(ValidationError, match="pair_cap"):
+            _candidate_pairs(centers, 0.4, pair_cap, seed=7)
+
+
+def _reference_block_norms(self, source, targets):
+    """One solve for the source columns and one SVD per target: the block
+    norms before the rank-one rule."""
+    rhs = np.zeros((self.n, len(source)))
+    rhs[source, np.arange(len(source))] = 1.0
+    sol = self.solve(rhs)
+    return np.array([np.linalg.svd(sol[t], compute_uv=False)[0] for t in targets])
+
+
+class TestRankOneGoodness:
+    # the benchmark ladder's model and rules (E = -0.5, m = 0.4), and a rate
+    # of 3 that every box fails
+    @pytest.mark.parametrize("L, trial, m", [(50.0, 0, 0.4), (50.0, 1, 3.0),
+                                             (100.0, 0, 0.4), (100.0, 1, 3.0)])
+    def test_same_report_as_svd_reference(self, L, trial, m, monkeypatch):
+        box = make_box(1, L)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, 0, trial)
+        args = (box, GridSpec(8), SiteProfile(), cfg, -0.5, m, 0.1, FreeSitePolicy(seed=0))
+        rep = check_goodness(*args)
+        monkeypatch.setattr(ResolventFactorization, "block_norms", _reference_block_norms)
+        ref = check_goodness(*args)
+        assert rep.is_good == (m < 1.0)
+        for attr in ("weg_pass", "decay_pass", "indeterminate", "weg_norms"):
+            assert getattr(rep, attr) == getattr(ref, attr)
+        worst, expected = rep.worst_pair, ref.worst_pair
+        assert (worst.x, worst.y, worst.distance, worst.bound) == \
+            (expected.x, expected.y, expected.distance, expected.bound)
+        assert worst.measured == pytest.approx(expected.measured, rel=1e-12)
+        assert rep.decay_rate_fit == pytest.approx(ref.decay_rate_fit, rel=1e-12)
+
+
 class TestGoodnessProbability:
     def test_deterministic_good(self):
         box = make_box(1, 12.0)

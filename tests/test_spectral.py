@@ -294,7 +294,7 @@ class TestResolventProbes:
         targets = [unit_box_mask(H.grid, c) for c in centers]
         counts = [int(t.sum()) for t in targets]
         assert sorted(set(counts)) == [4, 6, 9]
-        norms = fac.block_norms(source, targets)
+        norms = fac.block_norms(np.flatnonzero(source), [np.flatnonzero(t) for t in targets])
         rhs = np.zeros((H.size, int(source.sum())))
         rhs[np.flatnonzero(source), np.arange(rhs.shape[1])] = 1.0
         sol = fac.solve(rhs)
@@ -315,6 +315,72 @@ class TestResolventProbes:
         probe = resolvent_block_norm(H, -0.4, unit_box_mask(H.grid, (-3.0,)),
                                      unit_box_mask(H.grid, (3.0,)))
         assert probe.divergent and np.isnan(probe.norm_estimate)
+
+
+def _unit_box_nodes(H):
+    """Sorted node indices of the unit box around each lattice site."""
+    return [np.flatnonzero(unit_box_mask(H.grid, c))
+            for c in lattice_sites(H.grid.box).astype(float)]
+
+
+def _svd_norms(fac, source, targets):
+    """The solved source columns and one SVD per target block."""
+    rhs = np.zeros((fac.n, len(source)))
+    rhs[source, np.arange(len(source))] = 1.0
+    sol = fac.solve(rhs)
+    return np.array([np.linalg.svd(sol[t], compute_uv=False)[0] for t in targets])
+
+
+class TestRankOneBlockNorms:
+    # in 1-d, R between separated unit boxes is a rank-one block, so its
+    # Frobenius norm is its spectral norm
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(10, 60), n=st.integers(4, 8), seed=st.integers(0, 2**16),
+           where=st.sampled_from(["below", "deep", "between", "near", "above"]),
+           rank=st.floats(0.0, 1.0))
+    def test_separated_targets_match_svd(self, L, n, seed, where, rank):
+        H, _ = random_hamiltonian(1, float(L), n, Uniform01(), seed=seed)
+        vals = la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
+        k = int(rank * (len(vals) - 2))
+        energy = {"below": vals[0] - 0.5,
+                  "deep": -150.0,             # norms down to 1e-290 and below
+                  "between": 0.5 * (vals[k] + vals[k + 1]),
+                  "near": vals[k] + 1e-9,
+                  "above": vals[-1] + 1.0}[where]
+        fac = ResolventFactorization(H, energy)
+        boxes = _unit_box_nodes(H)
+        for a in range(0, len(boxes), 3):
+            targets = boxes[:a] + boxes[a + 1:]
+            norms = fac.block_norms(boxes[a], targets)
+            svd = _svd_norms(fac, boxes[a], targets)
+            big = svd > 1e-290
+            assert np.all(np.abs(norms[big] - svd[big]) <= 1e-12 * svd[big])
+
+    def test_straddling_and_non_tridiagonal_targets_keep_the_svd(self, monkeypatch):
+        H, _ = random_hamiltonian(1, 20.0, 6, Uniform01(), seed=31)
+        fac = ResolventFactorization(H, -0.5)
+        boxes = _unit_box_nodes(H)          # 19 boxes; box 9 is centered at 0
+        source = boxes[9]
+        straddling = [np.concatenate(boxes[8:11]),            # holds the source
+                      np.concatenate([boxes[3], boxes[15]]),  # one box on each side
+                      np.concatenate(boxes[9:11])[3:]]        # overlaps its right end
+        targets = [boxes[0], straddling[0], boxes[18], straddling[1], straddling[2]]
+        norms = fac.block_norms(source, targets)
+        svd = _svd_norms(fac, source, targets)
+        assert norms[[1, 3, 4]].tobytes() == svd[[1, 3, 4]].tobytes()
+        assert norms[[0, 2]] == pytest.approx(svd[[0, 2]], rel=1e-12)
+        # a source with no target is still solved, as check_goodness expects
+        solves = []
+        monkeypatch.setattr(ResolventFactorization, "solve",
+                            lambda self, rhs: solves.append(rhs) or np.zeros_like(rhs))
+        assert fac.block_norms(source, []).shape == (0,) and len(solves) == 1
+        monkeypatch.undo()
+        # periodic boundaries wrap the stencil: no target is one-sided there
+        H = periodic_hamiltonian(12.0, seed=32)
+        fac = ResolventFactorization(H, -0.5)
+        boxes = _unit_box_nodes(H)
+        norms = fac.block_norms(boxes[0], boxes[2:])
+        assert norms.tobytes() == _svd_norms(fac, boxes[0], boxes[2:]).tobytes()
 
 
 class TestWeylCounting:
