@@ -163,8 +163,7 @@ def annulus_offsets(L1: Fraction, ell: Fraction, dimension: int) -> list:
 
 def standard_covering_annulus(annulus: AnnulusSpec, ell,
                               alpha: Optional[Fraction] = None,
-                              max_centers: int = 2_000_000,
-                              keep_exact: bool = False) -> Covering:
+                              max_centers: int = 2_000_000) -> Covering:
     """Standard suitable ell-covering of an open annulus.
 
     Requires ``ell < (L2-L1)/7``.  Centers come from the offset set plus the
@@ -172,7 +171,7 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
     and separation thresholds are computed exactly per axis (integer bounds on
     the lattice index), so flush boxes are classified correctly; duplicate
     centers across offsets are detected by the exact lattice-collision test.
-    ``keep_exact`` additionally stores the centers as Fraction tuples.
+    Annulus coverings carry no exact centers (``centers_exact = ()``).
     """
     L1, L2, l = _frac(annulus.inner_side), _frac(annulus.outer_side), _frac(ell)
     if not l < (L2 - L1) / 7:
@@ -205,7 +204,7 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
             break
 
     blocks = []
-    exact_rows = [] if (keep_exact or collides) else None
+    exact_rows = [] if collides else None
     total = 0
     for u in offsets:
         ranges, seps = [], []
@@ -243,17 +242,10 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
     centers = np.vstack(blocks) if blocks else np.empty((0, d))
     if collides:
         # rare structured geometry: merge exact duplicates
-        merged = {}
-        for i, row in enumerate(exact_rows):
-            merged[row] = i
-        order = sorted(merged.keys())
+        order = sorted(set(exact_rows))
         centers = np.array([[float(v) for v in row] for row in order],
                            dtype=float).reshape(len(order), d)
-        exact_centers = tuple(order) if keep_exact else ()
-    else:
-        exact_centers = tuple(exact_rows) if keep_exact else ()
-    return Covering(annulus, float(ell), a, centers,
-                    exact_centers if keep_exact else tuple())
+    return Covering(annulus, float(ell), a, centers, ())
 
 
 # ---------------------------------------------------------------------------

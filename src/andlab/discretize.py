@@ -1,10 +1,12 @@
 """Uniform grids and sparse finite-volume Hamiltonians.
 
-The continuum operator ``-Lap + V_per + U + sum_zeta omega_zeta u(.-zeta)``
+The continuum operator ``-Lap + V_per + sum_zeta omega_zeta u(.-zeta)``
 is discretized on a uniform tensor grid over an open box with the standard
 second-order ``2d+1``-point stencil.  Dirichlet keeps the interior nodes
-only; periodic identifies opposite faces.  Norms and inner products carry
-the ``h^d`` weight so constants are comparable across meshes.
+only; periodic identifies opposite faces.  A non-periodic background goes in
+through the ``v_per`` field on a Dirichlet box, where no period is checked.
+Norms and inner products carry the ``h^d`` weight so constants are comparable
+across meshes.
 
 Potentials are sampled pointwise at grid nodes (no cell averaging); the
 inequalities checked downstream are sandwich-stable under pointwise sampling.
@@ -13,7 +15,6 @@ inequalities checked downstream are sandwich-stable under pointwise sampling.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -185,14 +186,11 @@ def bloch_blocks(cell: HamiltonianMatrix, periods: int):
 class HamiltonianMatrix:
     """Sparse symmetric finite-volume Hamiltonian with its grid geometry."""
 
-    def __init__(self, matrix: sp.csr_matrix, grid: Grid, potential: np.ndarray,
-                 config_digest: str = "", potential_digest: str = ""):
+    def __init__(self, matrix: sp.csr_matrix, grid: Grid, potential: np.ndarray):
         self.matrix = matrix
         self.grid = grid
         self.potential = potential
         self.size = matrix.shape[0]
-        self.config_digest = config_digest
-        self.potential_digest = potential_digest
 
     @property
     def boundary(self) -> str:
@@ -205,7 +203,7 @@ class HamiltonianMatrix:
     def shifted(self, c: float) -> "HamiltonianMatrix":
         return HamiltonianMatrix(
             (self.matrix + c * sp.identity(self.size, format="csr")).tocsr(),
-            self.grid, self.potential + c, self.config_digest, self.potential_digest)
+            self.grid, self.potential + c)
 
     def export_triplets(self, path) -> None:
         """Coordinate (row, col, value) text format for external cross-checks."""
@@ -260,10 +258,8 @@ def assemble_hamiltonian(
     profile: SiteProfile,
     config: Configuration,
     v_per: Optional[PeriodicField] = None,
-    u_background: Optional[Callable] = None,
-    u_plus_bound: Optional[float] = None,
 ) -> HamiltonianMatrix:
-    """Assemble ``-Lap + V_per + U + V_{omega,t_S}`` on the grid over ``box``.
+    """Assemble ``-Lap + V_per + sum_zeta omega_zeta u(.-zeta)`` on the grid over ``box``.
 
     Parameters
     ----------
@@ -271,9 +267,9 @@ def assemble_hamiltonian(
         contained in ``box``.
     profile : single-site bump shape shared by all sites.
     config : coupling realization; assigned free-site values are included.
-    v_per : optional periodic background (period must divide a periodic box).
-    u_background : optional callable ``points -> values`` with values in
-        ``[0, u_plus_bound]``.
+    v_per : optional background field added onto the diagonal.  On a periodic
+        box its period must divide the side; on a Dirichlet box any field,
+        periodic or not, may be passed.
     """
     region = config.region
     cb, cr = np.asarray(box.center), np.asarray(region.center)
@@ -288,17 +284,10 @@ def assemble_hamiltonian(
                 f"{v_per.period}")
 
     grid = Grid(box, grid_spec)
-    pts = grid.points()
 
     potential = np.zeros(grid.shape, dtype=float)
     if v_per is not None:
-        potential += np.asarray(v_per(pts), dtype=float).reshape(grid.shape)
-    if u_background is not None:
-        u_vals = np.asarray(u_background(pts), dtype=float).reshape(grid.shape)
-        cap = u_plus_bound if u_plus_bound is not None else np.inf
-        if np.any(u_vals < -1e-12) or np.any(u_vals > cap + 1e-12):
-            raise ValidationError("background potential U outside [0, U_plus]")
-        potential += u_vals
+        potential += np.asarray(v_per(grid.points()), dtype=float).reshape(grid.shape)
 
     sites, values = config.all_sites_and_values()
     potential += _site_potential(grid, profile, sites, values)
@@ -309,10 +298,7 @@ def assemble_hamiltonian(
     H = sp.csr_matrix((lap.data.copy(), lap.indices.copy(), lap.indptr.copy()), lap.shape)
     H.data[H.indices == np.repeat(np.arange(grid.size), np.diff(H.indptr))] += potential.ravel()
     H.eliminate_zeros()
-
-    cfg_digest = hashlib.sha256(config.to_json().encode()).hexdigest()[:16]
-    pot_digest = hashlib.sha256(np.ascontiguousarray(potential).tobytes()).hexdigest()[:16]
-    return HamiltonianMatrix(H, grid, potential.ravel(), cfg_digest, pot_digest)
+    return HamiltonianMatrix(H, grid, potential.ravel())
 
 
 def empty_configuration(box: BoxSpec) -> Configuration:

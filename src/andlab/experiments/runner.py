@@ -196,7 +196,7 @@ def _goodness_inputs(params: dict, root_seed: int, model: tuple, L: float) -> tu
     _, m = _RULES[m_rule["kind"]][2](m_rule, L, p)
     dist, grid, profile, v_per = model
     return energy, m, partial(goodness_trial, dist, BoxSpec(D, (0.0,) * D, L), grid, profile,
-                              energy, m, float(params["varsigma"]), root_seed, v_per, None,
+                              energy, m, float(params["varsigma"]), root_seed, v_per,
                               params.get("pair_cap", PAIR_CAP))
 
 
@@ -255,7 +255,7 @@ def _run_ids(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     L = float(cfg.params["L"])
     dist, grid, profile, v_per = _model(cfg)
     trial = partial(ids_counts, dist, BoxSpec(D, (0.0,) * D, L), grid, profile, energies,
-                    cfg.root_seed, v_per, None)
+                    cfg.root_seed, v_per)
     curve = ids_curve(energies, map_trials(trial, range(cfg.n_samples), workers), L ** D)
     rows = [{"E": float(e), "N_hat": float(v), "se": float(s)}
             for e, v, s in zip(curve.energies, curve.values, curve.stderr)]

@@ -71,8 +71,9 @@ class GaussianBump:
         scale = (-1.0 / (self.width * np.sqrt(2.0))) ** order
         return scale * h * self(u)
 
-    def support_halfwidth(self, tail: float = 1e-16) -> float:
-        return self.width * np.sqrt(-2.0 * np.log(tail)) + 1.0
+    def support_halfwidth(self) -> float:
+        """Half-width beyond which the Gaussian is below 1e-16 of its peak, plus one."""
+        return self.width * np.sqrt(-2.0 * np.log(1e-16)) + 1.0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
@@ -62,11 +62,10 @@ def ids_curve(energy_grid, counts, volume: float) -> IdsCurve:
 
 def ids_counts(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
                profile: SiteProfile, energy_grid: np.ndarray, root_seed: int,
-               v_per: Optional[PeriodicField], u_background: Optional[Callable],
-               trial: int) -> np.ndarray:
+               v_per: Optional[PeriodicField], trial: int) -> np.ndarray:
     """#{eigenvalues <= E} at each grid energy in Monte Carlo trial ``trial``."""
     config = sample_configuration(dist, box, None, root_seed, trial)
-    H = assemble_hamiltonian(box, grid_spec, profile, config, v_per, u_background)
+    H = assemble_hamiltonian(box, grid_spec, profile, config, v_per)
     return np.searchsorted(full_spectrum(H), energy_grid, side="right")
 
 
@@ -79,7 +78,6 @@ def ids_estimate(
     n_samples: int,
     root_seed: int,
     v_per: Optional[PeriodicField] = None,
-    u_background: Optional[Callable] = None,
 ) -> IdsCurve:
     """Monte Carlo IDS curve on an energy grid (volume-normalized counts)."""
     if n_samples < 1:
@@ -87,8 +85,7 @@ def ids_estimate(
     energy_grid = np.asarray(energy_grid, dtype=float)
     if not np.all(np.isfinite(energy_grid)):
         raise ValidationError("energy grid must be bounded")
-    trial = partial(ids_counts, dist, box, grid_spec, profile, energy_grid, root_seed,
-                    v_per, u_background)
+    trial = partial(ids_counts, dist, box, grid_spec, profile, energy_grid, root_seed, v_per)
     return ids_curve(energy_grid, [trial(t) for t in range(n_samples)], box.side ** box.dimension)
 
 

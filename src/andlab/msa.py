@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -152,13 +152,12 @@ def msa_constants(d: int, p: float, p_tilde: Optional[float] = None,
                      eta, gamma, m, eps, delta_plus, q, L_ref)
 
 
-def minimal_n1(p: float, rho1: float, varsigma_prime: float,
-               n_max: int = 200) -> Optional[int]:
-    """Smallest n1 with p < rho1 (1 - varsigma') / 2 - rho1^n1, if any."""
+def minimal_n1(p: float, rho1: float, varsigma_prime: float) -> Optional[int]:
+    """Smallest n1 <= 200 with p < rho1 (1 - varsigma') / 2 - rho1^n1, if any."""
     margin = 0.5 * rho1 * (1.0 - varsigma_prime) - p
     if margin <= 0.0:
         return None
-    for n1 in range(1, n_max + 1):
+    for n1 in range(1, 201):
         if rho1 ** n1 < margin:
             return n1
     return None
@@ -298,7 +297,6 @@ def check_goodness(
     policy: FreeSitePolicy = FreeSitePolicy(),
     variant: str = "good",
     v_per: Optional[PeriodicField] = None,
-    u_background: Optional[Callable] = None,
     pair_cap: int = PAIR_CAP,
     probe_centers: Optional[np.ndarray] = None,
 ) -> GoodnessReport:
@@ -336,7 +334,7 @@ def check_goodness(
     groups = None
 
     for label, cfg in configs:
-        H = assemble_hamiltonian(box, grid_spec, profile, cfg, v_per, u_background)
+        H = assemble_hamiltonian(box, grid_spec, profile, cfg, v_per)
         fac = ResolventFactorization(H, energy)
         if fac.divergent:
             weg_norms.append((label, math.inf))
@@ -391,7 +389,6 @@ def check_goodness(
 def check_pgood(box: BoxSpec, grid_spec: GridSpec, profile: SiteProfile,
                 config: Configuration, energy: float, m: float, varsigma: float,
                 eta: float, v_per: Optional[PeriodicField] = None,
-                u_background: Optional[Callable] = None,
                 pair_cap: int = PAIR_CAP) -> GoodnessReport:
     """pgood: every box of the standard ell-covering, ell = L^(1/(1+eta)),
     must be good (no free sites) on the restricted configuration."""
@@ -407,8 +404,7 @@ def check_pgood(box: BoxSpec, grid_spec: GridSpec, profile: SiteProfile,
         sub_box = BoxSpec(box.dimension, tuple(center), ell)
         sub_cfg = restrict_configuration(config, sub_box)
         rep = check_goodness(sub_box, grid_spec, profile, sub_cfg, energy, m,
-                             varsigma, FreeSitePolicy(), "good", v_per,
-                             u_background, pair_cap)
+                             varsigma, FreeSitePolicy(), "good", v_per, pair_cap)
         subreports.append(rep)
         if not rep.is_good:
             all_good = False
@@ -486,13 +482,13 @@ def ladder_row(scale: float, dimension: int, p: float, energy: float, m: float,
 
 def goodness_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
                    profile: SiteProfile, energy: float, m: float, varsigma: float,
-                   root_seed: int, v_per: Optional[PeriodicField],
-                   u_background: Optional[Callable], pair_cap: int, trial: int) -> bool:
+                   root_seed: int, v_per: Optional[PeriodicField], pair_cap: int,
+                   trial: int) -> bool:
     """Whether the box is (E, m, varsigma)-good in Monte Carlo trial ``trial``."""
     config = sample_configuration(dist, box, None, root_seed, trial)
     return bool(check_goodness(box, grid_spec, profile, config, energy, m, varsigma,
                                FreeSitePolicy(seed=root_seed), "good", v_per,
-                               u_background, pair_cap).is_good)
+                               pair_cap).is_good)
 
 
 def goodness_probability(
@@ -507,7 +503,6 @@ def goodness_probability(
     n_samples: int,
     root_seed: int,
     v_per: Optional[PeriodicField] = None,
-    u_background: Optional[Callable] = None,
     pair_cap: int = PAIR_CAP,
 ) -> LadderRow:
     """Monte Carlo estimate of P{box is (E, m, varsigma)-good} with the
@@ -515,7 +510,7 @@ def goodness_probability(
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     trial = partial(goodness_trial, dist, box, grid_spec, profile, energy, m, varsigma,
-                    root_seed, v_per, u_background, pair_cap)
+                    root_seed, v_per, pair_cap)
     good = sum(trial(t) for t in range(n_samples))
     return ladder_row(box.side, box.dimension, p, energy, m, good, n_samples)
 
@@ -534,7 +529,6 @@ def reduced_spectrum(
     n1: int,
     m_hat: float,
     v_per: Optional[PeriodicField] = None,
-    u_background: Optional[Callable] = None,
 ) -> np.ndarray:
     """Eigenvalues in the window consistent with the nested-box spectra.
 
@@ -552,7 +546,7 @@ def reduced_spectrum(
             raise ScaleError(f"nested box of side {side} is below 3 grid cells")
         return cells / ppu
 
-    H = assemble_hamiltonian(box, grid_spec, profile, config, v_per, u_background)
+    H = assemble_hamiltonian(box, grid_spec, profile, config, v_per)
     base = eigs_window(H, interval).energies
     if n1 == 0 or len(base) == 0:
         return base
@@ -561,8 +555,7 @@ def reduced_spectrum(
         side = snapped(L ** (rho ** n))
         sub_box = BoxSpec(box.dimension, box.center, side)
         sub_cfg = restrict_configuration(config, sub_box)
-        sub_H = assemble_hamiltonian(sub_box, grid_spec, profile, sub_cfg,
-                                     v_per, u_background)
+        sub_H = assemble_hamiltonian(sub_box, grid_spec, profile, sub_cfg, v_per)
         sub_spec = eigs_window(sub_H, interval).energies
         tol = 2.0 * math.exp(-m_hat * side)
         if len(sub_spec) == 0:

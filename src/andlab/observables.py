@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as la
@@ -114,7 +114,6 @@ def dichotomy_check(
     vartheta: float,
     nu: float,
     v_per: Optional[PeriodicField] = None,
-    u_background: Optional[Callable] = None,
     energies: Optional[Sequence[float]] = None,
 ) -> List[DichotomyRecord]:
     """Check the either/or concentration bound on outer-box eigenfunctions.
@@ -131,8 +130,7 @@ def dichotomy_check(
             raise GeometryError("outer box too small to contain the L_+ annulus box")
     from .spectral import eigs_window
 
-    H = assemble_hamiltonian(outer_box, grid_spec, profile, config, v_per,
-                             u_background)
+    H = assemble_hamiltonian(outer_box, grid_spec, profile, config, v_per)
     margin = math.exp(-M * L ** vartheta)
     lo, hi = interval
     window = (lo + margin, hi - margin)
@@ -166,8 +164,7 @@ class LocalizationCenter:
     tie_centers: list          # all maximizers (lexicographic winner first)
 
 
-def localization_center(grid: Grid, psi: np.ndarray,
-                        mass_floor: float = MASS_FLOOR) -> LocalizationCenter:
+def localization_center(grid: Grid, psi: np.ndarray) -> LocalizationCenter:
     """Lexicographically least integer maximizer of the unit-box mass, with a
     least-squares exponential decay fit around it."""
     candidates = lattice_sites(grid.box)
@@ -180,7 +177,7 @@ def localization_center(grid: Grid, psi: np.ndarray,
             for i in np.flatnonzero(masses >= top * (1.0 - 1e-12))]
     ties.sort()
     center = ties[0]
-    sel = masses > mass_floor
+    sel = masses > MASS_FLOOR
     dists = np.max(np.abs(candidates - np.asarray(center)), axis=1)
     sel &= dists > 0
     if sel.sum() >= 2 and np.ptp(np.log(masses[sel])) > 1e-6:
@@ -224,12 +221,13 @@ def dynamical_moment(H: HamiltonianMatrix, interval: tuple, b: float, x0,
     for i in range(len(res.energies)):
         psi = vecs[:, i]
         proxy += (w * np.linalg.norm(weight * psi)) * np.linalg.norm(psi[mask])
-    cols = np.flatnonzero(mask)
+    # W_b e^{-itH} P(I) chi_{x0} on the mask columns is left @ (phases * right)
+    left = weight[:, None] * vecs
+    right = w * vecs[np.flatnonzero(mask), :].T
     samples = []
     for t in t_grid:
         phases = np.exp(-1j * t * res.energies)
-        # matrix of W_b e^{-itH} P(I) chi_{x0} restricted to the mask columns
-        block = (weight[:, None] * vecs) @ (phases[:, None] * (w * vecs[cols, :].T))
+        block = left @ (phases[:, None] * right)
         tn = float(np.sum(la.svdvals(block)))
         samples.append((float(t), tn))
     return DynamicalMoment(float(proxy), samples, len(res.energies), False)

@@ -260,21 +260,18 @@ class UcpFit:
 
 def qucp_verify(H: HamiltonianMatrix, psi: np.ndarray, energy: float,
                 theta, delta: float, probes: Sequence,
-                D: Optional[float] = None,
-                residual: Optional[np.ndarray] = None) -> UcpFit:
+                D: Optional[float] = None) -> UcpFit:
     """Record the local-mass inequality at each probe and fit the exponent.
 
     ``theta`` is the mass-carrying region (Euclidean tag), ``probes`` the
     points x; probes violating a precondition are kept with a skip reason.
-    The residual ``zeta = H psi - E psi`` is computed unless supplied.
+    The residual ``zeta = H psi - E psi`` enters the left-hand side.
     """
     grid = H.grid
     d = grid.box.dimension
     pts = grid.points()
     psi = np.asarray(psi, dtype=float)
-    if residual is None:
-        residual = H.matrix @ psi - energy * psi
-    zeta_sq = grid.norm(residual) ** 2
+    zeta_sq = grid.norm(H.matrix @ psi - energy * psi) ** 2
     K = float(np.max(np.abs(H.potential - energy)))
     penalty = (29.0 * math.sqrt(d)) ** d
 
@@ -392,7 +389,7 @@ def periodic_projection_gap(
     # couplings are all zero, so the site profile is inert here
     cell_box = BoxSpec(dimension, tuple([(q - box_side) / 2.0] * dimension), float(q))
     cell = assemble_hamiltonian(cell_box, grid_spec, SiteProfile(),
-                                empty_configuration(cell_box), v_per, None)
+                                empty_configuration(cell_box), v_per)
     lo, hi = interval
     tol = 1e-12 * cell.norm_bound()
 

@@ -230,25 +230,26 @@ class ResolventProbe:
 class ResolventFactorization:
     """Shared LU factorization of ``H - E`` for many block probes.
 
+    ``divergent`` holds when ``H - E`` is singular or dist(E, spectrum) is
+    below the fixed tolerance ``1e-10 * H.norm_bound()``; a divergent
+    factorization answers every probe with status DIVERGENT.
     Immutable after construction; concurrent probes may share it.
     """
 
-    def __init__(self, H: HamiltonianMatrix, energy: float, gap_tol: Optional[float] = None):
+    def __init__(self, H: HamiltonianMatrix, energy: float):
         self.H = H
         self.energy = float(energy)
         n = H.size
         self.n = n
-        self.gap_tol = gap_tol if gap_tol is not None else 1e-10 * H.norm_bound()
         shifted = (H.matrix - self.energy * sp.identity(n, format="csr")).tocsc()
-        self.singular = False
         try:
             self._lu = spla.splu(shifted)
         except RuntimeError:
             self._lu = None
-            self.singular = True
             self.resolvent_norm, self.gap, self.gap_solves = np.inf, 0.0, 0
-            return
-        self.resolvent_norm, self.gap, self.gap_solves = self._exact_gap()
+        else:
+            self.resolvent_norm, self.gap, self.gap_solves = self._exact_gap()
+        self.divergent = self._lu is None or self.gap < 1e-10 * H.norm_bound()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         out = self._lu.solve(rhs)
@@ -278,10 +279,6 @@ class ResolventFactorization:
         if not np.isfinite(norm) or norm == 0.0:
             return np.inf, 0.0, solves
         return norm, 1.0 / norm, solves
-
-    @property
-    def divergent(self) -> bool:
-        return self.singular or self.gap < self.gap_tol
 
     def block_norms(self, source: np.ndarray, targets) -> np.ndarray:
         """Exact ``|chi_target R chi_source|`` for each target, all given as
@@ -333,16 +330,14 @@ def _frobenius(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def resolvent_block_norm(H: HamiltonianMatrix, energy: float,
-                         source_mask: np.ndarray, target_mask: np.ndarray,
-                         gap_tol: Optional[float] = None) -> ResolventProbe:
+                         source_mask: np.ndarray, target_mask: np.ndarray) -> ResolventProbe:
     """One-shot probe of ``|chi_target (H-E)^{-1} chi_source|``."""
-    return ResolventFactorization(H, energy, gap_tol).block_norm(source_mask, target_mask)
+    return ResolventFactorization(H, energy).block_norm(source_mask, target_mask)
 
 
-def resolvent_norm(H: HamiltonianMatrix, energy: float,
-                   gap_tol: Optional[float] = None) -> ResolventProbe:
+def resolvent_norm(H: HamiltonianMatrix, energy: float) -> ResolventProbe:
     """Whole-box resolvent norm |R(E)| = 1 / dist(E, spectrum)."""
-    fac = ResolventFactorization(H, energy, gap_tol)
+    fac = ResolventFactorization(H, energy)
     if fac.divergent:
         return ResolventProbe(energy, np.nan, DIVERGENT, 0, np.inf, fac.gap)
     return ResolventProbe(energy, fac.resolvent_norm, "ok", fac.gap_solves, 0.0, fac.gap)

@@ -14,13 +14,12 @@ def make_box(d, L, center=None):
 
 
 def assemble(box, n=4, boundary="dirichlet", config=None, profile=None,
-             v_per=None, u_background=None):
+             v_per=None):
     if profile is None:
         profile = SiteProfile()
     if config is None:
         config = empty_configuration(box)
-    return assemble_hamiltonian(box, GridSpec(n, boundary), profile, config,
-                                v_per, u_background)
+    return assemble_hamiltonian(box, GridSpec(n, boundary), profile, config, v_per)
 
 
 def random_hamiltonian(d, L, n, dist, seed, trial=0, profile=None):

@@ -76,11 +76,6 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             assemble_hamiltonian(small, GridSpec(4), SiteProfile(), cfg)
 
-    def test_background_range_checked(self):
-        box = make_box(1, 4.0)
-        with pytest.raises(ValidationError):
-            assemble(box, u_background=lambda pts: -np.ones(len(pts)))
-
     def test_grid_fit_errors(self):
         with pytest.raises(GridError):
             Grid(make_box(1, 2.3), GridSpec(2))

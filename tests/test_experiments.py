@@ -239,6 +239,15 @@ class TestCli:
         out_dir = Path(capsys.readouterr().out.strip())
         assert (out_dir / "manifest.json").exists()
 
+    def test_verbose_prints_the_manifest(self, tmp_path, capsys):
+        rc = cli_main(["constants", "--config", str(CONFIG_DIR / "constants.json"),
+                       "--out", str(tmp_path), "--verbose"])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        [path] = tmp_path.glob("*/manifest.json")
+        files = json.loads(path.read_text())["files"]
+        assert files and printed["files"] == files
+
 
 class TestEnvOutputRoot:
     def test_andlab_out_env(self, tmp_path, monkeypatch, capsys):

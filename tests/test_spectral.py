@@ -230,6 +230,19 @@ class TestResolventProbes:
         probe = resolvent_block_norm(H, lam, full, full)
         assert probe.divergent
 
+    @pytest.mark.parametrize("offset, divergent", [(1e-12, True), (5e-11, True),
+                                                   (2e-10, False), (1e-8, False)])
+    def test_divergence_tolerance_is_fixed(self, offset, divergent):
+        # DIVERGENT within 1e-10 * norm_bound() of the spectrum, exact beyond it
+        H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=7)
+        lam = lowest_eigenvalue(H)
+        E = lam - offset * H.norm_bound()
+        probe = resolvent_norm(H, E)
+        assert probe.divergent == divergent
+        if not divergent:
+            assert probe.status == "ok"
+            assert probe.norm_estimate * (lam - E) == pytest.approx(1.0, rel=1e-6)
+
     def test_block_norm_against_dense_inverse(self):
         rng = np.random.default_rng(11)
         for seed in range(10):

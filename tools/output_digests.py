@@ -1,0 +1,50 @@
+"""Print the sha256 of every data file that the shipped and benchmark configs write.
+
+    python tools/output_digests.py [--workers N]
+
+Runs every config in ``configs/`` and ``perfbench/configs/*/`` (each with its
+own seed) into a temporary directory at ``--workers N`` (default 1) and prints
+``{config: {file: sha256}}`` as JSON, taken from each run's manifest.  The
+``andlab`` it runs is the one under this checkout's ``src/``, so running the
+same script in two checkouts and diffing the outputs compares their bytes.
+BLAS is pinned to one thread, because ``dynamical.csv`` depends on the
+OpenBLAS thread count.
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from andlab.experiments.config import load_config  # noqa: E402
+from andlab.experiments.runner import run_experiment  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=1)
+    args = parser.parse_args(argv)
+    paths = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/configs/*/*.json"))
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, path in enumerate(paths):
+            out = run_experiment(load_config(path), str(Path(tmp) / str(i)),
+                                 workers_override=args.workers)
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests[str(path.relative_to(ROOT))] = manifest["files"]
+    json.dump(digests, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
