@@ -2,8 +2,9 @@
 
 The covering lattice spacing is ``alpha * ell`` with ``alpha`` rational, kept
 as an exact ``Fraction`` so the set identities (coverage, boundary capture,
-separation, counts) are exact statements about rational arithmetic; float
-centers are derived views.
+separation, counts) are exact statements about rational arithmetic.  Coverings
+keep no exact center tuples: the exact structure is ``alpha``, ``spacing`` and
+the per-axis steps (:func:`box_covering_structure`), and centers are floats.
 
 For a box of side L, ``alpha`` ranges over ``[3/5, 4/5] inter {(L-l)/(2 l n)}``
 and the standard covering takes the maximal such alpha.  For an annulus the
@@ -21,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .model import AnnulusSpec, BoxSpec, lattice_sites
+from .model import AnnulusSpec, BoxSpec, lattice_sites, open_integer_range
 
 _THREE_FIFTHS = Fraction(3, 5)
 _FOUR_FIFTHS = Fraction(4, 5)
@@ -55,15 +56,31 @@ def alpha_candidates(span: Fraction, ell: Fraction) -> list:
     return out
 
 
+def _choose_alpha(span: Fraction, ell: Fraction, alpha: Optional[Fraction]) -> tuple:
+    """``(n, alpha)``: the largest candidate, or the given alpha, which must be one."""
+    candidates = alpha_candidates(span, ell)
+    assert candidates, "candidate set is nonempty under the ell precondition"
+    if alpha is None:
+        return candidates[0]
+    a = _frac(alpha)
+    match = [t for t in candidates if t[1] == a]
+    if not match:
+        raise ValidationError(f"alpha={a} is not in the suitable candidate set")
+    return match[0]
+
+
 @dataclass(frozen=True)
 class Covering:
-    """A suitable ell-covering: center lattice of side-ell boxes."""
+    """A suitable ell-covering: center lattice of side-ell boxes.
+
+    ``centers`` are floats (box-covering centers each rounded once from their
+    exact rational value); the exactness lives in ``alpha`` and ``spacing``,
+    and for box coverings in ``steps_per_axis``."""
 
     parent: Union[BoxSpec, AnnulusSpec]
     side: float
     alpha: Fraction
-    centers: np.ndarray                      # (m, d) float view
-    centers_exact: tuple                     # Fraction tuples (may be empty)
+    centers: np.ndarray                      # (m, d)
     steps_per_axis: Optional[int] = None     # box coverings: k in {-n..n}
 
     @property
@@ -72,13 +89,6 @@ class Covering:
 
     def __len__(self) -> int:
         return len(self.centers)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# alpha {self.alpha.numerator}/{self.alpha.denominator} "
-                     f"ell {self.side!r}\n")
-            for r in self.centers:
-                fh.write(",".join(repr(float(v)) for v in r) + "\n")
 
 
 @dataclass(frozen=True)
@@ -114,16 +124,7 @@ def box_covering_structure(box: BoxSpec, ell,
     L, l = _frac(box.side), _frac(ell)
     if l > L / 6:
         raise GeometryError(f"need ell <= L/6, got ell={float(l)}, L={float(L)}")
-    candidates = alpha_candidates(L - l, l)
-    assert candidates, "candidate set is nonempty whenever ell <= L/6"
-    if alpha is None:
-        n, a = max(candidates, key=lambda t: t[1])
-    else:
-        a = _frac(alpha)
-        match = [t for t in candidates if t[1] == a]
-        if not match:
-            raise ValidationError(f"alpha={a} is not in the suitable candidate set")
-        n = match[0][0]
+    n, a = _choose_alpha(L - l, l, alpha)
     # centers are x0 + a*l*k with |a*l*k| < L/2; the admissible k are exactly
     # {-n..n}: a*l*n = (L-l)/2 < L/2 and a*l*(n+1) >= (L-l)/2 + 3l/5 > L/2
     spacing = a * l
@@ -142,11 +143,9 @@ def standard_covering_box(box: BoxSpec, ell, alpha: Optional[Fraction] = None,
     n, a, spacing = struct.steps, struct.alpha, struct.spacing
     if (2 * n + 1) ** box.dimension > max_centers:
         raise GeometryError(f"covering would have more than {max_centers} centers")
-    axes = [[_frac(c) + spacing * k for k in range(-n, n + 1)] for c in box.center]
-    exact = tuple(itertools.product(*axes))
-    centers = np.array(list(itertools.product(*[[float(v) for v in axis] for axis in axes])),
-                       dtype=float)
-    return Covering(box, float(ell), a, centers, exact, steps_per_axis=n)
+    axes = [[float(_frac(c) + spacing * k) for k in range(-n, n + 1)] for c in box.center]
+    centers = np.array(list(itertools.product(*axes)), dtype=float)
+    return Covering(box, float(ell), a, centers, steps_per_axis=n)
 
 
 def annulus_offsets(L1: Fraction, ell: Fraction, dimension: int) -> list:
@@ -171,20 +170,12 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
     and separation thresholds are computed exactly per axis (integer bounds on
     the lattice index), so flush boxes are classified correctly; duplicate
     centers across offsets are detected by the exact lattice-collision test.
-    Annulus coverings carry no exact centers (``centers_exact = ()``).
     """
     L1, L2, l = _frac(annulus.inner_side), _frac(annulus.outer_side), _frac(ell)
     if not l < (L2 - L1) / 7:
         raise GeometryError(
             f"need ell < (L2-L1)/7, got ell={float(l)}, L2-L1={float(L2 - L1)}")
-    candidates = alpha_candidates(L2 - L1 - 2 * l, l)
-    assert candidates, "candidate set is nonempty whenever ell < (L2-L1)/7"
-    if alpha is None:
-        _, a = max(candidates, key=lambda t: t[1])
-    else:
-        a = _frac(alpha)
-        if not any(t[1] == a for t in candidates):
-            raise ValidationError(f"alpha={a} is not in the suitable candidate set")
+    _, a = _choose_alpha(L2 - L1 - 2 * l, l, alpha)
     spacing = a * l
     d = annulus.dimension
     x0 = [_frac(c) for c in annulus.center]
@@ -245,7 +236,7 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
         order = sorted(set(exact_rows))
         centers = np.array([[float(v) for v in row] for row in order],
                            dtype=float).reshape(len(order), d)
-    return Covering(annulus, float(ell), a, centers, ())
+    return Covering(annulus, float(ell), a, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +297,7 @@ def is_abundant(sites: np.ndarray, box: BoxSpec, varsigma_prime: float) -> bool:
             cs.append(c0 + reach)
         intervals = set()
         for c in cs:
-            lo, hi = c - w / 2.0, c + w / 2.0
-            a = int(np.floor(lo)) + 1 if float(np.floor(lo)) == lo else int(np.ceil(lo))
-            b = int(np.ceil(hi)) - 1 if float(np.ceil(hi)) == hi else int(np.floor(hi))
-            if float(a) <= lo:
-                a += 1
-            if float(b) >= hi:
-                b -= 1
-            intervals.add((a, b))
+            intervals.add(open_integer_range(c - w / 2.0, c + w / 2.0))
         axis_intervals.append(sorted(intervals))
 
     for combo in itertools.product(*axis_intervals):

@@ -103,16 +103,6 @@ def region_mask(grid: Grid, region: Union[BoxSpec, AnnulusSpec]) -> np.ndarray:
     return np.asarray(region.contains(grid.points()), dtype=bool)
 
 
-def indicator_operator(grid: Grid, region: Union[BoxSpec, AnnulusSpec]):
-    """Diagonal 0/1 mask for a region; flags an empty intersection.
-
-    Returns ``(mask, empty_warning)`` with ``mask`` a boolean vector over
-    grid nodes (open-set semantics).
-    """
-    mask = region_mask(grid, region)
-    return mask, not bool(mask.any())
-
-
 def unit_box_mask(grid: Grid, x) -> np.ndarray:
     """Mask of the unit box centered at ``x`` (the chi_x of resolvent probes)."""
     return region_mask(grid, BoxSpec(grid.box.dimension, tuple(np.atleast_1d(x)), 1.0))
@@ -204,14 +194,6 @@ class HamiltonianMatrix:
         return HamiltonianMatrix(
             (self.matrix + c * sp.identity(self.size, format="csr")).tocsr(),
             self.grid, self.potential + c)
-
-    def export_triplets(self, path) -> None:
-        """Coordinate (row, col, value) text format for external cross-checks."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# size {self.size} h {self.grid.h} boundary {self.boundary}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {float(v)!r}\n")
 
 
 def _site_potential(grid: Grid, profile: SiteProfile, sites: np.ndarray,

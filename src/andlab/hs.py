@@ -95,9 +95,6 @@ class QuasiAnalyticExtension:
         u = np.asarray(u, dtype=float)
         return 2.0 * np.sqrt(1.0 + u**2) / self.scale
 
-    def in_support(self, u, v):
-        return np.abs(np.asarray(v, dtype=float)) <= self.support_vmax(u)
-
     def value(self, u, v):
         """gext(u+iv); equals g(u) on the real axis."""
         u = np.asarray(u, dtype=float)
@@ -169,9 +166,6 @@ class QuadratureSpec:
 
     n_u: int = 32
     n_v: int = 8
-
-    def refine(self, factor: int) -> "QuadratureSpec":
-        return QuadratureSpec(self.n_u * factor, self.n_v * factor)
 
 
 def _strip_nodes(ext: QuasiAnalyticExtension, quad: QuadratureSpec):

@@ -7,7 +7,6 @@ by ``(root_seed, trial, site index)``, see :mod:`andlab.rng`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,9 +26,9 @@ class SingleSiteDistribution:
     """Common law of the site couplings; support contained in [0,1].
 
     Concrete laws: :class:`Bernoulli`, :class:`Uniform01`, :class:`Atoms`,
-    :class:`Mixture`.  ``is_degenerate`` is True when the law has fewer than
-    two support points; degenerate laws are allowed (test fixtures) but carry
-    the flag as a warning.
+    :class:`Mixture`.  ``point_mass`` is the law's support point when it has
+    only one, else None; such degenerate laws are allowed (test fixtures) but
+    carry ``is_degenerate`` as a warning.
     """
 
     def validate(self) -> None:
@@ -43,8 +42,12 @@ class SingleSiteDistribution:
         raise NotImplementedError
 
     @property
-    def is_degenerate(self) -> bool:
+    def point_mass(self) -> Optional[float]:
         raise NotImplementedError
+
+    @property
+    def is_degenerate(self) -> bool:
+        return self.point_mass is not None
 
     @property
     def normalized_support(self) -> bool:
@@ -78,8 +81,8 @@ class Bernoulli(SingleSiteDistribution):
         return self.q
 
     @property
-    def is_degenerate(self):
-        return self.q in (0.0, 1.0)
+    def point_mass(self):
+        return float(self.q) if self.q in (0.0, 1.0) else None
 
     @property
     def normalized_support(self):
@@ -101,8 +104,8 @@ class Uniform01(SingleSiteDistribution):
         return 0.5
 
     @property
-    def is_degenerate(self):
-        return False
+    def point_mass(self):
+        return None
 
     @property
     def normalized_support(self):
@@ -145,9 +148,10 @@ class Atoms(SingleSiteDistribution):
         return float(values @ weights)
 
     @property
-    def is_degenerate(self):
+    def point_mass(self):
         values, weights = self._arrays()
-        return np.count_nonzero(weights > 0.0) < 2
+        live = np.unique(values[weights > 0.0])
+        return float(live[0]) if len(live) == 1 else None
 
     @property
     def normalized_support(self):
@@ -187,22 +191,10 @@ class Mixture(SingleSiteDistribution):
         return float(sum(w * comp.mean() for w, comp in self.components))
 
     @property
-    def is_degenerate(self):
-        # degenerate iff the mixed law has < 2 support points: all live
-        # components degenerate with one common support point
-        live = [comp for w, comp in self.components if w > 0.0]
-        if any(not comp.is_degenerate for comp in live):
-            return False
-        points = set()
-        for comp in live:
-            if isinstance(comp, Bernoulli):
-                points.add(1.0 if comp.q == 1.0 else 0.0)
-            elif isinstance(comp, Atoms):
-                values, weights = comp._arrays()
-                points.update(values[weights > 0.0].tolist())
-            else:
-                return False
-        return len(points) < 2
+    def point_mass(self):
+        # one support point iff every live component is the same point mass
+        points = {comp.point_mass for w, comp in self.components if w > 0.0}
+        return points.pop() if len(points) == 1 else None
 
     @property
     def normalized_support(self):
@@ -230,11 +222,6 @@ def _shift_levels(uniform_at_level, offset, mask):
         return uniform_at_level(level + offset)[mask]
 
     return inner
-
-
-def distribution_cdf(dist: SingleSiteDistribution, t: float) -> float:
-    """mu(]-inf, t]) for the given single-site law."""
-    return dist.cdf(t)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +322,11 @@ class AnnulusSpec:
         return (dist > self.inner_side / 2.0) & (dist < self.outer_side / 2.0)
 
 
+def open_integer_range(lo: float, hi: float) -> tuple:
+    """First and last integers strictly inside ``(lo, hi)``; empty when last < first."""
+    return int(np.floor(lo)) + 1, int(np.ceil(hi)) - 1
+
+
 def lattice_sites(box: BoxSpec) -> np.ndarray:
     """Integer points strictly inside the open box, lexicographic order.
 
@@ -342,14 +334,7 @@ def lattice_sites(box: BoxSpec) -> np.ndarray:
     """
     axes = []
     for c in box.center:
-        lo, hi = c - box.side / 2.0, c + box.side / 2.0
-        first = int(np.floor(lo)) + 1 if float(np.floor(lo)) == lo else int(np.ceil(lo))
-        last = int(np.ceil(hi)) - 1 if float(np.ceil(hi)) == hi else int(np.floor(hi))
-        # strict inequalities: endpoints landing exactly on integers are excluded
-        if float(first) <= lo:
-            first += 1
-        if float(last) >= hi:
-            last -= 1
+        first, last = open_integer_range(c - box.side / 2.0, c + box.side / 2.0)
         axes.append(np.arange(first, last + 1, dtype=np.int64))
     if any(len(a) == 0 for a in axes):
         return np.empty((0, box.dimension), dtype=np.int64)
@@ -375,7 +360,6 @@ class Configuration:
     values: np.ndarray         # (m,) floats in [0,1]
     free_sites: Optional[np.ndarray] = None    # (s, d) int
     free_values: Optional[np.ndarray] = None   # (s,) floats in [0,1] or None
-    seed_provenance: tuple = (0, 0)            # (root_seed, trial)
     degenerate_warning: bool = False
 
     def __post_init__(self):
@@ -402,7 +386,7 @@ class Configuration:
             raise ValidationError(f"expected {len(self.free_sites)} free values, got {t.shape}")
         return Configuration(
             self.region, self.sites, self.values, self.free_sites, t,
-            self.seed_provenance, self.degenerate_warning,
+            self.degenerate_warning,
         )
 
     def all_sites_and_values(self) -> tuple:
@@ -414,38 +398,6 @@ class Configuration:
         sites = np.vstack([self.sites, self.free_sites])
         values = np.concatenate([self.values, self.free_values])
         return sites, values
-
-    def to_json(self) -> str:
-        payload = {
-            "region": {"dimension": self.region.dimension,
-                       "center": list(self.region.center),
-                       "side": self.region.side},
-            "sites": np.asarray(self.sites).tolist(),
-            "values": np.asarray(self.values).tolist(),
-            "free_sites": {} if self.free_sites is None else {
-                "sites": np.asarray(self.free_sites).tolist(),
-                "values": None if self.free_values is None
-                else np.asarray(self.free_values).tolist(),
-            },
-            "seed": list(self.seed_provenance),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Configuration":
-        raw = json.loads(text)
-        region = BoxSpec(raw["region"]["dimension"], tuple(raw["region"]["center"]),
-                         raw["region"]["side"])
-        free = raw.get("free_sites") or {}
-        return Configuration(
-            region,
-            np.asarray(raw["sites"], dtype=np.int64).reshape(-1, region.dimension),
-            np.asarray(raw["values"], dtype=float),
-            None if not free else np.asarray(free["sites"], dtype=np.int64).reshape(
-                -1, region.dimension),
-            None if not free or free["values"] is None else np.asarray(free["values"], dtype=float),
-            tuple(raw.get("seed", (0, 0))),
-        )
 
 
 def sample_configuration(
@@ -493,6 +445,5 @@ def sample_configuration(
         values=omega_values,
         free_sites=fs,
         free_values=None,
-        seed_provenance=(int(root_seed), int(trial)),
         degenerate_warning=dist.is_degenerate,
     )

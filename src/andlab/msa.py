@@ -253,7 +253,6 @@ class GoodnessReport:
     decay_rate_fit: float
     policy_record: list
     indeterminate: bool = False
-    scale_note: str = "desk scale: L >= 100 (delta_+ + 1) not enforced"
     subreports: list = field(default_factory=list)  # pgood only
 
     @property
@@ -298,12 +297,11 @@ def check_goodness(
     variant: str = "good",
     v_per: Optional[PeriodicField] = None,
     pair_cap: int = PAIR_CAP,
-    probe_centers: Optional[np.ndarray] = None,
 ) -> GoodnessReport:
     """Evaluate the good-box criterion on one configuration.
 
-    ``variant="jgood"`` doubles both right-hand sides.  Probe centers default
-    to the integer lattice sites of the box (unit-box masks).
+    ``variant="jgood"`` doubles both right-hand sides.  The probes are the
+    unit boxes centered at the integer lattice sites of the box.
     """
     if variant not in ("good", "jgood"):
         raise ValidationError(f"unknown variant {variant!r}")
@@ -311,10 +309,8 @@ def check_goodness(
     L = box.side
     weg_threshold = factor * math.exp(L ** (1.0 - varsigma))
 
-    if probe_centers is None:
-        probe_centers = lattice_sites(box).astype(float)
-    first, second, distance = _candidate_pairs(np.asarray(probe_centers, float), L / 100.0,
-                                               pair_cap, policy.seed)
+    centers = lattice_sites(box).astype(float)
+    first, second, distance = _candidate_pairs(centers, L / 100.0, pair_cap, policy.seed)
     # math.exp on the few distinct distances keeps each bound the scalar formula's
     uniq, inverse = np.unique(distance, return_inverse=True)
     bound = factor * np.array([math.exp(-m * d) for d in uniq])[inverse]
@@ -349,7 +345,7 @@ def check_goodness(
             # set, pairs grouped by source; a source with nodes is always solved
             points = H.grid.points()
             nodes = [np.flatnonzero(BoxSpec(box.dimension, tuple(c), 1.0).contains(points))
-                     for c in probe_centers]
+                     for c in centers]
             occupied = np.array([len(k) > 0 for k in nodes], dtype=bool)
             rows = np.flatnonzero(occupied[first])
             sources, starts = np.unique(first[rows], return_index=True)
@@ -368,7 +364,7 @@ def check_goodness(
         top = np.argmax(ratio) if len(sel) else None    # the first maximum
         if top is not None and ratio[top] > worst_ratio:
             worst_ratio, k = ratio[top], sel[top]
-            worst = PairResult(tuple(probe_centers[first[k]]), tuple(probe_centers[second[k]]),
+            worst = PairResult(tuple(centers[first[k]]), tuple(centers[second[k]]),
                                float(distance[k]), float(measured[k]), float(bound[k]))
         if np.any(measured[sel] > bound[sel]):
             decay_pass = False
@@ -433,7 +429,6 @@ def restrict_configuration(config: Configuration, sub_box: BoxSpec) -> Configura
             sites.append(config.free_sites[fin])
             values.append(config.free_values[fin])
     return Configuration(sub_box, np.vstack(sites), np.concatenate(values),
-                         seed_provenance=config.seed_provenance,
                          degenerate_warning=config.degenerate_warning)
 
 

@@ -201,30 +201,22 @@ def lowest_eigenvalue(H: HamiltonianMatrix) -> float:
 
 @dataclass
 class ResolventProbe:
-    """Measured ``|chi_target (H-E)^{-1} chi_source|`` with solver stats."""
+    """One resolvent norm at ``energy``: a block norm
+    ``|chi_target (H-E)^{-1} chi_source|`` or the whole-box ``|(H-E)^{-1}|``.
+
+    ``norm_estimate`` is NaN when divergent and 0.0 for an empty block;
+    ``gap_estimate`` is dist(E, spectrum) from :class:`ResolventFactorization`,
+    which also counts the Lanczos solves behind it (``gap_solves``).
+    """
 
     energy: float
     norm_estimate: float           # nan when divergent
     status: str                    # "ok", "divergent", "empty"
-    iterations: int = 0
-    residual: float = 0.0
     gap_estimate: float = np.inf   # dist(E, spectrum)
 
     @property
     def divergent(self) -> bool:
         return self.status == DIVERGENT
-
-    def csv_row(self, source=None, target=None) -> dict:
-        """Serializable row (E, x, y, norm, status, iterations, residual)."""
-        return {
-            "E": self.energy,
-            "x": "" if source is None else str(tuple(np.atleast_1d(source))),
-            "y": "" if target is None else str(tuple(np.atleast_1d(target))),
-            "norm": self.norm_estimate,
-            "status": self.status,
-            "iterations": self.iterations,
-            "residual": self.residual,
-        }
 
 
 class ResolventFactorization:
@@ -308,16 +300,16 @@ class ResolventFactorization:
     def block_norm(self, source_mask: np.ndarray, target_mask: np.ndarray) -> ResolventProbe:
         """Largest singular value of ``chi_target R chi_source``."""
         if self.divergent:
-            return ResolventProbe(self.energy, np.nan, DIVERGENT, 0, np.inf, self.gap)
+            return ResolventProbe(self.energy, np.nan, DIVERGENT, self.gap)
         # R is symmetric: solve from the smaller mask (the source on a tie)
         src, tgt = sorted((np.flatnonzero(m) for m in (source_mask, target_mask)), key=len)
         if not len(src):
-            return ResolventProbe(self.energy, 0.0, "empty", 0, 0.0, self.gap)
+            return ResolventProbe(self.energy, 0.0, "empty", self.gap)
         try:
             norm = float(self.block_norms(src, [tgt])[0])
         except FloatingPointError:
-            return ResolventProbe(self.energy, np.nan, DIVERGENT, 0, np.inf, 0.0)
-        return ResolventProbe(self.energy, norm, "ok", len(src), 0.0, self.gap)
+            return ResolventProbe(self.energy, np.nan, DIVERGENT, 0.0)
+        return ResolventProbe(self.energy, norm, "ok", self.gap)
 
 
 def _frobenius(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -339,8 +331,8 @@ def resolvent_norm(H: HamiltonianMatrix, energy: float) -> ResolventProbe:
     """Whole-box resolvent norm |R(E)| = 1 / dist(E, spectrum)."""
     fac = ResolventFactorization(H, energy)
     if fac.divergent:
-        return ResolventProbe(energy, np.nan, DIVERGENT, 0, np.inf, fac.gap)
-    return ResolventProbe(energy, fac.resolvent_norm, "ok", fac.gap_solves, 0.0, fac.gap)
+        return ResolventProbe(energy, np.nan, DIVERGENT, fac.gap)
+    return ResolventProbe(energy, fac.resolvent_norm, "ok", fac.gap)
 
 
 # ---------------------------------------------------------------------------

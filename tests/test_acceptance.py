@@ -489,7 +489,7 @@ def test_criterion_10_hs_reconstruction():
     ext = QuasiAnalyticExtension(GaussianBump(0.0, 1.0), 3, 1.0)
     coarse_spec = QuadratureSpec(24, 6)
     _, coarse = hs_reconstruct(ext, K, coarse_spec)
-    _, fine = hs_reconstruct(ext, K, coarse_spec.refine(4))
+    _, fine = hs_reconstruct(ext, K, QuadratureSpec(4 * coarse_spec.n_u, 4 * coarse_spec.n_v))
     ok = (coarse >= 4.0 * fine) and (fine <= 1e-3)
     report(10, "Helffer-Sjostrand reconstruction", ok,
            f"coarse err={coarse:.2e}, 4x-refined err={fine:.2e} "

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from andlab.covering import (annulus_offsets,
                              box_covering_structure, is_abundant,
@@ -44,11 +46,9 @@ class TestBoxCovering:
         for r in cov.centers:
             covered |= np.max(np.abs(pts - r), axis=1) < 1.25
         assert covered.all()
-        # and every covering box stays inside the (closure of the) parent
-        for row in cov.centers_exact:
-            for i, c in enumerate(row):
-                assert abs(c - Fraction(float(box.center[i]))) + Fraction(5, 4) \
-                    <= Fraction(9)
+        # and every covering box stays inside the (closure of the) parent:
+        # the outermost centers, spacing * n from x0, are flush with the faces
+        assert cov.spacing * cov.steps_per_axis + Fraction(5, 4) <= Fraction(9)
 
     def test_boundary_capture(self):
         # each y in the box has a center r with Lambda_{l/5}(y) inter box in Lambda_l(r)
@@ -101,7 +101,6 @@ class TestBoxCovering:
             x0 = [Fraction(c) for c in box.center]
             exact = tuple(tuple(x0[a] + spacing * k[a] for a in range(d))
                           for k in itertools.product(range(-n, n + 1), repeat=d))
-            assert cov.centers_exact == exact
             assert cov.centers.tobytes() == np.array(
                 [[float(v) for v in row] for row in exact], dtype=float).tobytes()
 
@@ -135,6 +134,23 @@ class TestAnnulusCovering:
         for r in cov.centers:
             assert np.all(np.abs(r) + 0.75 <= 10.0 + 1e-12)          # inside outer
             assert np.any(np.abs(r) - 0.75 >= 3.0 - 1e-12)           # off the core
+
+    def test_explicit_alpha_choice(self):
+        # L2-L1 = 14, l = 1.5: candidates 11/(3n) for n = 5, 6, i.e. 11/15 and 11/18
+        ann = AnnulusSpec(2, (0.25, -0.5), 6.0, 20.0)
+        assert standard_covering_annulus(ann, 1.5).alpha == Fraction(11, 15)
+        cov = standard_covering_annulus(ann, 1.5, alpha=Fraction(11, 18))
+        assert cov.alpha == Fraction(11, 18) and cov.spacing == Fraction(11, 12)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-9.999, 9.999, size=(2000, 2)) + np.array([0.25, -0.5])
+        dist = np.max(np.abs(pts - np.array([0.25, -0.5])), axis=1)
+        pts = pts[(dist > 3.0) & (dist < 10.0)]
+        covered = np.zeros(len(pts), dtype=bool)
+        for r in cov.centers:
+            covered |= np.max(np.abs(pts - r), axis=1) < 0.75
+        assert covered.all()
+        with pytest.raises(ValidationError):
+            standard_covering_annulus(ann, 1.5, alpha=Fraction(7, 10))
 
     def test_count_bound(self):
         rng = np.random.default_rng(3)
@@ -178,14 +194,23 @@ class TestAbundance:
         with pytest.raises(ValidationError):
             is_abundant(np.array([[50]]), box, 0.5)
 
-
-class TestCoveringExport:
-    def test_csv_with_alpha_header(self, tmp_path):
-        cov = standard_covering_box(BoxSpec(2, (0.0, 0.0), 30.0), 5.0)
-        path = tmp_path / "cov.csv"
-        cov.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# alpha 5/8")
-        assert len(lines) == 1 + len(cov)
-        first = [float(v) for v in lines[1].split(",")]
-        assert np.allclose(first, cov.centers[0])
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 2), fifths=st.integers(1, 4), shift=st.integers(-3, 3),
+           keep=st.floats(0.6, 1.0), seed=st.integers(0, 2**16),
+           varsigma=st.sampled_from([0.6, 0.8, 0.9, 1.0]))
+    def test_against_quarter_step_window_scan(self, d, fifths, shift, keep, seed, varsigma):
+        # box faces and window faces (side L/5, an integer) land on integers and
+        # half-integers, so a window count changes only at half-integer centers and
+        # a quarter-step scan of the centers meets every distinct window
+        L = 5 * fifths
+        c0 = shift + (L % 2) / 2.0
+        box = BoxSpec(d, (c0,) * d, float(L))
+        sites = lattice_sites(box)
+        sites = sites[np.random.default_rng(seed).random(len(sites)) < keep]
+        # in quarter units every coordinate is an integer, so the scan is exact
+        reach, half = 8 * L // 5, 2 * L // 5      # (L - L/5)/2 and L/10, times 4
+        steps = int(4 * c0) - reach + np.arange(2 * reach + 1)
+        windows = np.stack(np.meshgrid(*[steps] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        inside = np.abs(4 * sites[None, :, :] - windows[:, None, :]) < half
+        fewest = int(np.all(inside, axis=2).sum(axis=1).min())
+        assert is_abundant(sites, box, varsigma) == (fewest >= L ** ((1.0 - varsigma) * d))

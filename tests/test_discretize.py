@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from andlab.discretize import (GridSpec, PeriodicField, _laplacian, _site_potential, annulus_shell_mask,
                                assemble_hamiltonian, empty_configuration,
-                               indicator_operator, unit_box_mask, Grid)
+                               region_mask, unit_box_mask, Grid)
 from andlab.errors import GridError, ValidationError
 from andlab.model import (Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
@@ -93,15 +93,13 @@ class TestMasks:
     def test_identity_mask(self):
         box = make_box(1, 6.0)
         H = assemble(box, n=4)
-        mask, empty = indicator_operator(H.grid, box)
-        assert mask.all() and not empty
+        assert region_mask(H.grid, box).all()
 
     def test_outside_region_warns(self):
         box = make_box(1, 6.0)
         H = assemble(box, n=4)
         far = BoxSpec(1, (100.0,), 1.0)
-        mask, empty = indicator_operator(H.grid, far)
-        assert empty and not mask.any()
+        assert not region_mask(H.grid, far).any()
 
     def test_shell_mask_membership_oracle(self):
         # chi_{0,4} on Lambda_20: grid points with 1.5 < |y| < 4.5
@@ -200,18 +198,6 @@ class TestExternalInterfaces:
         field = PeriodicField(lambda pts: np.zeros(len(np.atleast_2d(pts))), 2)
         with pytest.raises(GridError):
             assemble(box, n=2, boundary="periodic", v_per=field)
-
-    def test_triplet_export(self, tmp_path):
-        H = assemble(make_box(1, 2.0), n=2)
-        path = tmp_path / "h.txt"
-        H.export_triplets(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# size 3")
-        triples = [line.split() for line in lines[1:]]
-        dense = np.zeros((3, 3))
-        for i, j, v in triples:
-            dense[int(i), int(j)] = float(v)
-        assert np.array_equal(dense, H.matrix.toarray())
 
 
 # ---------------------------------------------------------------------------

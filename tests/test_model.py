@@ -1,10 +1,27 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from andlab.errors import ValidationError
-from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Configuration,
-                          Mixture, SiteProfile, Uniform01, distribution_cdf,
-                          lattice_sites, sample_configuration)
+from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Mixture,
+                          SiteProfile, Uniform01, lattice_sites, open_integer_range,
+                          sample_configuration)
+
+# interval endpoints: integers, half-integers and arbitrary floats
+endpoints = st.one_of(st.integers(-40, 40).map(float),
+                      st.integers(-80, 80).map(lambda k: k / 2.0),
+                      st.floats(-40.0, 40.0, allow_nan=False))
+
+
+def open_range_oracle(lo, hi):
+    """Integers z with lo < z < hi, compared exactly as rationals."""
+    return [z for z in range(math.floor(lo) - 1, math.ceil(hi) + 2)
+            if Fraction(lo) < z < Fraction(hi)]
 
 
 def brute_force_sites(box):
@@ -47,20 +64,37 @@ class TestLatticeSites:
         sites = lattice_sites(BoxSpec(2, (0.0, 0.0), 4.0))
         assert sorted(map(tuple, sites)) == list(map(tuple, sites))
 
+    @settings(max_examples=300, deadline=None)
+    @given(lo=endpoints, hi=endpoints)
+    def test_open_integer_range_against_fractions(self, lo, hi):
+        first, last = open_integer_range(lo, hi)
+        assert list(range(first, last + 1)) == open_range_oracle(lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), side=st.integers(1, 9),
+           shift=st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+    def test_sites_on_integer_faces(self, d, side, shift):
+        # faces c -+ side/2 on integers: half-integer centers for odd sides
+        center = tuple(k + (side % 2) / 2.0 for k in shift[:d])
+        box = BoxSpec(d, center, float(side))
+        axes = [open_range_oracle(c - side / 2.0, c + side / 2.0) for c in center]
+        assert [tuple(s) for s in lattice_sites(box)] == list(itertools.product(*axes))
+        assert len(lattice_sites(box)) == (side - 1) ** d
+
 
 class TestDistributions:
     def test_bernoulli_cdf(self):
-        assert distribution_cdf(Bernoulli(0.3), 0.0) == pytest.approx(0.7)
-        assert distribution_cdf(Bernoulli(0.3), 1.0) == 1.0
-        assert distribution_cdf(Bernoulli(0.3), -0.1) == 0.0
+        assert Bernoulli(0.3).cdf(0.0) == pytest.approx(0.7)
+        assert Bernoulli(0.3).cdf(1.0) == 1.0
+        assert Bernoulli(0.3).cdf(-0.1) == 0.0
 
     def test_uniform_cdf(self):
-        assert distribution_cdf(Uniform01(), 0.25) == pytest.approx(0.25)
+        assert Uniform01().cdf(0.25) == pytest.approx(0.25)
 
     def test_mixture_cdf(self):
         # 0.5 * Bernoulli(1).cdf(0.5) + 0.5 * Uniform.cdf(0.5) = 0 + 0.25
         mix = Mixture(((0.5, Bernoulli(1.0)), (0.5, Uniform01())))
-        assert distribution_cdf(mix, 0.5) == pytest.approx(0.25)
+        assert mix.cdf(0.5) == pytest.approx(0.25)
 
     def test_support_validation(self):
         with pytest.raises(ValidationError):
@@ -73,6 +107,24 @@ class TestDistributions:
         assert Bernoulli(1.0).is_degenerate
         assert not Bernoulli(0.5).is_degenerate
         assert not Uniform01().is_degenerate
+
+    @pytest.mark.parametrize("dist, point", [
+        (Mixture(((1.0, Mixture(((1.0, Bernoulli(1.0)),))),)), 1.0),
+        (Mixture(((0.5, Mixture(((1.0, Atoms(((0.25, 1.0),))),))),
+                  (0.5, Atoms(((0.25, 0.5), (0.25, 0.5)))))), 0.25),
+        (Mixture(((0.0, Uniform01()), (1.0, Mixture(((0.5, Bernoulli(0.0)),
+                                                      (0.5, Atoms(((0.0, 1.0),)))))))), 0.0),
+    ])
+    def test_nested_point_mass_is_degenerate(self, dist, point):
+        assert dist.is_degenerate and dist.point_mass == point
+
+    @pytest.mark.parametrize("dist", [
+        Mixture(((1.0, Mixture(((0.5, Bernoulli(1.0)), (0.5, Atoms(((0.5, 1.0),)))))),)),
+        Mixture(((0.5, Mixture(((1.0, Bernoulli(0.0)),))), (0.5, Bernoulli(1.0)))),
+        Mixture(((1.0, Mixture(((1.0, Uniform01()),))),)),
+    ])
+    def test_nested_spread_law_is_not_degenerate(self, dist):
+        assert not dist.is_degenerate and dist.point_mass is None
 
     def test_normalized_support_predicate(self):
         # {0,1} inside the support
@@ -92,9 +144,9 @@ class TestSampling:
         box = BoxSpec(2, (0.0, 0.0), 8.0)
         a = sample_configuration(Bernoulli(0.5), box, None, 42, 3)
         b = sample_configuration(Bernoulli(0.5), box, None, 42, 3)
-        assert a.to_json() == b.to_json()
+        assert np.array_equal(a.sites, b.sites) and np.array_equal(a.values, b.values)
         c = sample_configuration(Bernoulli(0.5), box, None, 42, 4)
-        assert c.to_json() != a.to_json()
+        assert np.array_equal(c.sites, a.sites) and not np.array_equal(c.values, a.values)
 
     def test_empirical_mean_within_5_se(self):
         box = BoxSpec(2, (0.0, 0.0), 120.0)  # > 1e4 sites
@@ -123,14 +175,6 @@ class TestSampling:
         box = BoxSpec(1, (0.0,), 10.0)
         with pytest.raises(ValidationError):
             sample_configuration(Uniform01(), box, np.array([[99]]), 0, 0)
-
-    def test_roundtrip_json(self):
-        box = BoxSpec(1, (0.0,), 6.0)
-        cfg = sample_configuration(Uniform01(), box, np.array([[1]]), 9, 2)
-        back = Configuration.from_json(cfg.to_json())
-        assert np.array_equal(back.sites, cfg.sites)
-        assert np.array_equal(back.values, cfg.values)
-        assert np.array_equal(back.free_sites, cfg.free_sites)
 
 
 class TestSiteProfile:
