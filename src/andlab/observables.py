@@ -204,7 +204,9 @@ def dynamical_moment(H: HamiltonianMatrix, interval: tuple, b: float, x0,
     The proxy ``sum_{E in window} |W_b P(E) chi_{x0}|_1`` (rank-one trace
     norms with the polynomial weight ``W_b = <X - x0>^(b d)``) dominates
     ``sup_t |W_b exp(-itH) P(I) chi_{x0}|_1`` by the triangle inequality;
-    the t-grid samples confirm it.
+    the t-grid samples confirm it.  Each sample's trace norm is taken from a
+    k x m core (k window pairs, m mask nodes) after one thin QR of the
+    weighted eigenvectors per call, with no n x m block.
     """
     from .spectral import eigs_window
 
@@ -221,14 +223,15 @@ def dynamical_moment(H: HamiltonianMatrix, interval: tuple, b: float, x0,
     for i in range(len(res.energies)):
         psi = vecs[:, i]
         proxy += (w * np.linalg.norm(weight * psi)) * np.linalg.norm(psi[mask])
-    # W_b e^{-itH} P(I) chi_{x0} on the mask columns is left @ (phases * right)
-    left = weight[:, None] * vecs
+    # W_b e^{-itH} P(I) chi_{x0} on the mask columns is left @ (phases * right);
+    # with left = Q R (thin QR, Q orthonormal columns) its singular values are
+    # those of the k x m core R @ (phases * right)
+    core = np.linalg.qr(weight[:, None] * vecs, mode="r")
     right = w * vecs[np.flatnonzero(mask), :].T
     samples = []
     for t in t_grid:
         phases = np.exp(-1j * t * res.energies)
-        block = left @ (phases[:, None] * right)
-        tn = float(np.sum(la.svdvals(block)))
+        tn = float(np.sum(la.svdvals(core @ (phases[:, None] * right))))
         samples.append((float(t), tn))
     return DynamicalMoment(float(proxy), samples, len(res.energies), False)
 

@@ -8,11 +8,15 @@ range after reducing the matrix to tridiagonal form, and on an input that is
 already tridiagonal that reduction is exact, so the results are bitwise those
 of the dense solve, without its n x n copy or its O(n^3) Householder pass.
 
-For every other H, windows are count-first: ``eigenvalue_count`` reads
-#{eigenvalues < E} from the inertia of ``H - E`` (Sylvester's law), so a
-window above the dense size is one shift-invert Lanczos (ARPACK) call for
-exactly its counted pairs, shifted just below the window so that a truncated
-window keeps its lowest pairs.  ``_dense`` alone chooses LAPACK or ARPACK.
+``eigenvalue_count`` reads #{eigenvalues < E} from the inertia of ``H - E``
+(Sylvester's law): the negative pivots of an unpivoted ``L D L^T``.  On a
+tridiagonal H those pivots are the Sturm sequence of ``H - E``, which
+``stebz`` counts in O(n), so the count is the same inertia with no
+factorization.  Every other H takes a sparse LU for it, and its windows are
+count-first: a window above the dense size is one shift-invert Lanczos
+(ARPACK) call for exactly its counted pairs, shifted just below the window so
+that a truncated window keeps its lowest pairs.  ``_dense`` alone chooses
+LAPACK or ARPACK.
 Solves that return eigenvectors stay dense up to n = 3000: LAPACK resolves
 eigenvector tails (dichotomy masses down to 1e-33) far below ARPACK's floor of
 about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
@@ -37,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as la
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -72,12 +77,23 @@ def _gershgorin_lower(M: sp.spmatrix) -> float:
 
 
 def eigenvalue_count(H: HamiltonianMatrix, energies) -> np.ndarray:
-    """``#{eigenvalues < E}`` for each E: the negative pivots of a symmetric-mode
-    LU of ``H - E`` without off-diagonal pivoting, ``P (H-E) P^T = L D L^T``;
-    one ulp below an E whose factor is exactly singular (E on an eigenvalue)."""
+    """``#{eigenvalues < E}`` for each E, by Sylvester's law of inertia: the
+    number of negative pivots of an unpivoted ``L D L^T`` of ``H - E``.
+
+    For tridiagonal H those pivots are the Sturm ratios, counted in O(n) by
+    LAPACK's ``stebz`` on ``(vl, E)`` with ``vl`` below the Gershgorin bound;
+    an absolute tolerance wider than that interval stops its bisection at
+    once, and only the count is read.  Every other H takes a symmetric-mode LU without off-diagonal
+    pivoting, ``P (H-E) P^T = L D L^T``, one ulp below an E whose factor is
+    exactly singular (E on an eigenvalue).  A NaN energy is rejected."""
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    if np.isnan(energies).any():
+        raise ValidationError(f"energies must not be NaN, got {energies}")
+    if is_tridiagonal(H):
+        return _sturm_count(H.matrix.diagonal(), H.matrix.diagonal(1), energies)
     A, eye = H.matrix.tocsc(), sp.identity(H.size, format="csc")
     counts = []
-    for E in np.atleast_1d(np.asarray(energies, dtype=float)):
+    for E in energies:
         for shift in (E, np.nextafter(E, -np.inf)):
             try:
                 lu = spla.splu(A - shift * eye, diag_pivot_thresh=0.0,
@@ -91,6 +107,24 @@ def eigenvalue_count(H: HamiltonianMatrix, energies) -> np.ndarray:
             raise SolverError(f"inertia factorization at E={E} pivoted off the diagonal")
         counts.append(np.count_nonzero(lu.U.diagonal() < 0.0))
     return np.array(counts, dtype=np.int64)
+
+
+def _sturm_count(d: np.ndarray, e: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """``#{eigenvalues < E}`` of the symmetric tridiagonal matrix (d, e):
+    ``stebz`` counts the eigenvalues in ``(vl, vu]``, here with
+    ``vu = nextafter(E, -inf)``.  Energies outside the Gershgorin interval
+    are counted directly, which covers n = 1 (its interval is the point d)."""
+    radius = np.abs(np.concatenate(([0.0], e))) + np.abs(np.concatenate((e, [0.0])))
+    lower, upper = np.min(d - radius), np.max(d + radius)
+    vl = lower - (1.0 + abs(lower))
+    counts = np.where(energies > upper, len(d), 0)
+    for i in np.flatnonzero((energies > lower) & (energies <= upper)):
+        vu = np.nextafter(energies[i], -np.inf)
+        m, *_, info = lapack.dstebz(d, e, 1, vl, vu, 0, 0, 2.0 * (vu - vl), "E")
+        if info != 0:
+            raise SolverError(f"Sturm count at E={energies[i]} failed: stebz info={info}")
+        counts[i] = m
+    return counts.astype(np.int64)
 
 
 @dataclass

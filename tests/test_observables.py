@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from andlab.discretize import GridSpec, unit_box_mask
 from andlab.errors import GeometryError, ValidationError
@@ -14,6 +21,8 @@ from andlab.observables import (bracket_weights, default_nu,
 from andlab.spectral import eigs_window
 
 from conftest import assemble, make_box, random_hamiltonian
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def normalized_delta(H, index=None):
@@ -215,6 +224,20 @@ class TestDichotomy:
         assert ground.product_ok
 
 
+def reference_samples(H, interval, b, x0, t_grid):
+    """Evolved trace norms from the n x m block W_b e^{-itH} P(I) chi_{x0};
+    None for an empty window or mask."""
+    res = eigs_window(H, interval)
+    mask = unit_box_mask(H.grid, np.atleast_1d(x0))
+    if len(res.energies) == 0 or not mask.any():
+        return None
+    left = bracket_weights(H.grid, x0, b * H.grid.box.dimension)[:, None] * res.vectors
+    right = H.grid.weight() * res.vectors[mask, :].T
+    return [(t, float(np.sum(la.svdvals(left @ (np.exp(-1j * t * res.energies)[:, None]
+                                                 * right)))))
+            for t in t_grid]
+
+
 class TestDynamicalMoment:
     def test_window_below_spectrum(self):
         H, _ = random_hamiltonian(1, 10.0, 4, Uniform01(), seed=95)
@@ -233,6 +256,44 @@ class TestDynamicalMoment:
         assert not dm.empty_window
         for _, val in dm.samples:
             assert val <= dm.proxy + 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @example(L=6, n=4, seed=1, first=0.2, k=0, b=1.0, x0=0.0, t_grid=[1.0])
+    @example(L=6, n=4, seed=1, first=0.2, k=5, b=1.0, x0=9.0, t_grid=[1.0])
+    @given(L=st.integers(3, 14), n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 10**6),
+           first=st.floats(0.0, 1.0), k=st.integers(0, 24), b=st.sampled_from([0.0, 0.5, 1.0]),
+           x0=st.floats(-9.0, 9.0), t_grid=st.lists(st.floats(0.0, 10.0), max_size=4))
+    def test_matches_the_block_svd(self, L, n, seed, first, k, b, x0, t_grid):
+        # the window holds exactly k pairs, fewer or more than the m mask nodes;
+        # k = 0 is an empty window, and x0 outside the box an empty mask
+        H, _ = random_hamiltonian(1, float(L), n, Bernoulli(0.5), seed=seed)
+        vals = la.eigvalsh(H.matrix.toarray())
+        i = int(first * (H.size - 1))
+        k = min(k, H.size - i)
+        gaps = np.concatenate(([vals[0] - 1.0], 0.5 * (vals[:-1] + vals[1:]), [vals[-1] + 1.0]))
+        window = (gaps[i], gaps[i + k])
+        dm = dynamical_moment(H, window, b, (x0,), t_grid=t_grid)
+        expected = reference_samples(H, window, b, (x0,), t_grid)
+        empty = k == 0 or not unit_box_mask(H.grid, np.array([x0])).any()
+        assert dm.empty_window == empty == (expected is None)
+        if empty:
+            assert (dm.proxy, dm.samples, dm.window_count) == (0.0, [], 0)
+            return
+        assert dm.window_count == k and len(dm.samples) == len(expected)
+        for (t, tn), (t_ref, tn_ref) in zip(dm.samples, expected):
+            assert t == t_ref and tn == pytest.approx(tn_ref, rel=1e-12)
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        config = ROOT / "perfbench" / "configs" / "spectra" / "dynamical.json"
+        data = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=str(ROOT / "src"))
+            out = subprocess.run([sys.executable, "-m", "andlab.cli", "dynamical",
+                                  "--config", str(config), "--out", str(tmp_path / threads)],
+                                 env=env, check=True, capture_output=True, text=True)
+            data.append((Path(out.stdout.strip()) / "dynamical.csv").read_bytes())
+        assert data[0] == data[1]
 
 
 class TestFermiKernel:

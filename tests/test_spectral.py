@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -154,14 +156,116 @@ class TestEigenvalueCount:
         assert eigenvalue_count(H, energies).tolist() == expected.tolist()
 
     def test_energy_on_an_eigenvalue(self):
-        # E is 2 ulps above a computed eigenvalue: the LU of H - E has an
-        # exactly zero pivot, and the count is read one ulp below E
+        # E is 2 ulps above a computed eigenvalue, where the symmetric-mode LU
+        # of H - E has an exactly zero pivot; the Sturm count reads #{< E}
         H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=6)
         E = 14.136049715622182
         vals = la.eigvalsh(H.matrix.toarray())
         slack = 1e-12 * np.max(np.abs(vals))
         count = int(eigenvalue_count(H, [E])[0])
         assert np.count_nonzero(vals < E - slack) <= count <= np.count_nonzero(vals <= E + slack)
+
+    def test_singular_factor_is_retried_one_ulp_below(self, monkeypatch):
+        # an exactly singular SuperLU factor is rare on a periodic H, so the
+        # first factorization is made to fail as one would
+        H = periodic_hamiltonian(6.0, seed=3)
+        E = 0.5 * sum(la.eigvalsh(H.matrix.toarray())[4:6])
+        splu, factored = spectral.spla.splu, []
+
+        def singular_once(M, **kwargs):
+            factored.append(M)
+            if len(factored) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(M, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "splu", singular_once)
+        assert eigenvalue_count(H, [E]).tolist() == [5]
+        eye = sp.identity(H.size, format="csc")
+        shifts = [E, np.nextafter(E, -np.inf)]
+        assert len(factored) == 2
+        for M, shift in zip(factored, shifts):
+            assert (M != H.matrix.tocsc() - shift * eye).nnz == 0
+
+    def test_singular_twice_raises(self, monkeypatch):
+        def singular(M, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spectral.spla, "splu", singular)
+        with pytest.raises(SolverError):
+            eigenvalue_count(periodic_hamiltonian(6.0, seed=3), [0.5])
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_nan_energy_rejected(self, boundary):
+        H = assemble(make_box(1, 6.0), n=4, boundary=boundary)
+        assert spectral.is_tridiagonal(H) == (boundary == "dirichlet")
+        with pytest.raises(ValidationError):
+            eigenvalue_count(H, [0.5, np.nan])
+
+
+def superlu_count(H, E):
+    """#{eigenvalues < E} from the inertia of a symmetric-mode SuperLU factor
+    of H - E; one ulp below E when that factor is exactly singular or meets
+    a zero diagonal pivot, which SuperLU replaces by an off-diagonal one (E
+    equal to both diagonal entries of a 2-node box)."""
+    A, eye = H.matrix.tocsc(), sp.identity(H.size, format="csc")
+    for shift in (E, np.nextafter(E, -np.inf)):
+        try:
+            lu = spla.splu(A - shift * eye, diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:
+            continue
+        if np.array_equal(lu.perm_r, lu.perm_c):
+            return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    raise AssertionError(f"no diagonally pivoted factor at E={E}")
+
+
+class TestSturmCount:
+    @settings(max_examples=60, deadline=None)
+    @given(nodes=st.integers(1, 120), n=st.sampled_from([2, 4, 8]),
+           law=st.sampled_from([Bernoulli(0.5), Uniform01()]), seed=st.integers(0, 10**6),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           near=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(-4, 4)), max_size=4))
+    def test_matches_superlu_and_dense(self, nodes, n, law, seed, fractions, near):
+        # a box of (nodes + 1) / n has `nodes` interior nodes, down to n = 1 and 2
+        box = make_box(1, (nodes + 1) / n)
+        H = assemble(box, n=n, config=sample_configuration(law, box, None, seed, 0))
+        assert spectral.is_tridiagonal(H) and H.size == nodes
+        vals = la.eigvalsh(H.matrix.toarray())
+        d, e = H.matrix.diagonal(), np.abs(H.matrix.diagonal(1))
+        gershgorin = np.min(d - np.concatenate(([0.0], e)) - np.concatenate((e, [0.0])))
+        far = vals[0] - 1.0 + np.asarray(fractions) * (vals[-1] - vals[0] + 2.0)
+        far = far[np.min(np.abs(far[:, None] - vals[None, :]), axis=1) >= 1e-8 * H.norm_bound()]
+        # the Gershgorin bound itself can be an eigenvalue (2 equal diagonals)
+        edges = np.array([gershgorin - 1e-6 * H.norm_bound(), gershgorin - 1.0, vals[-1] + 1.0,
+                          -np.inf, np.inf])
+        close = np.array([vals[int(f * (nodes - 1))] + k * np.spacing(vals[int(f * (nodes - 1))])
+                          for f, k in near])
+        energies = np.concatenate((far, edges, close))
+        counts = eigenvalue_count(H, energies)
+        reference = [superlu_count(H, E) for E in energies]
+        # away from the spectrum the three counts agree exactly
+        exact = len(far) + len(edges)
+        assert counts[:exact].tolist() == reference[:exact]
+        assert counts[:exact].tolist() == np.searchsorted(vals, energies[:exact]).tolist()
+        assert counts[len(far):exact].tolist() == [0, 0, nodes, 0, nodes]
+        # within a few ulps of an eigenvalue, each count lies in the rounding bracket
+        slack = 1e-12 * np.max(np.abs(vals))
+        for E, count, ref in zip(close, counts[exact:], reference[exact:]):
+            bracket = np.count_nonzero(vals < E - slack), np.count_nonzero(vals <= E + slack)
+            assert bracket[0] <= count <= bracket[1] and bracket[0] <= ref <= bracket[1]
+
+    def test_never_factors_a_tridiagonal_h(self, monkeypatch):
+        H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=5)
+        vals = la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
+        energies = 0.5 * (vals[:-1] + vals[1:])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SuperLU factorization on a tridiagonal H")
+
+        monkeypatch.setattr(spectral.spla, "splu", refuse)
+        assert eigenvalue_count(H, energies).tolist() == list(range(1, H.size))
+        res = eigs_window(H, (-1.0, 6.0), max_count=4)  # capped: counted first
+        assert res.truncated and np.allclose(res.energies, vals[:4], rtol=0.0, atol=1e-12)
 
 
 class TestLowestEigenvalue:
