@@ -254,6 +254,7 @@ class GoodnessReport:
     policy_record: list
     indeterminate: bool = False
     subreports: list = field(default_factory=list)  # pgood only
+    fallbacks: list = field(default_factory=list)   # (label, reason): per-source pair norms
 
     @property
     def is_good(self) -> bool:
@@ -301,7 +302,15 @@ def check_goodness(
     """Evaluate the good-box criterion on one configuration.
 
     ``variant="jgood"`` doubles both right-hand sides.  The probes are the
-    unit boxes centered at the integer lattice sites of the box.
+    unit boxes centered at the integer lattice sites of the box; their node
+    sets come from one ``rint`` pass over the grid (``_unit_box_nodes``).
+    Every pair norm of an assembly comes from
+    :meth:`~andlab.spectral.ResolventFactorization.pair_norms`.  On a 1-d
+    Dirichlet box that is O(n + pairs), from the semiseparable generators of
+    the resolvent, and the pair with the largest ratio to its bound is
+    measured again by one direct solve, whose value the report keeps; in
+    d >= 2 or on a periodic box it is one solve per source.  ``fallbacks``
+    lists each assembly whose 1-d norms took the per-source path, and why.
     """
     if variant not in ("good", "jgood"):
         raise ValidationError(f"unknown variant {variant!r}")
@@ -324,10 +333,11 @@ def check_goodness(
     weg_pass, decay_pass = True, True
     indeterminate = False
     weg_norms: list = []
+    fallbacks: list = []
     worst: Optional[PairResult] = None
     worst_ratio = -np.inf
     fit = [np.zeros((2, 0))]                           # (distance, -log measured)
-    groups = None
+    nodes = None
 
     for label, cfg in configs:
         H = assemble_hamiltonian(box, grid_spec, profile, cfg, v_per)
@@ -340,24 +350,13 @@ def check_goodness(
         weg_norms.append((label, fac.resolvent_norm))
         if fac.resolvent_norm > weg_threshold:
             weg_pass = False
-        if groups is None:
-            # every t_S shares the grid: each probe's unit-box nodes from one point
-            # set, pairs grouped by source; a source with nodes is always solved
-            points = H.grid.points()
-            nodes = [np.flatnonzero(BoxSpec(box.dimension, tuple(c), 1.0).contains(points))
-                     for c in centers]
-            occupied = np.array([len(k) > 0 for k in nodes], dtype=bool)
-            rows = np.flatnonzero(occupied[first])
-            sources, starts = np.unique(first[rows], return_index=True)
-            groups = [(nodes[a], g[occupied[second[g]]])
-                      for a, g in zip(sources, np.split(rows, starts[1:]))]
-
-        measured = np.full(len(distance), np.nan)     # NaN: pair not probed
-        for src, sel in groups:
-            try:
-                measured[sel] = fac.block_norms(src, [nodes[b] for b in second[sel]])
-            except FloatingPointError:
-                indeterminate = True
+        if nodes is None:  # every t_S shares the grid
+            nodes = _unit_box_nodes(H.grid.points(), centers)
+        pairs = fac.pair_norms(nodes, first, second, bound)
+        measured = pairs.measured                     # NaN: pair not probed
+        indeterminate |= pairs.indeterminate
+        if pairs.fallback is not None:
+            fallbacks.append((label, pairs.fallback))
         sel = np.flatnonzero(~np.isnan(measured))
         ratio = np.divide(measured[sel], bound[sel], out=np.full(len(sel), np.inf),
                           where=bound[sel] > 0)
@@ -379,7 +378,29 @@ def check_goodness(
         n_free_sites=0 if config.free_sites is None else len(config.free_sites),
         weg_pass=weg_pass, weg_threshold=weg_threshold, weg_norms=weg_norms,
         decay_pass=decay_pass, worst_pair=worst, decay_rate_fit=rate,
-        policy_record=[label for label, _ in configs], indeterminate=indeterminate)
+        policy_record=[label for label, _ in configs], indeterminate=indeterminate,
+        fallbacks=fallbacks)
+
+
+def _unit_box_nodes(points: np.ndarray, centers: np.ndarray) -> list:
+    """Sorted indices of the points inside the open unit box around each
+    center, for ``centers`` the lattice sites of a box (``lattice_sites``: a
+    full tensor grid of integer points in C order).
+
+    A point lies in the open unit box of an integer center c exactly when
+    every coordinate rounds to c's and stays within 1/2 of it, so one
+    ``rint`` pass assigns every point to its center, if any."""
+    if not len(centers):
+        return []
+    nearest = np.rint(points)
+    offset = centers.min(axis=0)
+    shape = tuple((centers.max(axis=0) - offset + 1).astype(np.intp))
+    cell = (nearest - offset).astype(np.intp)
+    inside = np.all((np.abs(points - nearest) < 0.5) & (cell >= 0) & (cell < shape), axis=1)
+    owner = np.ravel_multi_index(tuple(cell[inside].T), shape)
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=len(centers))
+    return np.split(np.flatnonzero(inside)[order], np.cumsum(counts)[:-1])
 
 
 def check_pgood(box: BoxSpec, grid_spec: GridSpec, profile: SiteProfile,

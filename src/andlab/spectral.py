@@ -12,7 +12,9 @@ of the dense solve, without its n x n copy or its O(n^3) Householder pass.
 (Sylvester's law): the negative pivots of an unpivoted ``L D L^T``.  On a
 tridiagonal H those pivots are the Sturm sequence of ``H - E``, which
 ``stebz`` counts in O(n), so the count is the same inertia with no
-factorization.  Every other H takes a sparse LU for it, and its windows are
+factorization.  Every other H takes a sparse LU for it (a dense
+Bunch-Kaufman factor when that LU is singular or pivots off the diagonal at E
+and one ulp below), and its windows are
 count-first: a window above the dense size is one shift-invert Lanczos
 (ARPACK) call for exactly its counted pairs, shifted just below the window so
 that a truncated window keeps its lowest pairs.  ``_dense`` alone chooses
@@ -23,15 +25,24 @@ about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
 ``EigenWindowResult.solver`` records which of the three ran.
 
 Resolvent probes share one sparse factorization of ``H - E``.  Block norms
-are exact, all from ``block_norms``: one solve for the source columns, then
+are exact.  ``block_norms`` takes one solve for the source columns, then
 each target block's largest singular value.  For tridiagonal H - E the
 nullity theorem (Fiedler-Markham) makes every block of the inverse wholly
 above or below the diagonal rank one, so a target on one side of its source
 takes its block's Frobenius norm, with no SVD.  In d >= 2, or with periodic
 wrap-around, such blocks are not rank one and every target takes the SVD.
-Near-resonant energies are reported as DIVERGENT rather than as a huge number,
-since the boundary-value extension of the resolvent norm at spectral points
-is a limsup.
+A goodness check's pair norms all come from ``pair_norms``.  On a
+tridiagonal H the inverse is semiseparable, ``G_ij = u_min(i,j) v_max(i,j)``,
+so every pair costs one exponential after one O(n) pass of Schur-complement
+recurrences (``_semiseparable_logs``, in logarithms); the pair nearest its
+bound is then measured by one ``block_norms`` solve, which must agree to
+``CERTIFY_RTOL`` and whose value is kept.  Otherwise, and when the
+recurrences or that check fail, each source takes one ``block_norms`` solve.
+The whole-box norm 1/dist(E, spectrum) comes from the two eigenvalues next
+to E on a tridiagonal H (a Sturm count and ``stebz`` by index), and from one
+Lanczos call over the LU otherwise.  Near-resonant energies are reported as
+DIVERGENT rather than as a huge number, since the boundary-value extension of
+the resolvent norm at spectral points is a limsup.
 """
 
 from __future__ import annotations
@@ -52,6 +63,8 @@ from .rng import derive_key, uniforms
 DENSE_MAX_VECTORS = 3000
 DENSE_MAX_VALUES = 300
 DIVERGENT = "divergent"
+# relative agreement a certifying solve must show with the semiseparable norms
+CERTIFY_RTOL = 1e-9
 
 
 def is_tridiagonal(H: HamiltonianMatrix) -> bool:
@@ -83,30 +96,57 @@ def eigenvalue_count(H: HamiltonianMatrix, energies) -> np.ndarray:
     For tridiagonal H those pivots are the Sturm ratios, counted in O(n) by
     LAPACK's ``stebz`` on ``(vl, E)`` with ``vl`` below the Gershgorin bound;
     an absolute tolerance wider than that interval stops its bisection at
-    once, and only the count is read.  Every other H takes a symmetric-mode LU without off-diagonal
-    pivoting, ``P (H-E) P^T = L D L^T``, one ulp below an E whose factor is
-    exactly singular (E on an eigenvalue).  A NaN energy is rejected."""
+    once, and only the count is read.  Every other H takes a symmetric-mode
+    LU without off-diagonal pivoting, ``P (H-E) P^T = L D L^T``, retried one
+    ulp below E when its factor is exactly singular or pivots off the
+    diagonal (E on an eigenvalue).  When both fail, a dense Bunch-Kaufman
+    ``L D L^T`` gives the inertia up to ``DENSE_MAX_VECTORS`` nodes; beyond,
+    the count raises :class:`SolverError`.  A NaN energy is rejected."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if np.isnan(energies).any():
         raise ValidationError(f"energies must not be NaN, got {energies}")
     if is_tridiagonal(H):
         return _sturm_count(H.matrix.diagonal(), H.matrix.diagonal(1), energies)
     A, eye = H.matrix.tocsc(), sp.identity(H.size, format="csc")
-    counts = []
-    for E in energies:
-        for shift in (E, np.nextafter(E, -np.inf)):
-            try:
-                lu = spla.splu(A - shift * eye, diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-                break
-            except RuntimeError as exc:
-                error = exc
-        else:
-            raise SolverError(f"inertia factorization at E={E} failed: {error}") from error
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise SolverError(f"inertia factorization at E={E} pivoted off the diagonal")
-        counts.append(np.count_nonzero(lu.U.diagonal() < 0.0))
-    return np.array(counts, dtype=np.int64)
+    return np.array([_superlu_count(A, eye, E) for E in energies], dtype=np.int64)
+
+
+def _superlu_count(A: sp.csc_matrix, eye: sp.csc_matrix, E: float) -> int:
+    """Negative pivots of a diagonally pivoted symmetric-mode LU of ``A - E``,
+    at E or one ulp below; failing both, the inertia of a dense Bunch-Kaufman
+    ``L D L^T`` up to ``DENSE_MAX_VECTORS`` nodes."""
+    problem = "failed"
+    for shift in (E, np.nextafter(E, -np.inf)):
+        try:
+            lu = spla.splu(A - shift * eye, diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            problem = f"failed: {exc}"
+            continue
+        if np.array_equal(lu.perm_r, lu.perm_c):
+            return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        problem = "pivoted off the diagonal"
+    if A.shape[0] > DENSE_MAX_VECTORS:
+        raise SolverError(f"inertia factorization at E={E} {problem}")
+    return _bunch_kaufman_count(A.toarray() - E * np.eye(A.shape[0]))
+
+
+def _bunch_kaufman_count(M: np.ndarray) -> int:
+    """Negative eigenvalues of the symmetric M: those of the block diagonal D
+    of its Bunch-Kaufman ``L D L^T`` (Sylvester), read from the signs of each
+    1 x 1 block and of each 2 x 2 block's determinant and trace, so that a
+    zero eigenvalue of M is never counted by rounding."""
+    _, D, _ = la.ldl(M)
+    d, e = np.diag(D), np.diag(D, 1)
+    top = np.flatnonzero(e)                       # first row of each 2 x 2 block
+    single = np.ones(len(d), dtype=bool)
+    single[top] = single[top + 1] = False
+    det, trace = d[top] * d[top + 1] - e[top] ** 2, d[top] + d[top + 1]
+    # a 2 x 2 block has one negative eigenvalue when det < 0, none or two when
+    # det > 0 (the sign of the trace) and one or none when det = 0
+    return int(np.count_nonzero(d[single] < 0.0) + np.count_nonzero(det < 0.0)
+               + np.count_nonzero(trace[det >= 0.0] < 0.0)
+               + np.count_nonzero(trace[det > 0.0] < 0.0))
 
 
 def _sturm_count(d: np.ndarray, e: np.ndarray, energies: np.ndarray) -> np.ndarray:
@@ -240,7 +280,8 @@ class ResolventProbe:
 
     ``norm_estimate`` is NaN when divergent and 0.0 for an empty block;
     ``gap_estimate`` is dist(E, spectrum) from :class:`ResolventFactorization`,
-    which also counts the Lanczos solves behind it (``gap_solves``).
+    which also counts the Lanczos solves behind it (``gap_solves``, zero on a
+    tridiagonal H).
     """
 
     energy: float
@@ -274,7 +315,8 @@ class ResolventFactorization:
             self._lu = None
             self.resolvent_norm, self.gap, self.gap_solves = np.inf, 0.0, 0
         else:
-            self.resolvent_norm, self.gap, self.gap_solves = self._exact_gap()
+            self.resolvent_norm, self.gap, self.gap_solves = (
+                self._tridiagonal_gap() if is_tridiagonal(H) else self._exact_gap())
         self.divergent = self._lu is None or self.gap < 1e-10 * H.norm_bound()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -282,6 +324,16 @@ class ResolventFactorization:
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite resolvent solve")
         return out
+
+    def _tridiagonal_gap(self) -> tuple:
+        """|R|, the gap dist(E, spectrum) and no solves: the eigenvalues on
+        either side of E, found by index after the Sturm count at E."""
+        d, e = self.H.matrix.diagonal(), self.H.matrix.diagonal(1)
+        below = int(eigenvalue_count(self.H, [self.energy])[0])
+        near = la.eigvalsh_tridiagonal(d, e, select="i",
+                                       select_range=(max(below - 1, 0), min(below, self.n - 1)))
+        gap = float(np.min(np.abs(near - self.energy)))
+        return (1.0 / gap if gap > 0.0 else np.inf), gap, 0
 
     def _exact_gap(self) -> tuple:
         """|R|, the gap 1/|R| = dist(E, spectrum) and the solves taken: |R| is
@@ -331,6 +383,76 @@ class ResolventFactorization:
             norms[group] = np.linalg.svd(stack, compute_uv=False)[:, 0]
         return norms
 
+    def pair_norms(self, nodes: list, first: np.ndarray, second: np.ndarray,
+                   bound: np.ndarray) -> "PairNorms":
+        """``|chi_{second[k]} R chi_{first[k]}|`` for each pair k of the sorted
+        node index arrays ``nodes``; a pair with an empty node set is not
+        probed (NaN).  ``first`` must be nondecreasing.
+
+        A tridiagonal H takes every norm from the semiseparable generators of
+        R (``_semiseparable_logs``), and the pair with the largest ratio to
+        ``bound`` is measured again by ``block_norms``, whose value is kept.
+        A zero or non-finite Schur complement, node sets that interleave, a
+        non-finite solve or a disagreement above ``CERTIFY_RTOL`` sends the
+        pairs to the per-source path, and ``fallback`` says why.  Every other H
+        takes that path: one ``block_norms`` solve per source with nodes."""
+        reason = None
+        if is_tridiagonal(self.H):
+            measured, reason = self._semiseparable_pairs(nodes, first, second, bound)
+            if reason is None:
+                return PairNorms(measured, False, None)
+        measured = np.full(len(first), np.nan)
+        indeterminate = False
+        occupied = np.array([len(k) > 0 for k in nodes], dtype=bool)
+        rows = np.flatnonzero(occupied[first])
+        sources, starts = np.unique(first[rows], return_index=True)
+        for a, group in zip(sources, np.split(rows, starts[1:])):
+            sel = group[occupied[second[group]]]  # a source with nodes is always solved
+            try:
+                measured[sel] = self.block_norms(nodes[a], [nodes[b] for b in second[sel]])
+            except FloatingPointError:
+                indeterminate = True
+        return PairNorms(measured, indeterminate, reason)
+
+    def _semiseparable_pairs(self, nodes: list, first: np.ndarray, second: np.ndarray,
+                             bound: np.ndarray) -> tuple:
+        """``(measured, None)`` from the generators and one certifying solve,
+        or ``(None, reason)``.  The block of R from an earlier unit box e to a
+        later one l is ``v_l u_e^T``, so its norm is ``|u_e| |v_l|``: one
+        log-sum-exp per box and one exponential per pair."""
+        measured = np.full(len(first), np.nan)
+        sizes = np.fromiter(map(len, nodes), dtype=np.intp, count=len(nodes))
+        pairs = np.flatnonzero((sizes[first] > 0) & (sizes[second] > 0))
+        if not len(pairs):
+            return measured, None
+        logs = _semiseparable_logs(self.H.matrix.diagonal() - self.energy,
+                                   self.H.matrix.diagonal(1))
+        if logs is None:
+            return None, "zero or non-finite Schur complement"
+        boxes = np.flatnonzero(sizes)
+        lo, hi = np.zeros(len(nodes), dtype=np.intp), np.zeros(len(nodes), dtype=np.intp)
+        lo[boxes] = [nodes[b][0] for b in boxes]
+        hi[boxes] = [nodes[b][-1] for b in boxes]
+        x, y = first[pairs], second[pairs]
+        ahead = hi[x] < lo[y]
+        if not np.all(ahead | (hi[y] < lo[x])):
+            return None, "interleaved node sets"
+        flat = np.concatenate([nodes[b] for b in boxes])
+        log_u, log_v = np.zeros(len(nodes)), np.zeros(len(nodes))
+        log_u[boxes], log_v[boxes] = (_log_block_norms(g[flat], sizes[boxes]) for g in logs)
+        measured[pairs] = np.exp(np.where(ahead, log_u[x] + log_v[y], log_u[y] + log_v[x]))
+        ratio = np.divide(measured[pairs], bound[pairs], out=np.full(len(pairs), np.inf),
+                          where=bound[pairs] > 0)
+        top = pairs[np.argmax(ratio)]
+        try:
+            direct = float(self.block_norms(nodes[first[top]], [nodes[second[top]]])[0])
+        except FloatingPointError:
+            return None, "non-finite certifying solve"
+        if not abs(direct - measured[top]) <= CERTIFY_RTOL * direct:
+            return None, f"certifying solve differs by {abs(direct - measured[top]):.3e}"
+        measured[top] = direct
+        return measured, None
+
     def block_norm(self, source_mask: np.ndarray, target_mask: np.ndarray) -> ResolventProbe:
         """Largest singular value of ``chi_target R chi_source``."""
         if self.divergent:
@@ -344,6 +466,59 @@ class ResolventFactorization:
         except FloatingPointError:
             return ResolventProbe(self.energy, np.nan, DIVERGENT, 0.0)
         return ResolventProbe(self.energy, norm, "ok", self.gap)
+
+
+@dataclass
+class PairNorms:
+    """Block norms of a goodness check's unit-box pairs (``pair_norms``)."""
+
+    measured: np.ndarray          # NaN where a pair was not probed
+    indeterminate: bool           # a solve was non-finite
+    fallback: Optional[str]       # why a tridiagonal H took the per-source path
+
+
+def _semiseparable_logs(a: np.ndarray, b: np.ndarray):
+    """``(log|u|, log|v|)`` with ``|T^{-1}_ij| = |u_j| |v_i|`` for i >= j, for
+    the symmetric tridiagonal T with diagonal ``a`` and off-diagonal ``b``;
+    None when a Schur complement is zero or not finite.
+
+    With the forward and backward Schur complements (the pivots of T's
+    ``L D L^T`` from the top and from the bottom)
+    ``delta+_j = a_j - b_{j-1}^2 / delta+_{j-1}`` and
+    ``delta-_j = a_j - b_j^2 / delta-_{j+1}``, the diagonal of the inverse
+    is ``G_jj = 1 / (delta+_j + delta-_j - a_j)`` and, below it,
+    ``G_ij = G_jj prod_{k=j+1..i} (-b_{k-1} / delta-_k)`` (Meurant, SIAM J.
+    Matrix Anal. Appl. 13 (1992) 707).  So ``v_i`` is that product from
+    k = 1 and ``u_j = G_jj / v_j``, both kept as logarithms, which neither
+    underflow nor overflow."""
+    n = len(a)
+    b2, diag = (b * b).tolist(), a.tolist()
+    above, below = [0.0] * n, [0.0] * n   # b_{j-1}^2 / delta+_{j-1}, b_j^2 / delta-_{j+1}
+    try:
+        for j in range(1, n):
+            above[j] = b2[j - 1] / (diag[j - 1] - above[j - 1])
+        for j in range(n - 2, -1, -1):
+            below[j] = b2[j] / (diag[j + 1] - below[j + 1])
+    except ZeroDivisionError:
+        return None
+    above, below = np.array(above), np.array(below)
+    if not (np.isfinite(above).all() and np.isfinite(below).all()):
+        return None
+    minus, pivot = a - below, a - above - below      # delta-, 1 / G_jj
+    if not (np.all(a - above != 0.0) and np.all(minus != 0.0) and np.all(pivot != 0.0)
+            and np.all(b != 0.0)):
+        return None
+    log_v = np.concatenate(([0.0], np.cumsum(np.log(np.abs(b)) - np.log(np.abs(minus[1:])))))
+    return -np.log(np.abs(pivot)) - log_v, log_v
+
+
+def _log_block_norms(logs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``log |exp(block)|_2`` of consecutive non-empty blocks of the given
+    sizes: a log-sum-exp per block, shifted by its largest entry."""
+    starts = np.cumsum(sizes) - sizes
+    peak = np.maximum.reduceat(logs, starts)
+    return peak + 0.5 * np.log(np.add.reduceat(np.exp(2.0 * (logs - np.repeat(peak, sizes))),
+                                               starts))
 
 
 def _frobenius(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:

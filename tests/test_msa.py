@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from andlab.discretize import GridSpec, empty_configuration
+from andlab import spectral
+from andlab.discretize import Grid, GridSpec, empty_configuration
 from andlab.errors import ScaleError, ValidationError
-from andlab.model import (Atoms, Bernoulli, Configuration, SiteProfile,
+from andlab.model import (Atoms, Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
-from andlab.msa import (FreeSitePolicy, GAMMA_CRITICAL, _candidate_pairs, check_goodness,
-                        check_pgood,
+from andlab.msa import (FreeSitePolicy, GAMMA_CRITICAL, _candidate_pairs, _unit_box_nodes,
+                        check_goodness, check_pgood,
                         goodness_probability, initial_scale_values, minimal_n1,
                         msa_constants, n_hat, reduced_spectrum,
                         restrict_configuration, scale_ladder, wilson_interval)
@@ -255,6 +256,12 @@ def _reference_block_norms(self, source, targets):
     return np.array([np.linalg.svd(sol[t], compute_uv=False)[0] for t in targets])
 
 
+def _without_generators(monkeypatch):
+    """Switch the semiseparable generators off: every pair norm then comes
+    from the per-source path."""
+    monkeypatch.setattr(spectral, "_semiseparable_logs", lambda a, b: None)
+
+
 class TestRankOneGoodness:
     # the benchmark ladder's model and rules (E = -0.5, m = 0.4), and a rate
     # of 3 that every box fails
@@ -265,8 +272,11 @@ class TestRankOneGoodness:
         cfg = sample_configuration(Bernoulli(0.5), box, None, 0, trial)
         args = (box, GridSpec(8), SiteProfile(), cfg, -0.5, m, 0.1, FreeSitePolicy(seed=0))
         rep = check_goodness(*args)
+        # the reference: no generators, and one solve and one SVD per target
+        _without_generators(monkeypatch)
         monkeypatch.setattr(ResolventFactorization, "block_norms", _reference_block_norms)
         ref = check_goodness(*args)
+        assert rep.fallbacks == [] and len(ref.fallbacks) == 1
         assert rep.is_good == (m < 1.0)
         for attr in ("weg_pass", "decay_pass", "indeterminate", "weg_norms"):
             assert getattr(rep, attr) == getattr(ref, attr)
@@ -275,6 +285,60 @@ class TestRankOneGoodness:
             (expected.x, expected.y, expected.distance, expected.bound)
         assert worst.measured == pytest.approx(expected.measured, rel=1e-12)
         assert rep.decay_rate_fit == pytest.approx(ref.decay_rate_fit, rel=1e-12)
+
+
+class TestSemiseparableGoodness:
+    def test_one_solve_per_assembly(self, monkeypatch):
+        box = make_box(1, 20.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, lattice_sites(box)[:3], 5, 0)
+        policy = FreeSitePolicy(corners=2, draws=1, seed=2)
+        solves = []
+        solve = ResolventFactorization.solve
+        monkeypatch.setattr(ResolventFactorization, "solve",
+                            lambda self, rhs: solves.append(rhs) or solve(self, rhs))
+        rep = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1, policy)
+        assert len(rep.weg_norms) == len(solves) == 5 and rep.fallbacks == []
+
+    @pytest.mark.parametrize("case", ["zero-pivot", "disagreement"])
+    def test_fallback_gives_the_per_source_report(self, case, monkeypatch):
+        box = make_box(1, 30.0)
+        cfg = sample_configuration(Uniform01(), box, None, 8, 0)
+        energy, reason = -0.5, "certifying solve differs"
+        if case == "zero-pivot":   # E on the first diagonal entry of H
+            energy = assemble(box, n=4, config=cfg).matrix.diagonal()[0]
+            reason = "zero or non-finite Schur complement"
+        args = (box, GridSpec(4), SiteProfile(), cfg, energy, 0.4, 0.1)
+        if case == "disagreement":
+            logs = spectral._semiseparable_logs
+            monkeypatch.setattr(spectral, "_semiseparable_logs",
+                                lambda a, b: tuple(g + 1e-6 for g in logs(a, b)))
+        rep = check_goodness(*args)
+        _without_generators(monkeypatch)
+        ref = check_goodness(*args)
+        [(label, why)] = rep.fallbacks
+        assert label == "no-free-sites" and why.startswith(reason)
+        assert not rep.indeterminate and rep.weg_norms == ref.weg_norms
+        assert (rep.is_good, rep.decay_pass, rep.worst_pair, rep.decay_rate_fit) == \
+            (ref.is_good, ref.decay_pass, ref.worst_pair, ref.decay_rate_fit)
+
+
+class TestUnitBoxNodes:
+    @pytest.mark.parametrize("d, L", [(1, 9.0), (2, 5.0), (3, 3.0)])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_matches_the_contains_scan(self, d, L, boundary):
+        for offset in (0.0, 0.25, 0.5):
+            for n in (2, 3, 4):
+                box = BoxSpec(d, (offset,) * d, L)
+                points = Grid(box, GridSpec(n, boundary)).points()
+                centers = lattice_sites(box).astype(float)
+                nodes = _unit_box_nodes(points, centers)
+                scan = [np.flatnonzero(BoxSpec(d, tuple(c), 1.0).contains(points))
+                        for c in centers]
+                assert len(nodes) == len(scan) > 0
+                assert all(np.array_equal(a, b) for a, b in zip(nodes, scan))
+
+    def test_no_centers(self):
+        assert _unit_box_nodes(np.zeros((5, 1)), np.zeros((0, 1))) == []
 
 
 class TestGoodnessProbability:

@@ -187,12 +187,31 @@ class TestEigenvalueCount:
             assert (M != H.matrix.tocsc() - shift * eye).nnz == 0
 
     def test_singular_twice_raises(self, monkeypatch):
+        # both SuperLU attempts fail: a dense Bunch-Kaufman factor gives the
+        # count, and beyond DENSE_MAX_VECTORS nodes the count raises
         def singular(M, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
+        H = periodic_hamiltonian(6.0, seed=3)
+        dense = int(np.searchsorted(la.eigvalsh(H.matrix.toarray()), 0.5))
         monkeypatch.setattr(spectral.spla, "splu", singular)
+        assert eigenvalue_count(H, [0.5]).tolist() == [dense]
+        monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
         with pytest.raises(SolverError):
-            eigenvalue_count(periodic_hamiltonian(6.0, seed=3), [0.5])
+            eigenvalue_count(H, [0.5])
+
+    @pytest.mark.parametrize("d, L, boundary, E, count", [
+        (1, 6.0, "periodic", 32.0, 11),    # SuperLU: exactly singular, at E and below
+        (2, 3.0, "dirichlet", 64.0, 55),   # SuperLU: pivots off the diagonal
+    ])
+    def test_degenerate_eigenvalue(self, d, L, boundary, E, count):
+        # E is the common diagonal value of a free operator and a multiple
+        # eigenvalue; dense eigvalsh puts some copies below it by rounding
+        H = assemble(make_box(d, L), n=4, boundary=boundary)
+        assert np.all(H.matrix.diagonal() == E)
+        assert eigenvalue_count(H, [E]).tolist() == [count]
+        vals = la.eigvalsh(H.matrix.toarray())
+        assert np.count_nonzero(vals < E - 1e-9 * E) == count
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_nan_energy_rejected(self, boundary):
@@ -323,7 +342,9 @@ class TestResolventProbes:
         H, _ = random_hamiltonian(d, L, 4, Uniform01(), seed=14)
         vals = la.eigvalsh(H.matrix.toarray())
         probe = resolvent_norm(H, energy)
-        assert probe.status == "ok" and ResolventFactorization(H, energy).gap_solves > 0
+        # 1-d: the neighbouring eigenvalues by index; 2-d: one Lanczos call
+        solves = ResolventFactorization(H, energy).gap_solves
+        assert probe.status == "ok" and (solves == 0 if d == 1 else solves > 0)
         assert probe.norm_estimate == pytest.approx(
             1.0 / np.min(np.abs(vals - energy)), rel=1e-8)
 
@@ -498,6 +519,89 @@ class TestRankOneBlockNorms:
         boxes = _unit_box_nodes(H)
         norms = fac.block_norms(boxes[0], boxes[2:])
         assert norms.tobytes() == _svd_norms(fac, boxes[0], boxes[2:]).tobytes()
+
+
+def _dense_pair_norms(H, energy, nodes, first, second):
+    """Largest singular value of each block of a dense inverse of H - E."""
+    G = np.linalg.inv(H.matrix.toarray() - energy * np.eye(H.size))
+    return np.array([la.svdvals(G[np.ix_(nodes[b], nodes[a])])[0]
+                     for a, b in zip(first, second)])
+
+
+class TestSemiseparableNorms:
+    # every unit-box pair of a 1-d Dirichlet box from the generators of R:
+    # below the spectrum, inside it and far below it
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(5, 60), n=st.sampled_from([2, 4, 8]),
+           law=st.sampled_from([Bernoulli(0.5), Uniform01()]), seed=st.integers(0, 10**6),
+           where=st.sampled_from(["below", "between", "far"]), rank=st.floats(0.0, 1.0))
+    def test_matches_dense_inverse(self, L, n, law, seed, where, rank):
+        H, _ = random_hamiltonian(1, float(L), n, law, seed=seed)
+        vals = la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
+        k = int(rank * (len(vals) - 2))
+        if where == "between":
+            assume(vals[k + 1] - vals[k] >= 2e-6 * H.norm_bound())
+        energy = {"below": vals[0] - 1e-3 - rank,
+                  "between": 0.5 * (vals[k] + vals[k + 1]),
+                  "far": -50.0}[where]
+        fac = ResolventFactorization(H, energy)
+        nodes = _unit_box_nodes(H)
+        first, second = np.triu_indices(len(nodes), k=1)
+        norms = fac.pair_norms(nodes, first, second, np.ones(len(first)))
+        assert norms.fallback is None and not norms.indeterminate
+        dense = _dense_pair_norms(H, energy, nodes, first, second)
+        big = dense > 1e-280
+        assert np.all(np.abs(norms.measured[big] - dense[big]) <= 1e-10 * dense[big])
+
+    def test_fallbacks_take_the_per_source_path(self, monkeypatch):
+        H, _ = random_hamiltonian(1, 20.0, 4, Uniform01(), seed=41)
+        nodes = _unit_box_nodes(H)
+        first, second = np.triu_indices(len(nodes), k=1)
+        bound = np.ones(len(first))
+
+        def per_source(fac):
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_semiseparable_logs", lambda a, b: None)
+                return fac.pair_norms(nodes, first, second, bound).measured
+
+        # E on the first diagonal entry: the first forward Schur complement is 0
+        fac = ResolventFactorization(H, H.matrix.diagonal()[0])
+        assert not fac.divergent
+        norms = fac.pair_norms(nodes, first, second, bound)
+        assert norms.fallback == "zero or non-finite Schur complement"
+        assert norms.measured.tobytes() == per_source(fac).tobytes()
+        dense = _dense_pair_norms(H, fac.energy, nodes, first, second)
+        assert norms.measured == pytest.approx(dense, rel=1e-8)
+        # generators off by 2e-6: the certifying solve disagrees
+        logs = spectral._semiseparable_logs
+        monkeypatch.setattr(spectral, "_semiseparable_logs",
+                            lambda a, b: tuple(g + 1e-6 for g in logs(a, b)))
+        fac = ResolventFactorization(H, -0.5)
+        norms = fac.pair_norms(nodes, first, second, bound)
+        assert norms.fallback.startswith("certifying solve differs")
+        assert norms.measured.tobytes() == per_source(fac).tobytes()
+
+    def test_one_certifying_solve_and_empty_boxes(self, monkeypatch):
+        H, _ = random_hamiltonian(1, 20.0, 4, Bernoulli(0.5), seed=42)
+        fac = ResolventFactorization(H, -0.5)
+        nodes = _unit_box_nodes(H)
+        nodes[3] = nodes[3][:0]                  # a box with no nodes is not probed
+        first, second = np.triu_indices(len(nodes), k=1)
+        bound = np.exp(-0.4 * (second - first))
+        solves = []
+        solve = ResolventFactorization.solve
+        monkeypatch.setattr(ResolventFactorization, "solve",
+                            lambda self, rhs: solves.append(rhs.shape) or solve(self, rhs))
+        norms = fac.pair_norms(nodes, first, second, bound)
+        probed = (first != 3) & (second != 3)
+        assert norms.fallback is None and np.isnan(norms.measured[~probed]).all()
+        # the pair nearest its bound is solved directly, and its value is kept
+        top = np.flatnonzero(probed)[np.argmax(norms.measured[probed] / bound[probed])]
+        assert solves == [(H.size, len(nodes[first[top]]))]
+        direct = fac.block_norms(nodes[first[top]], [nodes[second[top]]])[0]
+        assert norms.measured[top] == direct
+        dense = _dense_pair_norms(H, -0.5, nodes, first[probed], second[probed])
+        assert norms.measured[probed] == pytest.approx(dense, rel=1e-10)
 
 
 class TestWeylCounting:
