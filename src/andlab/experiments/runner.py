@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
@@ -42,6 +41,8 @@ def map_trials(fn: Callable, trials: range, workers: int) -> list:
     """Order-preserving map over trial indices, optionally across processes."""
     if workers <= 1 or len(trials) <= 1:
         return [fn(t) for t in trials]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(trials) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, trials, chunksize=chunk))

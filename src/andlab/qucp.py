@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg as la
-from scipy.special import exp1
 
 from .discretize import (GridSpec, HamiltonianMatrix, PeriodicField,
                          assemble_hamiltonian, bloch_blocks, empty_configuration)
@@ -120,6 +119,8 @@ def carleman_exponent_integral(s: float) -> float:
             if abs(contrib) < 1e-18:
                 break
         return total
+    from scipy.special import exp1
+
     return _EULER_GAMMA + math.log(s) + float(exp1(s))
 
 

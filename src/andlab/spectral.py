@@ -24,25 +24,29 @@ eigenvector tails (dichotomy masses down to 1e-33) far below ARPACK's floor of
 about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
 ``EigenWindowResult.solver`` records which of the three ran.
 
-Resolvent probes share one sparse factorization of ``H - E``.  Block norms
-are exact.  ``block_norms`` takes one solve for the source columns, then
-each target block's largest singular value.  For tridiagonal H - E the
-nullity theorem (Fiedler-Markham) makes every block of the inverse wholly
-above or below the diagonal rank one, so a target on one side of its source
-takes its block's Frobenius norm, with no SVD.  In d >= 2, or with periodic
-wrap-around, such blocks are not rank one and every target takes the SVD.
-A goodness check's pair norms all come from ``pair_norms``.  On a
-tridiagonal H the inverse is semiseparable, ``G_ij = u_min(i,j) v_max(i,j)``,
-so every pair costs one exponential after one O(n) pass of Schur-complement
-recurrences (``_semiseparable_logs``, in logarithms); the pair nearest its
-bound is then measured by one ``block_norms`` solve, which must agree to
-``CERTIFY_RTOL`` and whose value is kept.  Otherwise, and when the
-recurrences or that check fail, each source takes one ``block_norms`` solve.
-The whole-box norm 1/dist(E, spectrum) comes from the two eigenvalues next
-to E on a tridiagonal H (a Sturm count and ``stebz`` by index), and from one
-Lanczos call over the LU otherwise.  Near-resonant energies are reported as
-DIVERGENT rather than as a huge number, since the boundary-value extension of
-the resolvent norm at spectral points is a limsup.
+Resolvent probes share one solver for ``H - E``: on a tridiagonal H one banded
+LAPACK solve (``gtsv`` through ``solve_banded``, O(n) per right-hand side, no
+factor kept), otherwise one SuperLU factor.  Block norms are exact.
+``block_norms`` takes one solve for the source columns, then each target
+block's largest singular value.  For tridiagonal H - E the nullity theorem
+(Fiedler-Markham) makes every block of the inverse wholly above or below the
+diagonal rank one, so a target on one side of its source takes its block's
+Frobenius norm, with no SVD.  In d >= 2, or with periodic wrap-around, such
+blocks are not rank one and every target takes the SVD.  A goodness check's
+pair norms all come from ``pair_norms``.  On a tridiagonal H the inverse is
+semiseparable, ``G_ij = u_min(i,j) v_max(i,j)``, so every pair costs one
+exponential after one O(n) pass of Schur-complement recurrences
+(``_semiseparable_logs``, in logarithms); the pair nearest its bound is then
+measured by one ``block_norms`` solve, which must agree to ``CERTIFY_RTOL``
+and whose value is kept.  Otherwise, and when the recurrences or that check
+fail, each source takes one ``block_norms`` solve.  The whole-box norm
+1/dist(E, spectrum) comes from the two eigenvalues next to E on a tridiagonal
+H (a Sturm count and ``stebz`` by index), and from one Lanczos call over the
+LU otherwise.  SuperLU and ARPACK (``scipy.sparse.linalg``) serve only d >= 2
+and periodic boxes, so they are imported inside the functions that call them
+and a 1-d Dirichlet run never loads them.  Near-resonant energies are reported
+as DIVERGENT rather than as a huge number, since the boundary-value extension
+of the resolvent norm at spectral points is a limsup.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ import numpy as np
 import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretize import HamiltonianMatrix
 from .errors import SolverError, ValidationError
@@ -115,11 +118,13 @@ def _superlu_count(A: sp.csc_matrix, eye: sp.csc_matrix, E: float) -> int:
     """Negative pivots of a diagonally pivoted symmetric-mode LU of ``A - E``,
     at E or one ulp below; failing both, the inertia of a dense Bunch-Kaufman
     ``L D L^T`` up to ``DENSE_MAX_VECTORS`` nodes."""
+    from scipy.sparse.linalg import splu
+
     problem = "failed"
     for shift in (E, np.nextafter(E, -np.inf)):
         try:
-            lu = spla.splu(A - shift * eye, diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
+            lu = splu(A - shift * eye, diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
         except RuntimeError as exc:
             problem = f"failed: {exc}"
             continue
@@ -251,10 +256,12 @@ def _sparse_window(H: HamiltonianMatrix, lo: float, hi: float, max_count: int):
 
 def _shift_invert(H: HamiltonianMatrix, k: int, sigma: float, vectors: bool):
     """The k eigenvalues nearest above ``sigma`` (with vectors if asked)."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     try:
-        return spla.eigsh(H.matrix, k=k, sigma=sigma, which="LA", v0=_start_vector(H.size, k),
-                          return_eigenvectors=vectors)
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
+        return eigsh(H.matrix, k=k, sigma=sigma, which="LA", v0=_start_vector(H.size, k),
+                     return_eigenvectors=vectors)
+    except ArpackNoConvergence as exc:  # pragma: no cover - rare
         raise SolverError(f"shift-invert Lanczos failed: {exc}") from exc
 
 
@@ -295,11 +302,13 @@ class ResolventProbe:
 
 
 class ResolventFactorization:
-    """Shared LU factorization of ``H - E`` for many block probes.
+    """Shared solver of ``H - E`` for many block probes: a banded LAPACK solve
+    on a tridiagonal H, a SuperLU factor otherwise.
 
     ``divergent`` holds when ``H - E`` is singular or dist(E, spectrum) is
     below the fixed tolerance ``1e-10 * H.norm_bound()``; a divergent
-    factorization answers every probe with status DIVERGENT.
+    factorization answers every probe with status DIVERGENT.  On a
+    tridiagonal H that distance is the Sturm gap (``_tridiagonal_gap``).
     Immutable after construction; concurrent probes may share it.
     """
 
@@ -308,19 +317,37 @@ class ResolventFactorization:
         self.energy = float(energy)
         n = H.size
         self.n = n
-        shifted = (H.matrix - self.energy * sp.identity(n, format="csr")).tocsc()
-        try:
-            self._lu = spla.splu(shifted)
-        except RuntimeError:
-            self._lu = None
-            self.resolvent_norm, self.gap, self.gap_solves = np.inf, 0.0, 0
+        self._lu = self._bands = None
+        if is_tridiagonal(H):
+            # solve_banded's rows: superdiagonal, diagonal, subdiagonal
+            off = H.matrix.diagonal(1)
+            self._bands = np.stack((np.concatenate(([0.0], off)),
+                                    H.matrix.diagonal() - self.energy,
+                                    np.concatenate((off, [0.0]))))
+            self.resolvent_norm, self.gap, self.gap_solves = self._tridiagonal_gap()
         else:
-            self.resolvent_norm, self.gap, self.gap_solves = (
-                self._tridiagonal_gap() if is_tridiagonal(H) else self._exact_gap())
-        self.divergent = self._lu is None or self.gap < 1e-10 * H.norm_bound()
+            from scipy.sparse.linalg import splu
+
+            shifted = (H.matrix - self.energy * sp.identity(n, format="csr")).tocsc()
+            try:
+                self._lu = splu(shifted)
+            except RuntimeError:
+                self.resolvent_norm, self.gap, self.gap_solves = np.inf, 0.0, 0
+            else:
+                self.resolvent_norm, self.gap, self.gap_solves = self._exact_gap()
+        self.divergent = self.gap < 1e-10 * H.norm_bound()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        out = self._lu.solve(rhs)
+        """``(H - E)^{-1} rhs``.  Raises ``FloatingPointError`` when the
+        banded solve meets a singular ``H - E`` or any solution is not finite."""
+        if self._bands is None:
+            out = self._lu.solve(rhs)
+        else:
+            try:
+                with np.errstate(all="raise"):  # n = 1 is a NumPy division
+                    out = la.solve_banded((1, 1), self._bands, rhs, check_finite=False)
+            except la.LinAlgError as exc:
+                raise FloatingPointError(f"singular resolvent solve: {exc}") from exc
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite resolvent solve")
         return out
@@ -338,6 +365,8 @@ class ResolventFactorization:
     def _exact_gap(self) -> tuple:
         """|R|, the gap 1/|R| = dist(E, spectrum) and the solves taken: |R| is
         the largest-magnitude eigenvalue of R, one Lanczos call over this LU."""
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
         solves = 0
 
         def apply(v):
@@ -345,13 +374,13 @@ class ResolventFactorization:
             solves += 1
             return self.solve(v)
 
-        R = spla.LinearOperator((self.n, self.n), matvec=apply, dtype=float)
+        R = LinearOperator((self.n, self.n), matvec=apply, dtype=float)
         try:
-            nu = spla.eigsh(R, k=1, which="LM", v0=_start_vector(self.n, 0xB10C),
-                            return_eigenvectors=False)[0]
+            nu = eigsh(R, k=1, which="LM", v0=_start_vector(self.n, 0xB10C),
+                       return_eigenvectors=False)[0]
         except FloatingPointError:
             return np.inf, 0.0, solves
-        except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
+        except ArpackNoConvergence as exc:  # pragma: no cover - rare
             raise SolverError(f"resolvent-norm Lanczos failed: {exc}") from exc
         norm = abs(float(nu))
         if not np.isfinite(norm) or norm == 0.0:

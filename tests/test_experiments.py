@@ -1,5 +1,8 @@
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,3 +384,52 @@ class TestRegistry:
         raw["params"]["bogus_knob"] = 1
         with pytest.raises(ValidationError, match="bogus_knob"):
             validate_config(raw)
+
+
+# SuperLU/ARPACK, scipy.special and the process pool, each imported on first use
+DEFERRED = ["concurrent.futures.process", "scipy.sparse.linalg", "scipy.special"]
+RUN_CONFIGS = """
+import json, sys, tempfile
+from pathlib import Path
+from andlab.experiments import load_config, run_experiment
+with tempfile.TemporaryDirectory() as tmp:
+    for name in sys.argv[1:]:
+        run_experiment(load_config(Path("configs") / f"{name}.json"), str(Path(tmp) / name),
+                       workers_override=1)
+"""
+DEFERRED_CALLS = """
+import json
+from andlab.discretize import GridSpec, assemble_hamiltonian, empty_configuration
+from andlab.model import BoxSpec, SiteProfile
+from andlab.qucp import carleman_constant
+from andlab.spectral import eigenvalue_count
+box = BoxSpec(1, (0.0,), 6.0)
+H = assemble_hamiltonian(box, GridSpec(4, "periodic"), SiteProfile(), empty_configuration(box))
+print(json.dumps([eigenvalue_count(H, [0.5, 32.0]).tolist(), carleman_constant()]))
+"""
+
+
+def _python(script: str, *args: str) -> tuple:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src/``: its
+    stdout, then which of ``DEFERRED`` it loaded."""
+    report = "\nimport sys\nprint(json.dumps([m for m in DEFERRED if m in sys.modules]))\n"
+    root = CONFIG_DIR.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", f"DEFERRED = {DEFERRED!r}\n{script}{report}",
+                          *args], cwd=root, env=env, capture_output=True, text=True,
+                         timeout=300, check=True).stdout.splitlines()
+    return out[:-1], json.loads(out[-1])
+
+
+class TestImportFootprint:
+    def test_one_d_runs_load_no_deferred_module(self):
+        _, loaded = _python(RUN_CONFIGS, "dynamical", "qucp", "goodness_ladder", "ids",
+                            "periodic_gap")
+        assert loaded == []
+
+    def test_deferred_paths_keep_their_values(self):
+        # a periodic box takes SuperLU for its count (11 below the double
+        # free eigenvalue 32, as in test_degenerate_eigenvalue); C1 takes E1
+        out, loaded = _python(DEFERRED_CALLS)
+        assert json.loads(out[0]) == [[1, 11], 2.2179860496420427]
+        assert loaded == ["scipy.sparse.linalg", "scipy.special"]

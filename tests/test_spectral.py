@@ -3,14 +3,15 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from andlab import spectral
-from andlab.discretize import unit_box_mask
+from andlab.discretize import GridSpec, unit_box_mask
 from andlab.errors import SolverError, ValidationError
-from andlab.model import (Bernoulli, Configuration, Uniform01, lattice_sites,
+from andlab.model import (Bernoulli, Configuration, SiteProfile, Uniform01, lattice_sites,
                           sample_configuration)
+from andlab.msa import check_goodness
 from andlab.spectral import (ResolventFactorization, eigenvalue_count, eigs_window,
                              evolve, lowest_eigenvalue, resolvent_block_norm,
                              resolvent_norm)
@@ -129,7 +130,7 @@ class TestEigsWindow:
 
         monkeypatch.setattr(type(H.matrix), "toarray", refuse)
         monkeypatch.setattr(spectral.la, "eigh", refuse)
-        monkeypatch.setattr(spectral.spla, "eigsh", refuse)
+        monkeypatch.setattr(spla, "eigsh", refuse)
         for dense_max in (10**9, 0):
             monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", dense_max)
             monkeypatch.setattr(spectral, "DENSE_MAX_VALUES", dense_max)
@@ -170,7 +171,7 @@ class TestEigenvalueCount:
         # first factorization is made to fail as one would
         H = periodic_hamiltonian(6.0, seed=3)
         E = 0.5 * sum(la.eigvalsh(H.matrix.toarray())[4:6])
-        splu, factored = spectral.spla.splu, []
+        splu, factored = spla.splu, []
 
         def singular_once(M, **kwargs):
             factored.append(M)
@@ -178,7 +179,7 @@ class TestEigenvalueCount:
                 raise RuntimeError("Factor is exactly singular")
             return splu(M, **kwargs)
 
-        monkeypatch.setattr(spectral.spla, "splu", singular_once)
+        monkeypatch.setattr(spla, "splu", singular_once)
         assert eigenvalue_count(H, [E]).tolist() == [5]
         eye = sp.identity(H.size, format="csc")
         shifts = [E, np.nextafter(E, -np.inf)]
@@ -194,7 +195,7 @@ class TestEigenvalueCount:
 
         H = periodic_hamiltonian(6.0, seed=3)
         dense = int(np.searchsorted(la.eigvalsh(H.matrix.toarray()), 0.5))
-        monkeypatch.setattr(spectral.spla, "splu", singular)
+        monkeypatch.setattr(spla, "splu", singular)
         assert eigenvalue_count(H, [0.5]).tolist() == [dense]
         monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
         with pytest.raises(SolverError):
@@ -225,7 +226,9 @@ def superlu_count(H, E):
     """#{eigenvalues < E} from the inertia of a symmetric-mode SuperLU factor
     of H - E; one ulp below E when that factor is exactly singular or meets
     a zero diagonal pivot, which SuperLU replaces by an off-diagonal one (E
-    equal to both diagonal entries of a 2-node box)."""
+    equal to both diagonal entries of a 2-node box).  When SuperLU pivots off
+    the diagonal at both shifts (E on an eigenvalue), the inertia of a dense
+    Bunch-Kaufman ``L D L^T`` of H - E: the negative eigenvalues of D."""
     A, eye = H.matrix.tocsc(), sp.identity(H.size, format="csc")
     for shift in (E, np.nextafter(E, -np.inf)):
         try:
@@ -235,7 +238,8 @@ def superlu_count(H, E):
             continue
         if np.array_equal(lu.perm_r, lu.perm_c):
             return int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    raise AssertionError(f"no diagonally pivoted factor at E={E}")
+    _, D, _ = la.ldl(H.matrix.toarray() - E * np.eye(H.size))
+    return int(np.count_nonzero(np.linalg.eigvalsh(D) < 0.0))
 
 
 class TestSturmCount:
@@ -244,6 +248,9 @@ class TestSturmCount:
            law=st.sampled_from([Bernoulli(0.5), Uniform01()]), seed=st.integers(0, 10**6),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
            near=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(-4, 4)), max_size=4))
+    # E = 46.79765962705338 on eigenvalue index 8: SuperLU pivots off the
+    # diagonal at E and one ulp below, so the reference takes the dense count
+    @example(nodes=31, n=8, law=Bernoulli(0.5), seed=0, fractions=[0.0], near=[(0.28125, 0)])
     def test_matches_superlu_and_dense(self, nodes, n, law, seed, fractions, near):
         # a box of (nodes + 1) / n has `nodes` interior nodes, down to n = 1 and 2
         box = make_box(1, (nodes + 1) / n)
@@ -281,10 +288,21 @@ class TestSturmCount:
         def refuse(*args, **kwargs):
             raise AssertionError("SuperLU factorization on a tridiagonal H")
 
-        monkeypatch.setattr(spectral.spla, "splu", refuse)
+        monkeypatch.setattr(spla, "splu", refuse)
         assert eigenvalue_count(H, energies).tolist() == list(range(1, H.size))
         res = eigs_window(H, (-1.0, 6.0), max_count=4)  # capped: counted first
         assert res.truncated and np.allclose(res.energies, vals[:4], rtol=0.0, atol=1e-12)
+        # resolvent probes take a banded solve: a goodness check, and the
+        # per-source path at a zero Schur complement
+        box = make_box(1, 12.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, 3, 0)
+        assert check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1).is_good
+        fac = ResolventFactorization(H, H.matrix.diagonal()[0])
+        nodes = _unit_box_nodes(H)
+        first, second = np.triu_indices(len(nodes), k=1)
+        norms = fac.pair_norms(nodes, first, second, np.ones(len(first)))
+        assert norms.fallback == "zero or non-finite Schur complement"
+        assert not norms.indeterminate and np.isfinite(norms.measured).all()
 
 
 class TestLowestEigenvalue:
@@ -347,6 +365,34 @@ class TestResolventProbes:
         assert probe.status == "ok" and (solves == 0 if d == 1 else solves > 0)
         assert probe.norm_estimate == pytest.approx(
             1.0 / np.min(np.abs(vals - energy)), rel=1e-8)
+
+    @pytest.mark.parametrize("nodes, where", [
+        (1, "below"), (2, "below"), (2, "between"), (3, "between"), (3, "above"),
+        (300, "below"), (300, "between"),
+    ])
+    def test_banded_solve_matches_dense(self, nodes, where):
+        # a box of (nodes + 1) / 4 has `nodes` interior nodes at 4 points per unit
+        H, _ = random_hamiltonian(1, (nodes + 1) / 4, 4, Uniform01(), seed=nodes)
+        assert spectral.is_tridiagonal(H) and H.size == nodes
+        vals = la.eigvalsh(H.matrix.toarray())
+        E = {"below": vals[0] - 0.5, "above": vals[-1] + 0.5,
+             "between": 0.5 * (vals[nodes // 2 - 1] + vals[nodes // 2])}[where]
+        rhs = np.random.default_rng(nodes).standard_normal((nodes, 3))
+        fac = ResolventFactorization(H, E)
+        dense = np.linalg.solve(H.matrix.toarray() - E * np.eye(nodes), rhs)
+        assert not fac.divergent
+        assert np.linalg.norm(fac.solve(rhs) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("nodes, E", [(1, 32.0), (2, 16.0), (3, 32.0), (301, 32.0)])
+    def test_banded_solve_on_an_eigenvalue_raises(self, nodes, E):
+        # the free box has diagonal 32 and off-diagonal -16, so its eigenvalues
+        # 32 - 32 cos(k pi / (nodes + 1)) include E exactly: H - E is singular
+        H = assemble(make_box(1, (nodes + 1) / 4), n=4)
+        assert np.all(H.matrix.diagonal() == 32.0) and np.all(H.matrix.diagonal(1) == -16.0)
+        fac = ResolventFactorization(H, E)
+        assert fac.divergent
+        with pytest.raises(FloatingPointError):
+            fac.solve(np.eye(nodes)[:, :2])
 
     def test_divergent_at_eigenvalue(self):
         H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=7)
