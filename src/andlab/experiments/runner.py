@@ -97,7 +97,7 @@ def _trial_qucp(model: tuple, root_seed: int, L: float, delta: float, theta: Box
                 probes: list, D_bound: Optional[float], trial: int) -> list:
     H = _hamiltonian(model, root_seed, L, trial)
     upper = 4.0 * (np.pi / L) ** 2 + float(np.max(H.potential)) + 1.0
-    res = eigs_window(H, (-0.1, upper), max_count=4)
+    res = eigs_window(H, (-0.1, upper), max_count=1)  # qucp_verify reads the ground pair
     if len(res.energies) == 0:
         return []
     fit = qucp_verify(H, res.vectors[:, 0], float(res.energies[0]), theta, delta, probes,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -286,6 +286,18 @@ def _candidate_pairs(centers: np.ndarray, min_dist: float, pair_cap: int,
     return first[keep], second[keep], dist[keep]
 
 
+@lru_cache(maxsize=16)
+def _box_pairs(box: BoxSpec, pair_cap: int, seed: int) -> tuple:
+    """``(centers, i, j, dist)`` of a box's unit-box pairs, computed once per
+    (box, cap, seed): every trial and assignment on a box probes the same
+    pairs.  Every caller shares the cached arrays, so they are read-only."""
+    centers = lattice_sites(box).astype(float)
+    arrays = (centers,) + _candidate_pairs(centers, box.side / 100.0, pair_cap, seed)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def check_goodness(
     box: BoxSpec,
     grid_spec: GridSpec,
@@ -318,8 +330,7 @@ def check_goodness(
     L = box.side
     weg_threshold = factor * math.exp(L ** (1.0 - varsigma))
 
-    centers = lattice_sites(box).astype(float)
-    first, second, distance = _candidate_pairs(centers, L / 100.0, pair_cap, policy.seed)
+    centers, first, second, distance = _box_pairs(box, pair_cap, policy.seed)
     # math.exp on the few distinct distances keeps each bound the scalar formula's
     uniq, inverse = np.unique(distance, return_inverse=True)
     bound = factor * np.array([math.exp(-m * d) for d in uniq])[inverse]

@@ -65,19 +65,29 @@ def w_profile(grid: Grid, energy: float, psi: np.ndarray, x, nu: float,
 
     ``psi`` must be normalized in the h^d-weighted norm.
     """
+    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
+    w_x, w_xl = _w_values(grid, psi, _w_arrays(grid, x, nu, annulus_scale))
+    return WProfile(energy, x, nu, w_x, w_xl, annulus_scale, outer_factor)
+
+
+def _w_arrays(grid: Grid, x: tuple, nu: float, annulus_scale: Optional[float]) -> tuple:
+    """The bracket weights, the unit-box mask and (given a scale, else None)
+    the annulus mask of the W-functionals at ``x``: they depend on the grid
+    and the probe, not on the eigenpair."""
     if nu <= grid.box.dimension / 2.0:
         raise ValidationError(f"need nu > d/2, got nu={nu}")
-    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
-    weights = bracket_weights(grid, x, nu)
+    shell = None if annulus_scale is None else annulus_shell_mask(grid, x, annulus_scale)
+    return bracket_weights(grid, x, nu), unit_box_mask(grid, x), shell
+
+
+def _w_values(grid: Grid, psi: np.ndarray, arrays: tuple) -> tuple:
+    """``(W_x, W_{x,L})`` of one eigenvector from its probe's ``_w_arrays``;
+    W_{x,L} is None without an annulus."""
+    weights, box, shell = arrays
     denom = grid.norm(psi / weights)
     assert denom > 0.0, "T^{-1} psi cannot vanish for a normalized psi"
-    w_x = grid.norm(psi[unit_box_mask(grid, x)]) / denom
-    w_xl = None
-    if annulus_scale is not None:
-        mask = annulus_shell_mask(grid, x, annulus_scale)
-        w_xl = grid.norm(psi[mask]) / denom
-    return WProfile(energy, x, nu, float(w_x), None if w_xl is None else float(w_xl),
-                    annulus_scale, outer_factor)
+    w_xl = None if shell is None else float(grid.norm(psi[shell]) / denom)
+    return float(grid.norm(psi[box]) / denom), w_xl
 
 
 def w_caps(nu: float, annulus_scale: Optional[float] = None) -> tuple:
@@ -137,17 +147,19 @@ def dichotomy_check(
     if window[1] <= window[0]:
         return []
     result = eigs_window(H, window)
+    keep = [idx for idx, energy in enumerate(result.energies)
+            if energies is None or any(abs(energy - e) < 1e-12 for e in energies)]
+    if not keep:
+        return []
+    arrays = _w_arrays(H.grid, x0, nu, L)
     records = []
     factor = outer_box.side / L
-    for idx, energy in enumerate(result.energies):
-        if energies is not None and not any(abs(energy - e) < 1e-12 for e in energies):
-            continue
-        prof = w_profile(H.grid, float(energy), result.vectors[:, idx], x0, nu,
-                         annulus_scale=L, outer_factor=factor)
-        b1 = prof.w_x <= math.exp(-M * L ** vartheta)
-        b2 = prof.w_x_L <= math.exp(-M * L)
-        prod = prof.w_x * prof.w_x_L <= math.exp(-0.5 * M * L ** vartheta)
-        records.append(DichotomyRecord(float(energy), prof.w_x, prof.w_x_L,
+    for idx in keep:
+        w_x, w_xl = _w_values(H.grid, result.vectors[:, idx], arrays)
+        b1 = w_x <= math.exp(-M * L ** vartheta)
+        b2 = w_xl <= math.exp(-M * L)
+        prod = w_x * w_xl <= math.exp(-0.5 * M * L ** vartheta)
+        records.append(DichotomyRecord(float(result.energies[idx]), w_x, w_xl,
                                        b1, b2, prod, factor))
     return records
 

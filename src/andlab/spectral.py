@@ -338,9 +338,12 @@ class ResolventFactorization:
         self.divergent = self.gap < 1e-10 * H.norm_bound()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(H - E)^{-1} rhs``.  Raises ``FloatingPointError`` when the
-        banded solve meets a singular ``H - E`` or any solution is not finite."""
+        """``(H - E)^{-1} rhs``.  Raises ``FloatingPointError`` when ``H - E``
+        is singular (no SuperLU factor, or a singular banded solve) or any
+        solution is not finite."""
         if self._bands is None:
+            if self._lu is None:
+                raise FloatingPointError("singular resolvent solve: H - E has no LU factor")
             out = self._lu.solve(rhs)
         else:
             try:

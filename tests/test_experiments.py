@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pickle
@@ -216,6 +217,42 @@ class TestRunnerDeterminism:
         c1 = (out1 / "ids_curve.csv").read_bytes()
         c2 = (out2 / "ids_curve.csv").read_bytes()
         assert c1 != c2
+
+
+def _qucp_records(tmp_path, name: str) -> list:
+    """The data rows of the shipped ``qucp`` config, as dicts."""
+    out = run_experiment(load_config(CONFIG_DIR / "qucp.json"), str(tmp_path / name),
+                         workers_override=1)
+    lines = (out / "qucp_records.csv").read_text().splitlines()
+    return list(csv.DictReader(line for line in lines if not line.startswith("#")))
+
+
+class TestQucpGroundPair:
+    def test_trial_asks_for_the_ground_pair_alone(self, tmp_path, monkeypatch):
+        caps = []
+        window = runner.eigs_window
+
+        def spy(H, interval, max_count=10**6):
+            caps.append(max_count)
+            return window(H, interval, max_count)
+
+        monkeypatch.setattr(runner, "eigs_window", spy)
+        cfg = load_config(CONFIG_DIR / "qucp.json")
+        assert _qucp_records(tmp_path, "one")
+        assert caps == [1] * cfg.n_samples
+
+    def test_records_match_a_four_pair_reference(self, tmp_path, monkeypatch):
+        one = _qucp_records(tmp_path, "one")
+        window = runner.eigs_window
+        monkeypatch.setattr(runner, "eigs_window",
+                            lambda H, interval, max_count: window(H, interval, max_count=4))
+        four = _qucp_records(tmp_path, "four")
+        assert len(one) == len(four) > 0
+        for new, ref in zip(one, four):
+            assert [new[k] for k in ("trial", "x", "R", "skipped")] == \
+                [ref[k] for k in ("trial", "x", "R", "skipped")]
+            if float(ref["lhs"]) >= 1e-20:
+                assert float(new["lhs"]) == pytest.approx(float(ref["lhs"]), rel=1e-7)
 
 
 class TestCli:

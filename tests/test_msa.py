@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from andlab import spectral
+from andlab import msa, spectral
 from andlab.discretize import Grid, GridSpec, empty_configuration
 from andlab.errors import ScaleError, ValidationError
 from andlab.model import (Atoms, Bernoulli, BoxSpec, Configuration, SiteProfile,
@@ -245,6 +245,24 @@ class TestCandidatePairs:
         centers = lattice_sites(make_box(1, 40.0)).astype(float)
         with pytest.raises(ValidationError, match="pair_cap"):
             _candidate_pairs(centers, 0.4, pair_cap, seed=7)
+
+    def test_computed_once_per_box(self, monkeypatch):
+        # 199 centers give 19701 pairs at L = 200, so the seeded subsample runs
+        calls = []
+        monkeypatch.setattr(msa, "_candidate_pairs",
+                            lambda *args: calls.append(args) or _candidate_pairs(*args))
+        msa._box_pairs.cache_clear()
+        box = make_box(1, 200.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, 0, 0)
+        args = (box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1, FreeSitePolicy(seed=3))
+        first, second = check_goodness(*args), check_goodness(*args)
+        assert len(calls) == 1
+        assert first == second and first.worst_pair is not None
+        centers, i, j, dist = msa._box_pairs(box, msa.PAIR_CAP, 3)
+        assert len(calls) == 1 and len(dist) == msa.PAIR_CAP
+        assert not any(arr.flags.writeable for arr in (centers, i, j, dist))
+        expected = _candidate_pairs(lattice_sites(box).astype(float), 2.0, msa.PAIR_CAP, 3)
+        assert all(np.array_equal(a, b) for a, b in zip((i, j, dist), expected))
 
 
 def _reference_block_norms(self, source, targets):

@@ -122,6 +122,20 @@ class TestEigsWindow:
         assert res.truncated and res.solver == "tridiagonal"
         assert len(res.energies) and np.all(res.energies >= lo)
 
+    @pytest.mark.parametrize("L", [16.0, 60.0, 200.0])
+    @pytest.mark.parametrize("points", [2, 4, 8])
+    @pytest.mark.parametrize("dist", [Bernoulli(0.5), Uniform01()], ids=["bernoulli", "uniform"])
+    def test_one_pair_is_the_first_of_four(self, L, points, dist):
+        # the qucp trial's window, capped at its ground pair and at four pairs
+        H, _ = random_hamiltonian(1, L, points, dist, seed=int(L) + points)
+        upper = 4.0 * (np.pi / L) ** 2 + float(np.max(H.potential)) + 1.0
+        one, four = (eigs_window(H, (-0.1, upper), max_count=k) for k in (1, 4))
+        assert len(one.energies) == 1 and one.truncated and len(four.energies) == 4
+        assert abs(one.energies[0] - four.energies[0]) <= \
+            4.0 * np.finfo(float).eps * H.norm_bound()
+        overlap = H.grid.weight() * abs(one.vectors[:, 0] @ four.vectors[:, 0])
+        assert overlap >= 1.0 - 1e-10
+
     def test_tridiagonal_never_densifies_or_calls_arpack(self, monkeypatch):
         H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=5)
 
@@ -393,6 +407,16 @@ class TestResolventProbes:
         assert fac.divergent
         with pytest.raises(FloatingPointError):
             fac.solve(np.eye(nodes)[:, :2])
+
+    def test_singular_superlu_solve_raises(self):
+        # the free periodic ring's diagonal 32 is one of its eigenvalues, so
+        # SuperLU finds H - E exactly singular and keeps no factor
+        H = assemble(make_box(1, 6.0), n=4, boundary="periodic")
+        assert not spectral.is_tridiagonal(H) and np.all(H.matrix.diagonal() == 32.0)
+        fac = ResolventFactorization(H, 32.0)
+        assert fac.divergent and fac._lu is None
+        with pytest.raises(FloatingPointError):
+            fac.solve(np.eye(H.size)[:, :2])
 
     def test_divergent_at_eigenvalue(self):
         H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=7)
