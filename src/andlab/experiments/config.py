@@ -107,26 +107,28 @@ def load_config(path) -> ExperimentConfig:
 # builders from spec dicts (picklable inputs for worker processes)
 # ---------------------------------------------------------------------------
 
+_DISTRIBUTION_KEYS = {"bernoulli": {"kind", "q"}, "uniform01": {"kind"},
+                      "atoms": {"kind", "points"}, "mixture": {"kind", "components"}}
+_PROFILE_KEYS = {"u_plus", "delta_plus", "u_minus", "delta_minus"}
+_GRID_KEYS = {"points_per_unit", "boundary"}
+
+
 def build_distribution(spec: dict) -> SingleSiteDistribution:
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _DISTRIBUTION_KEYS:
+        raise ValidationError(f"unknown distribution kind {kind!r}")
+    _reject_unknown(spec, _DISTRIBUTION_KEYS[kind], "distribution")
     if kind == "bernoulli":
-        _reject_unknown(spec, {"kind", "q"}, "distribution")
         return Bernoulli(float(spec.get("q", 0.5)))
     if kind == "uniform01":
-        _reject_unknown(spec, {"kind"}, "distribution")
         return Uniform01()
     if kind == "atoms":
-        _reject_unknown(spec, {"kind", "points"}, "distribution")
         return Atoms(tuple((float(v), float(w)) for v, w in spec["points"]))
-    if kind == "mixture":
-        _reject_unknown(spec, {"kind", "components"}, "distribution")
-        return Mixture(tuple((float(w), build_distribution(c))
-                             for w, c in spec["components"]))
-    raise ValidationError(f"unknown distribution kind {kind!r}")
+    return Mixture(tuple((float(w), build_distribution(c)) for w, c in spec["components"]))
 
 
 def build_profile(spec: dict) -> SiteProfile:
-    _reject_unknown(spec, {"u_plus", "delta_plus", "u_minus", "delta_minus"}, "profile")
+    _reject_unknown(spec, _PROFILE_KEYS, "profile")
     return SiteProfile(
         u_plus=float(spec.get("u_plus", 1.0)),
         delta_plus=float(spec.get("delta_plus", 1.0)),
@@ -136,12 +138,12 @@ def build_profile(spec: dict) -> SiteProfile:
 
 
 def build_grid(spec: dict) -> GridSpec:
-    _reject_unknown(spec, {"points_per_unit", "boundary"}, "grid")
+    _reject_unknown(spec, _GRID_KEYS, "grid")
     return GridSpec(int(spec["points_per_unit"]), spec.get("boundary", "dirichlet"))
 
 
 _V_PER_KEYS = {"zero": {"kind"},
-               "cosine": {"kind", "amplitude", "period", "offset", "auto_shift", "dimension"}}
+               "cosine": {"kind", "amplitude", "period", "offset", "auto_shift"}}
 
 
 def _v_per_kind(spec: dict) -> str:
@@ -160,9 +162,11 @@ def _cosine(amplitude: float, period: int, offset: float, shift: float, points):
     return offset + amplitude * np.sum(np.cos(2.0 * np.pi * points / period), axis=1) - shift
 
 
-def build_v_per(spec: Optional[dict]) -> Optional[PeriodicField]:
+def build_v_per(spec: Optional[dict], dimension: Optional[int] = None,
+                points_per_unit: Optional[int] = None) -> Optional[PeriodicField]:
     """The periodic field of a ``v_per`` spec; picklable, so a model built
-    once per run crosses to worker processes."""
+    once per run crosses to worker processes.  ``auto_shift`` normalizes
+    inf spec(-Lap + V_per) to zero at the dimension and mesh of its box."""
     if spec is None or _v_per_kind(spec) == "zero":
         return None
     period = int(spec.get("period", 1))
@@ -170,8 +174,10 @@ def build_v_per(spec: Optional[dict]) -> Optional[PeriodicField]:
                      float(spec.get("offset", 0.0)))
     field = PeriodicField(partial(cosine, 0.0), period)
     if spec.get("auto_shift", False):
-        # normalize inf spec(-Lap + V_per) to zero (off by default)
-        shift = periodic_ground_energy(field, int(spec.get("dimension", 1)))
+        if dimension is None or points_per_unit is None:
+            raise ValidationError("v_per auto_shift needs the dimension and "
+                                  "points_per_unit of the box it shifts")
+        shift = periodic_ground_energy(field, dimension, points_per_unit)
         return PeriodicField(partial(cosine, shift), period)
     return field
 

@@ -55,8 +55,16 @@ def map_trials(fn: Callable, trials: range, workers: int) -> list:
 def _model(cfg: ExperimentConfig) -> tuple:
     """``(distribution, grid, profile, v_per)`` of the config's model."""
     model = cfg.model
-    return (build_distribution(model["distribution"]), build_grid(model["grid"]),
-            build_profile(model["profile"]), build_v_per(model.get("v_per")))
+    grid = build_grid(model["grid"])
+    return (build_distribution(model["distribution"]), grid, build_profile(model["profile"]),
+            build_v_per(model.get("v_per"), D, grid.points_per_unit))
+
+
+def _initial_scale_values(model: tuple, L: float, p: float, eps: float) -> tuple:
+    """``(E_L, m_L)`` at the model's support side delta_plus and V_per period q."""
+    _, _, profile, v_per = model
+    return initial_scale_values(L, p, D, eps, profile.delta_plus,
+                                1 if v_per is None else v_per.period)
 
 
 def _hamiltonian(model: tuple, root_seed: int, L: float, trial: int):
@@ -156,21 +164,18 @@ def _run_constants(cfg: ExperimentConfig, out: Path, workers: int) -> list:
 
 
 def _initial_scale_inputs(params: dict, root_seed: int, model: tuple, L: float) -> tuple:
-    E_L, m_L = initial_scale_values(L, float(params["p"]), D, float(params["eps"]),
-                                    float(params.get("delta_plus", 1.0)),
-                                    int(params.get("q", 1)))
+    E_L, m_L = _initial_scale_values(model, L, float(params["p"]), float(params["eps"]))
     threshold = float(params.get("energy_factor", 2.0)) * E_L
     return E_L, m_L, partial(_trial_initial_scale, model, root_seed, L, threshold)
 
 
-# goodness-ladder energy/rate rules: kind -> (keys, required, (rule, L, p) -> (energy, m))
+# goodness-ladder energy/rate rules: kind -> (keys, required, (rule, model, L, p) -> (energy, m))
 _RULES = {
-    "initial-scale": ({"kind", "eps", "delta_plus", "q"}, set(),
-                      lambda rule, L, p: initial_scale_values(
-                          L, p, D, float(rule.get("eps", 1.0)),
-                          float(rule.get("delta_plus", 1.0)), int(rule.get("q", 1)))),
+    "initial-scale": ({"kind", "eps"}, set(),
+                      lambda rule, model, L, p: _initial_scale_values(
+                          model, L, p, float(rule.get("eps", 1.0)))),
     "fixed": ({"kind", "energy", "m"}, {"energy", "m"},
-              lambda rule, L, p: (float(rule["energy"]), float(rule["m"]))),
+              lambda rule, model, L, p: (float(rule["energy"]), float(rule["m"]))),
 }
 
 
@@ -193,8 +198,8 @@ def _check_rules(params: dict) -> None:
 def _goodness_inputs(params: dict, root_seed: int, model: tuple, L: float) -> tuple:
     p = float(params["p"])
     energy_rule, m_rule = params["energy_rule"], params["m_rule"]
-    energy, _ = _RULES[energy_rule["kind"]][2](energy_rule, L, p)
-    _, m = _RULES[m_rule["kind"]][2](m_rule, L, p)
+    energy, _ = _RULES[energy_rule["kind"]][2](energy_rule, model, L, p)
+    _, m = _RULES[m_rule["kind"]][2](m_rule, model, L, p)
     dist, grid, profile, v_per = model
     return energy, m, partial(goodness_trial, dist, BoxSpec(D, (0.0,) * D, L), grid, profile,
                               energy, m, float(params["varsigma"]), root_seed, v_per,
@@ -314,21 +319,25 @@ def _check_benchmarks(params: dict) -> None:
         if not isinstance(bench, dict):
             raise ValidationError("each entry of params.benchmarks must be an object")
         _reject_unknown(bench, _BENCHMARK_KEYS, "benchmark")
-        if bench.get("v_per") is not None:
-            _v_per_kind(bench["v_per"])
+        spec = bench.get("v_per")
+        q = 1 if spec is None or _v_per_kind(spec) == "zero" else int(spec.get("period", 1))
+        if bench.get("q", q) != q:  # the q column echoes the field's period
+            raise ValidationError(f"benchmark q {bench['q']!r} differs from its "
+                                  f"v_per period {q}")
 
 
 def _run_periodic_gap(cfg: ExperimentConfig, out: Path, workers: int) -> list:
     rows = []
     for bench in cfg.params["benchmarks"]:
-        res = periodic_projection_gap(
-            build_v_per(bench.get("v_per")), float(bench["L"]),
-            GridSpec(int(bench["points_per_unit"]), "periodic"),
-            tuple(bench["interval"]), float(bench["delta"]),
-            int(bench.get("dimension", 1)))
-        rows.append({"q": bench.get("q", 1), "L": bench["L"], "delta": bench["delta"],
-                     "lo": bench["interval"][0], "hi": bench["interval"][1],
-                     "count": res.count, "gap": res.gap, "empty": res.empty})
+        dimension, points_per_unit = int(bench.get("dimension", 1)), int(bench["points_per_unit"])
+        v_per = build_v_per(bench.get("v_per"), dimension, points_per_unit)
+        res = periodic_projection_gap(v_per, float(bench["L"]),
+                                      GridSpec(points_per_unit, "periodic"),
+                                      tuple(bench["interval"]), float(bench["delta"]), dimension)
+        rows.append({"q": 1 if v_per is None else v_per.period, "L": bench["L"],
+                     "delta": bench["delta"], "lo": bench["interval"][0],
+                     "hi": bench["interval"][1], "count": res.count, "gap": res.gap,
+                     "empty": res.empty})
     write_csv(out / "periodic_gap.csv",
               ("q", "L", "delta", "lo", "hi", "count", "gap", "empty"),
               [dict(r, gap="" if r["gap"] is None else r["gap"]) for r in rows],
@@ -367,7 +376,7 @@ KINDS = {
                 ("L", "E_L", "m_L", "n", "successes", "p_hat", "wilson_low",
                  "wilson_high", "target", "verdict"),
                 "P{lambda_min >= factor * E_L} per scale"),
-        {"scales", "p", "eps"}, {"delta_plus", "q", "energy_factor"}),
+        {"scales", "p", "eps"}, {"energy_factor"}),
     "goodness-ladder": Kind(
         partial(_run_ladder, _goodness_inputs,
                 ("L", "E", "m", "n", "good", "p_hat", "wilson_low", "wilson_high",

@@ -18,6 +18,7 @@ from andlab.experiments.config import (build_distribution, build_grid,
 from andlab.experiments.emit import emit_plotdata, write_csv
 from andlab.experiments import runner
 from andlab.experiments.runner import KINDS, run_experiment
+from andlab.msa import initial_scale_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -201,9 +202,10 @@ class TestRunnerDeterminism:
     def test_v_per_field_pickles_bitwise(self):
         spec = {"kind": "cosine", "period": 2, "amplitude": 0.5, "offset": 0.25,
                 "auto_shift": True}
-        field = build_v_per(spec)
+        field = build_v_per(spec, 1, 8)
         points = np.linspace(-3.0, 3.0, 97)[:, None]
-        shift = config_module.periodic_ground_energy(build_v_per(dict(spec, auto_shift=False)), 1)
+        shift = config_module.periodic_ground_energy(build_v_per(dict(spec, auto_shift=False)),
+                                                     1, 8)
         expected = 0.25 + 0.5 * np.sum(np.cos(2.0 * np.pi * points / 2), axis=1) - shift
         assert field(points).tobytes() == expected.tobytes()
         copy = pickle.loads(pickle.dumps(field))
@@ -217,6 +219,68 @@ class TestRunnerDeterminism:
         c1 = (out1 / "ids_curve.csv").read_bytes()
         c2 = (out2 / "ids_curve.csv").read_bytes()
         assert c1 != c2
+
+
+def _ladder_values(tmp_path, raw: dict, columns: tuple) -> list:
+    """``columns`` of each row of a ladder run's ``ladder.csv``, as floats."""
+    out = run_experiment(validate_config(raw), str(tmp_path), workers_override=1)
+    lines = (out / "ladder.csv").read_text().splitlines()
+    rows = csv.DictReader(line for line in lines if not line.startswith("#"))
+    return [tuple(float(row[c]) for c in columns) for row in rows]
+
+
+class TestModelFacts:
+    """delta_plus, q and the auto-shift box come from the model being run."""
+
+    @pytest.mark.parametrize("delta_plus, period", [(0.5, None), (1.0, 3)])
+    @pytest.mark.parametrize("kind", ["initial-scale", "goodness-ladder"])
+    def test_initial_scale_energy_reads_the_model(self, tmp_path, kind, delta_plus, period):
+        if kind == "initial-scale":
+            raw = json.loads((CONFIG_DIR / "initial_scale.json").read_text())
+            columns = ("E_L", "m_L")
+        else:
+            raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+            rule = {"kind": "initial-scale", "eps": 1.0}
+            raw["params"]["energy_rule"] = raw["params"]["m_rule"] = rule
+            columns = ("E", "m")
+        raw["model"]["profile"]["delta_plus"] = delta_plus
+        if period is not None:
+            raw["model"]["v_per"] = {"kind": "cosine", "amplitude": 0.5, "period": period}
+        raw["run"]["n_samples"] = 1
+        scales, p = [float(L) for L in raw["params"]["scales"]], raw["params"]["p"]
+        expected = [initial_scale_values(L, p, 1, 1.0, delta_plus, period or 1) for L in scales]
+        # q~ = max(q, 2): a period-3 field and a narrower u both move E_L
+        assert expected != [initial_scale_values(L, p, 1, 1.0) for L in scales]
+        assert _ladder_values(tmp_path, raw, columns) == expected
+
+    def test_periodic_gap_shift_reads_its_entry_box(self, tmp_path, monkeypatch):
+        fields = []
+        gap = runner.periodic_projection_gap
+
+        def captured(v_per, *args):
+            fields.append(v_per)
+            return gap(v_per, *args)
+
+        monkeypatch.setattr(runner, "periodic_projection_gap", captured)
+        raw = {"experiment": "periodic-gap", "model": {}, "params": {"benchmarks": [
+            {"q": 2, "L": 4, "delta": 1.0, "interval": [0.0, 1.2], "points_per_unit": 4,
+             "dimension": 2, "v_per": {"kind": "cosine", "amplitude": 0.5, "period": 2,
+                                       "offset": 0.5, "auto_shift": True}}]},
+            "run": {"root_seed": 0}}
+        run_experiment(validate_config(raw), str(tmp_path))
+        assert abs(config_module.periodic_ground_energy(fields[0], 2, 4)) <= 1e-12
+
+    def test_model_shift_reads_its_grid(self):
+        raw = json.loads((CONFIG_DIR / "ids.json").read_text())
+        assert raw["model"]["grid"]["points_per_unit"] == 4
+        raw["model"]["v_per"] = {"kind": "cosine", "period": 2, "amplitude": 0.5,
+                                 "auto_shift": True}
+        v_per = runner._model(validate_config(raw))[3]
+        assert abs(config_module.periodic_ground_energy(v_per, 1, 4)) <= 1e-12
+
+    def test_auto_shift_needs_the_box(self):
+        with pytest.raises(ValidationError, match="points_per_unit"):
+            build_v_per({"kind": "cosine", "period": 2, "auto_shift": True})
 
 
 def _qucp_records(tmp_path, name: str) -> list:
@@ -366,6 +430,42 @@ def goodness_ladder_with_negative_pair_cap():
     return raw, "pair_cap"
 
 
+def v_per_with_dimension():
+    # auto_shift takes the dimension of the box it shifts
+    raw = json.loads((CONFIG_DIR / "dynamical.json").read_text())
+    raw["model"]["v_per"] = {"kind": "cosine", "auto_shift": True, "dimension": 1}
+    return raw, "dimension"
+
+
+def _initial_scale_with(key):
+    # the model fixes delta_plus (its profile) and q (its v_per period)
+    def make():
+        raw = json.loads((CONFIG_DIR / "initial_scale.json").read_text())
+        raw["params"][key] = 1
+        return raw, key
+    make.__name__ = f"initial_scale_with_{key}"
+    return make
+
+
+def _initial_scale_rule_with(key):
+    def make():
+        raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+        raw["params"]["energy_rule"] = {"kind": "initial-scale", key: 1}
+        return raw, key
+    make.__name__ = f"initial_scale_rule_with_{key}"
+    return make
+
+
+def _periodic_gap_with_q(entry, q):
+    # the q column echoes the entry's field period, 1 without a field
+    def make():
+        raw = json.loads((CONFIG_DIR / "periodic_gap.json").read_text())
+        raw["params"]["benchmarks"][entry]["q"] = q
+        return raw, "period"
+    make.__name__ = f"periodic_gap_entry_{entry}_with_q_{q}"
+    return make
+
+
 def ids_with_bad_energy_grid_key():
     raw = json.loads((CONFIG_DIR / "ids.json").read_text())
     raw["params"]["energy_grid"] = {"start": 0.1, "stop": 1.5, "count": 8}
@@ -381,6 +481,13 @@ def ids_with_bad_energy_grid_key():
                                       _model_with("profile", "u_plsu"),
                                       _model_with("grid", "points_per_unti"),
                                       _model_with("v_per", "amplitdue"),
+                                      v_per_with_dimension,
+                                      _initial_scale_with("delta_plus"),
+                                      _initial_scale_with("q"),
+                                      _initial_scale_rule_with("delta_plus"),
+                                      _initial_scale_rule_with("q"),
+                                      _periodic_gap_with_q(2, 3),
+                                      _periodic_gap_with_q(0, 2),
                                       goodness_ladder_with_bad_rule_key,
                                       goodness_ladder_with_fixed_rule_missing_key,
                                       ids_with_bad_energy_grid_key,
@@ -421,6 +528,71 @@ class TestRegistry:
         raw["params"]["bogus_knob"] = 1
         with pytest.raises(ValidationError, match="bogus_knob"):
             validate_config(raw)
+
+
+def _accepted_keys() -> set:
+    """``(section, key)`` for every key the config schema accepts."""
+    sections = {"run": config_module._RUN_KEYS, "profile": config_module._PROFILE_KEYS,
+                "grid": config_module._GRID_KEYS, "benchmark": runner._BENCHMARK_KEYS}
+    sections.update({f"distribution.{kind}": keys
+                     for kind, keys in config_module._DISTRIBUTION_KEYS.items()})
+    sections.update({f"v_per.{kind}": keys for kind, keys in config_module._V_PER_KEYS.items()})
+    sections.update({f"rule.{kind}": rule[0] for kind, rule in runner._RULES.items()})
+    sections.update({f"params.{kind}": entry.required | entry.optional
+                     for kind, entry in KINDS.items()})
+    return {(section, key) for section, keys in sections.items() for key in keys}
+
+
+def _keys_set_by(raw: dict) -> set:
+    """``(section, key)`` for every key a config sets, in the sections above."""
+    params, model = raw["params"], raw.get("model", {})
+    found = {("run", key) for key in raw.get("run", {})}
+    found |= {(f"params.{raw['experiment']}", key) for key in params}
+    found |= {(section, key) for section in ("profile", "grid") for key in model.get(section, {})}
+    dists = [model["distribution"]] if "distribution" in model else []
+    while dists:
+        dist = dists.pop()
+        found |= {(f"distribution.{dist['kind']}", key) for key in dist}
+        dists += [component for _, component in dist.get("components", [])]
+    benches = params.get("benchmarks", [])
+    found |= {("benchmark", key) for bench in benches for key in bench}
+    for spec in [model.get("v_per")] + [bench.get("v_per") for bench in benches]:
+        if spec is not None:
+            found |= {(f"v_per.{spec.get('kind', 'zero')}", key) for key in spec}
+    for name in ("energy_rule", "m_rule"):
+        if name in params:
+            found |= {(f"rule.{params[name]['kind']}", key) for key in params[name]}
+    return found
+
+
+# Accepted keys that no shipped or benchmark config sets.  Each is an input
+# of its experiment or a choice of model, not a fact that the model already
+# fixes; a key that restates the model belongs to the model instead.
+UNSET_INPUTS = {
+    "run": {"out"},                                  # the CLI's --out sets it too
+    "profile": {"u_minus", "delta_minus"},           # the lower bound u >= u_minus 1_{delta_minus}
+    "distribution.atoms": {"kind", "points"},
+    "distribution.mixture": {"kind", "components"},
+    "v_per.zero": {"kind"},
+    "v_per.cosine": {"auto_shift"},
+    "benchmark": {"dimension"},                      # 2-d periodic-gap entries
+    "rule.initial-scale": {"kind", "eps"},
+    "params.initial-scale": {"energy_factor"},
+    "params.dichotomy": {"x0"},
+    "params.qucp": {"theta_center", "D"},
+    # constants has no model, so its delta_plus and q are inputs
+    "params.constants": {"p_tilde", "rho", "eps", "delta_plus", "q"},
+}
+
+
+def test_every_accepted_key_is_set_or_an_input():
+    configs = sorted(CONFIG_DIR.glob("*.json")) + \
+        sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*/*.json"))
+    set_keys = set().union(*(_keys_set_by(json.loads(path.read_text())) for path in configs))
+    accepted = _accepted_keys()
+    assert set_keys <= accepted
+    assert accepted - set_keys == {(section, key) for section, keys in UNSET_INPUTS.items()
+                                   for key in keys}
 
 
 # SuperLU/ARPACK, scipy.special and the process pool, each imported on first use

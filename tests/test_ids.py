@@ -114,3 +114,39 @@ class TestFullSpectrum:
         got = full_spectrum(H)
         assert np.all(np.diff(got) >= 0.0)
         assert np.allclose(got, la.eigvalsh(H.matrix.toarray()), atol=1e-10)
+
+
+@pytest.mark.parametrize("d, L", [(1, 20.0), (2, 5.0)])
+class TestTieConvention:
+    """``ids_counts`` counts #{lambda <= E}; ``eigenvalue_count`` counts
+    #{lambda < E}.  The two agree wherever E is not an eigenvalue."""
+
+    @staticmethod
+    def _setup(d, L):
+        from andlab.discretize import assemble_hamiltonian
+        from andlab.ids import full_spectrum, ids_counts
+        from andlab.model import sample_configuration
+
+        dist, box, grid = Bernoulli(0.5), make_box(d, L), GridSpec(4)
+        H = assemble_hamiltonian(box, grid, SiteProfile(),
+                                 sample_configuration(dist, box, None, 3, 0))
+        vals = full_spectrum(H)
+        # indices of eigenvalues well apart from both neighbours
+        apart = np.diff(vals) > 1e-9 * H.norm_bound()
+        simple = np.flatnonzero(np.r_[True, apart] & np.r_[apart, True])[::7]
+        return H, vals, simple, lambda energies: ids_counts(dist, box, grid, SiteProfile(),
+                                                            energies, 3, None, 0)
+
+    def test_an_eigenvalue_on_the_grid_is_counted(self, d, L):
+        _, vals, simple, counts = self._setup(d, L)
+        assert len(simple) >= 10
+        assert counts(vals[simple]).tolist() == (simple + 1).tolist()
+
+    def test_midway_counts_equal_eigenvalue_count(self, d, L):
+        from andlab.spectral import eigenvalue_count
+
+        H, vals, simple, counts = self._setup(d, L)
+        simple = simple[simple < len(vals) - 1]
+        mid = (vals[simple] + vals[simple + 1]) / 2.0
+        assert counts(mid).tolist() == (simple + 1).tolist()
+        assert counts(mid).tolist() == eigenvalue_count(H, mid).tolist()
