@@ -48,7 +48,6 @@ def file_digest(path) -> str:
 
 PLOT_COLUMNS = {
     "ids": ("E", "N_hat", "se"),
-    "decay": ("distance", "log_mass", "zero"),
     "ladder": ("L", "p_hat", "halfwidth"),
 }
 
@@ -63,6 +62,5 @@ def emit_plotdata(rows: Sequence[dict], kind: str, path) -> None:
         raise ValidationError(f"unknown plot kind {kind!r}")
     cols = PLOT_COLUMNS[kind]
     write_csv(path, ("x", "y", "yerr"),
-              [{"x": r[cols[0]], "y": r[cols[1]],
-                "yerr": 0.0 if cols[2] == "zero" else r[cols[2]]} for r in rows],
+              [{"x": r[cols[0]], "y": r[cols[1]], "yerr": r[cols[2]]} for r in rows],
               comment=f"plot data kind={kind}: x={cols[0]} y={cols[1]} yerr={cols[2]}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -25,7 +25,7 @@ from ..discretize import GridSpec, assemble_hamiltonian
 from ..errors import ValidationError
 from ..ids import ids_counts, ids_curve, log_holder_modulus
 from ..model import AnnulusSpec, BoxSpec, sample_configuration
-from ..msa import PAIR_CAP, goodness_trial, initial_scale_values, ladder_row, msa_constants
+from ..msa import PAIR_CAP, MsaParams, goodness_trial, initial_scale_values, ladder_row
 from ..observables import dichotomy_check, dynamical_moment
 from ..qucp import periodic_projection_gap, qucp_verify
 from ..rng import derive_key, uniforms
@@ -104,8 +104,10 @@ def _trial_dynamical(model: tuple, root_seed: int, L: float, interval: tuple, b:
 def _trial_qucp(model: tuple, root_seed: int, L: float, delta: float, theta: BoxSpec,
                 probes: list, D_bound: Optional[float], trial: int) -> list:
     H = _hamiltonian(model, root_seed, L, trial)
+    # min V < lambda_0 <= max V + the free ground energy (Dirichlet box)
+    lower = min(-0.1, float(np.min(H.potential)) - 0.1)
     upper = 4.0 * (np.pi / L) ** 2 + float(np.max(H.potential)) + 1.0
-    res = eigs_window(H, (-0.1, upper), max_count=1)  # qucp_verify reads the ground pair
+    res = eigs_window(H, (lower, upper), max_count=1)  # qucp_verify reads the ground pair
     if len(res.energies) == 0:
         return []
     fit = qucp_verify(H, res.vectors[:, 0], float(res.energies[0]), theta, delta, probes,
@@ -159,7 +161,7 @@ def _run_covering_suite(cfg: ExperimentConfig, out: Path, workers: int) -> list:
 
 
 def _run_constants(cfg: ExperimentConfig, out: Path, workers: int) -> list:
-    write_json(out / "constants.json", msa_constants(**cfg.params).to_dict())
+    write_json(out / "constants.json", MsaParams(**cfg.params).to_dict())
     return ["constants.json"]
 
 
@@ -310,6 +312,7 @@ def _run_qucp(cfg: ExperimentConfig, out: Path, workers: int) -> list:
 
 
 _BENCHMARK_KEYS = {"q", "L", "delta", "interval", "points_per_unit", "dimension", "v_per"}
+_BENCHMARK_REQUIRED = {"L", "delta", "interval", "points_per_unit"}
 
 
 def _check_benchmarks(params: dict) -> None:
@@ -319,11 +322,21 @@ def _check_benchmarks(params: dict) -> None:
         if not isinstance(bench, dict):
             raise ValidationError("each entry of params.benchmarks must be an object")
         _reject_unknown(bench, _BENCHMARK_KEYS, "benchmark")
+        missing = sorted(_BENCHMARK_REQUIRED - set(bench))
+        if missing:
+            raise ValidationError(f"missing key {missing[0]!r} in benchmark")
         spec = bench.get("v_per")
         q = 1 if spec is None or _v_per_kind(spec) == "zero" else int(spec.get("period", 1))
         if bench.get("q", q) != q:  # the q column echoes the field's period
             raise ValidationError(f"benchmark q {bench['q']!r} differs from its "
                                   f"v_per period {q}")
+        # the tolerance and bounds of periodic_projection_gap, checked before any output
+        ratio = float(bench["L"]) / q
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ValidationError(f"benchmark L {bench['L']!r} is not a multiple of "
+                                  f"its v_per period {q}")
+        if not 0.0 < float(bench["delta"]) <= q:
+            raise ValidationError(f"benchmark delta {bench['delta']!r} is outside (0, {q}]")
 
 
 def _run_periodic_gap(cfg: ExperimentConfig, out: Path, workers: int) -> list:
@@ -368,8 +381,7 @@ KINDS = {
     "covering-suite": Kind(_run_covering_suite, {"n_instances", "dims"},
                            {"annulus_instances"}, needs_model=False),
     "constants": Kind(_run_constants, {"d", "p"},
-                      {"p_tilde", "varsigma", "varsigma_prime", "tau", "rho1", "n1",
-                       "rho", "eta", "gamma", "m", "eps", "delta_plus", "q", "L_ref"},
+                      {f.name for f in fields(MsaParams) if f.init} - {"d", "p"},
                       needs_model=False),
     "initial-scale": Kind(
         partial(_run_ladder, _initial_scale_inputs,

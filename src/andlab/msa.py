@@ -12,7 +12,7 @@ claimed for resolvent norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -50,25 +50,28 @@ class MsaParams:
 
     The two exponent families are kept separate: (rho1, rho2 = rho1^n1)
     drives the induction-on-scales constraint, while (rho, beta = rho^n1)
-    drives the localization bookkeeping with vartheta = beta/2.
+    drives the localization bookkeeping with vartheta = beta/2.  Unset,
+    ``p_tilde`` is 0.9 p, ``rho1`` the midpoint of its window
+    (1/(1+p), 3/4 (1 - varsigma)) and ``rho`` equals ``rho1``.  Infeasible
+    tuples come back with failing verdicts, never as errors.
     """
 
     d: int
     p: float
-    p_tilde: float
-    varsigma: float
-    varsigma_prime: float
-    tau: float
-    rho1: float
-    n1: int
-    rho: float
-    eta: float
-    gamma: float
-    m: float
-    eps: float
-    delta_plus: float
-    q: int
-    L_ref: float
+    p_tilde: Optional[float] = None
+    varsigma: float = 0.01
+    varsigma_prime: float = 0.01
+    tau: float = 0.005
+    rho1: Optional[float] = None
+    n1: int = 2
+    rho: Optional[float] = None
+    eta: float = 0.1
+    gamma: float = 4.0 / 3.0
+    m: float = 1.0
+    eps: float = 1.0
+    delta_plus: float = 1.0
+    q: int = 1
+    L_ref: float = 100.0
     # derived
     rho2: float = field(init=False)
     beta: float = field(init=False)
@@ -86,6 +89,14 @@ class MsaParams:
     verdicts: dict = field(init=False)
 
     def __post_init__(self):
+        if self.p_tilde is None:
+            object.__setattr__(self, "p_tilde", 0.9 * self.p)
+        if self.rho1 is None:
+            lo, hi = 1.0 / (1.0 + self.p), 0.75 * (1.0 - self.varsigma)
+            object.__setattr__(self, "rho1", 0.5 * (lo + min(hi, 1.0)) if lo < hi
+                               else 0.5 * (lo + hi))
+        if self.rho is None:
+            object.__setattr__(self, "rho", self.rho1)
         object.__setattr__(self, "rho2", self.rho1 ** self.n1)
         object.__setattr__(self, "beta", self.rho ** self.n1)
         object.__setattr__(self, "vartheta", self.beta / 2.0)
@@ -118,38 +129,7 @@ class MsaParams:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "d", "p", "p_tilde", "varsigma", "varsigma_prime", "tau", "rho1", "n1",
-            "rho", "eta", "gamma", "m", "eps", "delta_plus", "q", "L_ref",
-            "rho2", "beta", "vartheta", "nhat", "M", "m_hat", "E_L", "m_L",
-            "ell1", "ell2", "L_minus", "L_plus")}
-        out["nested_scales"] = list(self.nested_scales)
-        out["verdicts"] = dict(self.verdicts)
-        out["feasible"] = self.feasible
-        return out
-
-
-def msa_constants(d: int, p: float, p_tilde: Optional[float] = None,
-                  varsigma: float = 0.01, varsigma_prime: float = 0.01,
-                  tau: float = 0.005, rho1: Optional[float] = None, n1: int = 2,
-                  rho: Optional[float] = None, eta: float = 0.1,
-                  gamma: float = 4.0 / 3.0, m: float = 1.0, eps: float = 1.0,
-                  delta_plus: float = 1.0, q: int = 1,
-                  L_ref: float = 100.0) -> MsaParams:
-    """Derived constants and per-constraint verdicts for a raw parameter tuple.
-
-    Infeasible tuples come back with failing verdicts, never as errors.
-    """
-    if p_tilde is None:
-        p_tilde = 0.9 * p
-    if rho1 is None:
-        window_lo, window_hi = 1.0 / (1.0 + p), 0.75 * (1.0 - varsigma)
-        rho1 = 0.5 * (window_lo + min(window_hi, 1.0)) if window_lo < window_hi \
-            else 0.5 * (window_lo + window_hi)
-    if rho is None:
-        rho = rho1
-    return MsaParams(d, p, p_tilde, varsigma, varsigma_prime, tau, rho1, n1, rho,
-                     eta, gamma, m, eps, delta_plus, q, L_ref)
+        return dict(asdict(self), feasible=self.feasible)
 
 
 def minimal_n1(p: float, rho1: float, varsigma_prime: float) -> Optional[int]:

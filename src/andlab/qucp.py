@@ -350,7 +350,6 @@ class PeriodicGapResult:
     window: tuple
     delta: float
     count: int                  # eigenvalues in the window
-    gamma: Optional[float]      # paper window radius, context only
     empty: bool
 
 
@@ -361,8 +360,6 @@ def periodic_projection_gap(
     interval: tuple,
     delta: float,
     dimension: int = 1,
-    m_hat_exponent: Optional[float] = None,
-    E0: Optional[float] = None,
 ) -> PeriodicGapResult:
     """Smallest eigenvalue of the compressed operator P W_delta P on Ran P.
 
@@ -375,8 +372,7 @@ def periodic_projection_gap(
     inside when ``lo - tol <= lambda <= hi + tol`` with ``tol = 1e-12 *
     norm_bound`` of the one-period operator, so a mode on a window edge (the
     free operator's zero mode at lo = 0) counts whatever the sign of its
-    roundoff.  The optional ``gamma`` reports the paper-shaped window radius
-    for a user-supplied exponent, for context only.
+    roundoff.
     """
     if grid_spec.boundary != "periodic":
         raise ValidationError("periodic projection gap needs periodic boundary")
@@ -393,15 +389,6 @@ def periodic_projection_gap(
                                 empty_configuration(cell_box), v_per)
     lo, hi = interval
     tol = 1e-12 * cell.norm_bound()
-
-    gamma = None
-    if m_hat_exponent is not None:
-        K0 = (E0 if E0 is not None else hi) + \
-            (0.0 if v_per is None else float(np.max(np.abs(cell.potential))))
-        gamma = math.sqrt(0.5 * 41.0 ** (-dimension)
-                          * float(q) ** (-m_hat_exponent * (1.0 + K0 ** (2.0 / 3.0))
-                                         * float(q) ** (4.0 / 3.0)))
-
     w_diag = periodized_ball_indicator(cell.grid.points(), q, delta)
     count, gap = 0, math.inf
     for block in bloch_blocks(cell, int(round(ratio))):
@@ -414,5 +401,5 @@ def periodic_projection_gap(
             count += int(inside.sum())
             gap = min(gap, float(la.eigvalsh(U.conj().T @ (w_diag[:, None] * U))[0]))
     if count == 0:
-        return PeriodicGapResult(None, (lo, hi), delta, 0, gamma, True)
-    return PeriodicGapResult(gap, (lo, hi), delta, count, gamma, False)
+        return PeriodicGapResult(None, (lo, hi), delta, 0, True)
+    return PeriodicGapResult(gap, (lo, hi), delta, count, False)

@@ -28,18 +28,15 @@ Resolvent probes share one solver for ``H - E``: on a tridiagonal H one banded
 LAPACK solve (``gtsv`` through ``solve_banded``, O(n) per right-hand side, no
 factor kept), otherwise one SuperLU factor.  Block norms are exact.
 ``block_norms`` takes one solve for the source columns, then each target
-block's largest singular value.  For tridiagonal H - E the nullity theorem
-(Fiedler-Markham) makes every block of the inverse wholly above or below the
-diagonal rank one, so a target on one side of its source takes its block's
-Frobenius norm, with no SVD.  In d >= 2, or with periodic wrap-around, such
-blocks are not rank one and every target takes the SVD.  A goodness check's
-pair norms all come from ``pair_norms``.  On a tridiagonal H the inverse is
-semiseparable, ``G_ij = u_min(i,j) v_max(i,j)``, so every pair costs one
-exponential after one O(n) pass of Schur-complement recurrences
-(``_semiseparable_logs``, in logarithms); the pair nearest its bound is then
-measured by one ``block_norms`` solve, which must agree to ``CERTIFY_RTOL``
-and whose value is kept.  Otherwise, and when the recurrences or that check
-fail, each source takes one ``block_norms`` solve.  The whole-box norm
+block's largest singular value, one batched SVD per target node count, on
+every structure.  A goodness check's pair norms all come from ``pair_norms``.
+On a tridiagonal H the inverse is semiseparable,
+``G_ij = u_min(i,j) v_max(i,j)``, so every pair costs one exponential after
+one O(n) pass of Schur-complement recurrences (``_semiseparable_logs``, in
+logarithms); the pair nearest its bound is then measured by one
+``block_norms`` solve, which must agree to ``CERTIFY_RTOL`` and whose value is
+kept.  Otherwise, and when the recurrences or that check fail, each source
+takes one ``block_norms`` solve.  The whole-box norm
 1/dist(E, spectrum) comes from the two eigenvalues next to E on a tridiagonal
 H (a Sturm count and ``stebz`` by index), and from one Lanczos call over the
 LU otherwise.  SuperLU and ARPACK (``scipy.sparse.linalg``) serve only d >= 2
@@ -393,24 +390,15 @@ class ResolventFactorization:
     def block_norms(self, source: np.ndarray, targets) -> np.ndarray:
         """Exact ``|chi_target R chi_source|`` for each target, all given as
         sorted, non-empty node index arrays: one solve for the source columns,
-        then the rank-one rule for tridiagonal H and targets on one side of the
-        source, and one batched SVD per distinct node count for the rest.
-        Raises ``FloatingPointError`` on a non-finite solve."""
+        then one batched SVD per distinct target node count, on every
+        structure.  Raises ``FloatingPointError`` on a non-finite solve."""
         rhs = np.zeros((self.n, len(source)))
         rhs[source, np.arange(len(source))] = 1.0
         sol = self.solve(rhs)
         sizes = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
-        nodes = np.concatenate(targets) if len(targets) else np.zeros(0, dtype=np.intp)
         norms = np.empty(len(targets))
-        first = np.cumsum(sizes) - sizes
-        one_sided = is_tridiagonal(self.H) & ((nodes[first + sizes - 1] < source[0])
-                                              | (nodes[first] > source[-1]))
-        if one_sided.any():
-            norms[one_sided] = _frobenius(sol[nodes[np.repeat(one_sided, sizes)]],
-                                          sizes[one_sided])
-        rest = np.flatnonzero(~one_sided)
-        for size in np.unique(sizes[rest]):
-            group = rest[sizes[rest] == size]
+        for size in np.unique(sizes):
+            group = np.flatnonzero(sizes == size)
             stack = sol[np.stack([targets[g] for g in group])]
             norms[group] = np.linalg.svd(stack, compute_uv=False)[:, 0]
         return norms
@@ -551,29 +539,6 @@ def _log_block_norms(logs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     peak = np.maximum.reduceat(logs, starts)
     return peak + 0.5 * np.log(np.add.reduceat(np.exp(2.0 * (logs - np.repeat(peak, sizes))),
                                                starts))
-
-
-def _frobenius(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Frobenius norms of consecutive row blocks of the given sizes, each block
-    scaled by its largest entry so that no square underflows."""
-    starts = np.cumsum(sizes) - sizes
-    peak = np.maximum.reduceat(np.max(np.abs(rows), axis=1), starts)
-    scaled = rows / np.repeat(np.where(peak > 0.0, peak, 1.0), sizes)[:, None]
-    return peak * np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", scaled, scaled), starts))
-
-
-def resolvent_block_norm(H: HamiltonianMatrix, energy: float,
-                         source_mask: np.ndarray, target_mask: np.ndarray) -> ResolventProbe:
-    """One-shot probe of ``|chi_target (H-E)^{-1} chi_source|``."""
-    return ResolventFactorization(H, energy).block_norm(source_mask, target_mask)
-
-
-def resolvent_norm(H: HamiltonianMatrix, energy: float) -> ResolventProbe:
-    """Whole-box resolvent norm |R(E)| = 1 / dist(E, spectrum)."""
-    fac = ResolventFactorization(H, energy)
-    if fac.divergent:
-        return ResolventProbe(energy, np.nan, DIVERGENT, fac.gap)
-    return ResolventProbe(energy, fac.resolvent_norm, "ok", fac.gap)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from andlab.ids import free_ids_weyl, ids_estimate
 from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Configuration,
                           SiteProfile, Uniform01, lattice_sites,
                           sample_configuration)
-from andlab.msa import (GAMMA_CRITICAL, initial_scale_values, msa_constants,
+from andlab.msa import (GAMMA_CRITICAL, MsaParams, initial_scale_values,
                         n_hat, reduced_spectrum, restrict_configuration)
 from andlab.percolation import bad_cluster
 from andlab.qucp import (carleman_constant, carleman_phi,
@@ -188,8 +188,8 @@ def test_criterion_02_constants_engine():
         rho1 = 0.3 + 0.69 * u[i, 4]
         n1 = 1 + int(6 * u[i, 5])
         rho = 0.3 + 0.69 * u[i, 6]
-        P = msa_constants(d=1, p=p, p_tilde=p_tilde, varsigma=varsigma,
-                          varsigma_prime=varsigma_p, rho1=rho1, n1=n1, rho=rho)
+        P = MsaParams(d=1, p=p, p_tilde=p_tilde, varsigma=varsigma,
+                      varsigma_prime=varsigma_p, rho1=rho1, n1=n1, rho=rho)
         rho2 = rho1 ** n1
         beta = rho ** n1
         brute = {
@@ -206,7 +206,7 @@ def test_criterion_02_constants_engine():
     gammas = np.concatenate([np.linspace(1.0, 2.0, 101),
                              [GAMMA_CRITICAL - 1e-12, GAMMA_CRITICAL + 1e-12]])
     ok_gamma = all(
-        msa_constants(d=1, p=0.35, gamma=float(g)).verdicts["gamma_window_nonempty"]
+        MsaParams(d=1, p=0.35, gamma=float(g)).verdicts["gamma_window_nonempty"]
         == (g < GAMMA_CRITICAL) for g in gammas)
     report(2, "constants engine", ok_nhat and mismatches == 0 and ok_gamma,
            f"n-hat grid ok={ok_nhat}, verdict mismatches={mismatches}/5e5, "

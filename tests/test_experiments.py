@@ -19,6 +19,7 @@ from andlab.experiments.emit import emit_plotdata, write_csv
 from andlab.experiments import runner
 from andlab.experiments.runner import KINDS, run_experiment
 from andlab.msa import initial_scale_values
+from andlab.spectral import lowest_eigenvalue
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -305,6 +306,24 @@ class TestQucpGroundPair:
         assert _qucp_records(tmp_path, "one")
         assert caps == [1] * cfg.n_samples
 
+    def test_ground_pair_below_the_default_window(self, tmp_path, monkeypatch):
+        # V dips to -1.5, so lambda_0 is below -0.1, where the window used to start
+        calls = []
+        verify = runner.qucp_verify
+
+        def spy(H, psi, energy, *args):
+            calls.append((lowest_eigenvalue(H), energy))
+            return verify(H, psi, energy, *args)
+
+        monkeypatch.setattr(runner, "qucp_verify", spy)
+        raw = json.loads((CONFIG_DIR / "qucp.json").read_text())
+        raw["model"]["v_per"] = {"kind": "cosine", "amplitude": 1.0, "period": 1,
+                                 "offset": -0.5}
+        run_experiment(validate_config(raw), str(tmp_path), workers_override=1)
+        assert len(calls) == raw["run"]["n_samples"] and min(c[0] for c in calls) < -0.1
+        for ground, energy in calls:
+            assert energy == pytest.approx(ground, abs=1e-12)
+
     def test_records_match_a_four_pair_reference(self, tmp_path, monkeypatch):
         one = _qucp_records(tmp_path, "one")
         window = runner.eigs_window
@@ -466,6 +485,21 @@ def _periodic_gap_with_q(entry, q):
     return make
 
 
+def _periodic_gap_entry_with(key, value, name):
+    # entry 2 has a period-2 field: its box side must be a multiple of 2, its
+    # delta in (0, 2], as periodic_projection_gap requires
+    def make():
+        raw = json.loads((CONFIG_DIR / "periodic_gap.json").read_text())
+        if value is None:
+            del raw["params"]["benchmarks"][2][key]
+        else:
+            raw["params"]["benchmarks"][2][key] = value
+        return raw, name
+    make.__name__ = (f"periodic_gap_entry_2_without_{key}" if value is None
+                     else f"periodic_gap_entry_2_with_{key}_{value}")
+    return make
+
+
 def ids_with_bad_energy_grid_key():
     raw = json.loads((CONFIG_DIR / "ids.json").read_text())
     raw["params"]["energy_grid"] = {"start": 0.1, "stop": 1.5, "count": 8}
@@ -488,6 +522,9 @@ def ids_with_bad_energy_grid_key():
                                       _initial_scale_rule_with("q"),
                                       _periodic_gap_with_q(2, 3),
                                       _periodic_gap_with_q(0, 2),
+                                      _periodic_gap_entry_with("L", 5, "multiple"),
+                                      _periodic_gap_entry_with("delta", 3, "delta"),
+                                      _periodic_gap_entry_with("L", None, "missing key 'L'"),
                                       goodness_ladder_with_bad_rule_key,
                                       goodness_ladder_with_fixed_rule_missing_key,
                                       ids_with_bad_energy_grid_key,

@@ -221,15 +221,6 @@ class TestPeriodicGap:
             periodic_projection_gap(field, 8.0, GridSpec(4, "periodic"),
                                     (0.0, 0.5), 0.5, 1)
 
-    def test_gamma_context_value(self):
-        res = periodic_projection_gap(None, 8.0, GridSpec(4, "periodic"),
-                                      (0.0, 0.5), 0.5, 1, m_hat_exponent=0.1,
-                                      E0=0.5)
-        q, d, m_hat, K0 = 1.0, 1, 0.1, 0.5
-        expected = math.sqrt(0.5 * 41.0 ** (-d)
-                             * q ** (-m_hat * (1 + K0 ** (2 / 3)) * q ** (4 / 3)))
-        assert res.gamma == pytest.approx(expected)
-
 
 class TestEuclideanGeometry:
     def test_distances_and_diameters(self):

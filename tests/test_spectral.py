@@ -13,8 +13,7 @@ from andlab.model import (Bernoulli, Configuration, SiteProfile, Uniform01, latt
                           sample_configuration)
 from andlab.msa import check_goodness
 from andlab.spectral import (ResolventFactorization, eigenvalue_count, eigs_window,
-                             evolve, lowest_eigenvalue, resolvent_block_norm,
-                             resolvent_norm)
+                             evolve, lowest_eigenvalue)
 
 from conftest import assemble, make_box, random_hamiltonian
 from test_discretize import free_dirichlet_eigenvalues
@@ -364,20 +363,19 @@ class TestResolventProbes:
     def test_spectral_bound_whole_box(self):
         H, _ = random_hamiltonian(1, 10.0, 4, Uniform01(), seed=6)
         lam = lowest_eigenvalue(H)
-        probe = resolvent_norm(H, -1.0)
-        assert probe.status == "ok"
-        assert probe.norm_estimate <= 1.0 / (lam + 1.0) + 1e-8
+        fac = ResolventFactorization(H, -1.0)
+        assert not fac.divergent
+        assert fac.resolvent_norm <= 1.0 / (lam + 1.0) + 1e-8
 
     @pytest.mark.parametrize("d, L, energy", [(1, 30.0, -0.5), (1, 30.0, 0.9),
                                               (2, 6.0, 0.3)])
     def test_whole_box_norm_is_exact(self, d, L, energy):
         H, _ = random_hamiltonian(d, L, 4, Uniform01(), seed=14)
         vals = la.eigvalsh(H.matrix.toarray())
-        probe = resolvent_norm(H, energy)
+        fac = ResolventFactorization(H, energy)
         # 1-d: the neighbouring eigenvalues by index; 2-d: one Lanczos call
-        solves = ResolventFactorization(H, energy).gap_solves
-        assert probe.status == "ok" and (solves == 0 if d == 1 else solves > 0)
-        assert probe.norm_estimate == pytest.approx(
+        assert not fac.divergent and (fac.gap_solves == 0 if d == 1 else fac.gap_solves > 0)
+        assert fac.resolvent_norm == pytest.approx(
             1.0 / np.min(np.abs(vals - energy)), rel=1e-8)
 
     @pytest.mark.parametrize("nodes, where", [
@@ -422,7 +420,7 @@ class TestResolventProbes:
         H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=7)
         lam = lowest_eigenvalue(H)
         full = np.ones(H.size, dtype=bool)
-        probe = resolvent_block_norm(H, lam, full, full)
+        probe = ResolventFactorization(H, lam).block_norm(full, full)
         assert probe.divergent
 
     @pytest.mark.parametrize("offset, divergent", [(1e-12, True), (5e-11, True),
@@ -432,11 +430,10 @@ class TestResolventProbes:
         H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=7)
         lam = lowest_eigenvalue(H)
         E = lam - offset * H.norm_bound()
-        probe = resolvent_norm(H, E)
-        assert probe.divergent == divergent
+        fac = ResolventFactorization(H, E)
+        assert fac.divergent == divergent
         if not divergent:
-            assert probe.status == "ok"
-            assert probe.norm_estimate * (lam - E) == pytest.approx(1.0, rel=1e-6)
+            assert fac.resolvent_norm * (lam - E) == pytest.approx(1.0, rel=1e-6)
 
     def test_block_norm_against_dense_inverse(self):
         rng = np.random.default_rng(11)
@@ -447,7 +444,7 @@ class TestResolventProbes:
             y = float(rng.integers(1, 5))
             src = unit_box_mask(H.grid, (x,))
             tgt = unit_box_mask(H.grid, (y,))
-            probe = resolvent_block_norm(H, E, src, tgt)
+            probe = ResolventFactorization(H, E).block_norm(src, tgt)
             dense = np.linalg.inv(H.matrix.toarray() - E * np.eye(H.size))
             oracle = la.svdvals(dense[np.ix_(np.flatnonzero(tgt),
                                              np.flatnonzero(src))])[0]
@@ -457,14 +454,15 @@ class TestResolventProbes:
         H, _ = random_hamiltonian(1, 12.0, 4, Bernoulli(0.5), seed=8)
         src = unit_box_mask(H.grid, (-3.0,))
         tgt = unit_box_mask(H.grid, (3.0,))
-        a = resolvent_block_norm(H, -0.4, src, tgt).norm_estimate
-        b = resolvent_block_norm(H, -0.4, tgt, src).norm_estimate
+        fac = ResolventFactorization(H, -0.4)
+        a = fac.block_norm(src, tgt).norm_estimate
+        b = fac.block_norm(tgt, src).norm_estimate
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_empty_mask(self):
         H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=9)
         empty = np.zeros(H.size, dtype=bool)
-        probe = resolvent_block_norm(H, -1.0, empty, np.ones(H.size, bool))
+        probe = ResolventFactorization(H, -1.0).block_norm(empty, np.ones(H.size, bool))
         assert probe.status == "empty" and probe.norm_estimate == 0.0
 
     @pytest.mark.parametrize("d, L, n, centers", [
@@ -520,8 +518,8 @@ class TestResolventProbes:
 
         monkeypatch.setattr(ResolventFactorization, "block_norms", blow_up)
         H, _ = random_hamiltonian(1, 12.0, 4, Uniform01(), seed=8)
-        probe = resolvent_block_norm(H, -0.4, unit_box_mask(H.grid, (-3.0,)),
-                                     unit_box_mask(H.grid, (3.0,)))
+        probe = ResolventFactorization(H, -0.4).block_norm(unit_box_mask(H.grid, (-3.0,)),
+                                                           unit_box_mask(H.grid, (3.0,)))
         assert probe.divergent and np.isnan(probe.norm_estimate)
 
 
@@ -539,56 +537,47 @@ def _svd_norms(fac, source, targets):
     return np.array([np.linalg.svd(sol[t], compute_uv=False)[0] for t in targets])
 
 
-class TestRankOneBlockNorms:
-    # in 1-d, R between separated unit boxes is a rank-one block, so its
-    # Frobenius norm is its spectral norm
-    @settings(max_examples=25, deadline=None)
-    @given(L=st.integers(10, 60), n=st.integers(4, 8), seed=st.integers(0, 2**16),
+class TestBlockNorms:
+    # one solve and one SVD per target, bit for bit, whatever the structure:
+    # targets on one side of the source, straddling it and overlapping it,
+    # at energies below, inside, far below and above the spectrum
+    @settings(max_examples=30, deadline=None)
+    @given(structure=st.sampled_from(["dirichlet", "periodic", "2-d"]),
+           L=st.integers(10, 60), n=st.integers(4, 8), seed=st.integers(0, 2**16),
            where=st.sampled_from(["below", "deep", "between", "near", "above"]),
            rank=st.floats(0.0, 1.0))
-    def test_separated_targets_match_svd(self, L, n, seed, where, rank):
-        H, _ = random_hamiltonian(1, float(L), n, Uniform01(), seed=seed)
-        vals = la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
+    @example(structure="dirichlet", L=60, n=8, seed=1, where="deep", rank=0.5)
+    @example(structure="periodic", L=12, n=4, seed=32, where="between", rank=0.5)
+    @example(structure="2-d", L=13, n=4, seed=3, where="near", rank=0.1)
+    def test_one_solve_and_one_svd_per_target(self, structure, L, n, seed, where, rank):
+        d, boundary = (2, "dirichlet") if structure == "2-d" else (1, structure)
+        if d == 2:
+            L, n = 4 + L % 5, 4             # at most 961 nodes
+        box = make_box(d, L)
+        H = assemble(box, n=n, boundary=boundary,
+                     config=sample_configuration(Uniform01(), box, None, seed, 0))
+        assert spectral.is_tridiagonal(H) == (structure == "dirichlet")
+        vals = la.eigvalsh(H.matrix.toarray())
         k = int(rank * (len(vals) - 2))
         energy = {"below": vals[0] - 0.5,
-                  "deep": -150.0,             # norms down to 1e-290 and below
+                  "deep": -150.0,             # 1-d norms down to 1e-290 and below
                   "between": 0.5 * (vals[k] + vals[k + 1]),
                   "near": vals[k] + 1e-9,
                   "above": vals[-1] + 1.0}[where]
         fac = ResolventFactorization(H, energy)
         boxes = _unit_box_nodes(H)
-        for a in range(0, len(boxes), 3):
-            targets = boxes[:a] + boxes[a + 1:]
+        m = len(boxes)
+        for a in range(0, m, 3):
+            around = np.union1d(boxes[a - 1], boxes[(a + 1) % m])  # one on each side
+            holding = np.union1d(around, boxes[a])                  # holds the source
+            overlapping = np.union1d(boxes[a], boxes[(a + 1) % m])[len(boxes[a]) // 2:]
+            targets = boxes[:a] + boxes[a + 1:] + [around, holding, overlapping]
             norms = fac.block_norms(boxes[a], targets)
-            svd = _svd_norms(fac, boxes[a], targets)
-            big = svd > 1e-290
-            assert np.all(np.abs(norms[big] - svd[big]) <= 1e-12 * svd[big])
-
-    def test_straddling_and_non_tridiagonal_targets_keep_the_svd(self, monkeypatch):
-        H, _ = random_hamiltonian(1, 20.0, 6, Uniform01(), seed=31)
-        fac = ResolventFactorization(H, -0.5)
-        boxes = _unit_box_nodes(H)          # 19 boxes; box 9 is centered at 0
-        source = boxes[9]
-        straddling = [np.concatenate(boxes[8:11]),            # holds the source
-                      np.concatenate([boxes[3], boxes[15]]),  # one box on each side
-                      np.concatenate(boxes[9:11])[3:]]        # overlaps its right end
-        targets = [boxes[0], straddling[0], boxes[18], straddling[1], straddling[2]]
-        norms = fac.block_norms(source, targets)
-        svd = _svd_norms(fac, source, targets)
-        assert norms[[1, 3, 4]].tobytes() == svd[[1, 3, 4]].tobytes()
-        assert norms[[0, 2]] == pytest.approx(svd[[0, 2]], rel=1e-12)
+            assert norms.tobytes() == _svd_norms(fac, boxes[a], targets).tobytes()
         # a source with no target is still solved, as check_goodness expects
         solves = []
-        monkeypatch.setattr(ResolventFactorization, "solve",
-                            lambda self, rhs: solves.append(rhs) or np.zeros_like(rhs))
-        assert fac.block_norms(source, []).shape == (0,) and len(solves) == 1
-        monkeypatch.undo()
-        # periodic boundaries wrap the stencil: no target is one-sided there
-        H = periodic_hamiltonian(12.0, seed=32)
-        fac = ResolventFactorization(H, -0.5)
-        boxes = _unit_box_nodes(H)
-        norms = fac.block_norms(boxes[0], boxes[2:])
-        assert norms.tobytes() == _svd_norms(fac, boxes[0], boxes[2:]).tobytes()
+        fac.solve = lambda rhs: solves.append(rhs) or np.zeros_like(rhs)
+        assert fac.block_norms(boxes[0], []).shape == (0,) and len(solves) == 1
 
 
 def _dense_pair_norms(H, energy, nodes, first, second):
