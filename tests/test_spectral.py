@@ -580,6 +580,59 @@ class TestBlockNorms:
         assert fac.block_norms(boxes[0], []).shape == (0,) and len(solves) == 1
 
 
+class TestRankOneBlockNorms:
+    # in 1-d Dirichlet boxes R between separated unit boxes is a rank-one
+    # block: block_norms there, and at straddling or periodic targets, is
+    # still its largest singular value
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(10, 60), n=st.integers(4, 8), seed=st.integers(0, 2**16),
+           where=st.sampled_from(["below", "deep", "between", "near", "above"]),
+           rank=st.floats(0.0, 1.0))
+    def test_separated_targets_match_svd(self, L, n, seed, where, rank):
+        H, _ = random_hamiltonian(1, float(L), n, Uniform01(), seed=seed)
+        vals = la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
+        k = int(rank * (len(vals) - 2))
+        energy = {"below": vals[0] - 0.5,
+                  "deep": -150.0,             # norms down to 1e-290 and below
+                  "between": 0.5 * (vals[k] + vals[k + 1]),
+                  "near": vals[k] + 1e-9,
+                  "above": vals[-1] + 1.0}[where]
+        fac = ResolventFactorization(H, energy)
+        boxes = _unit_box_nodes(H)
+        for a in range(0, len(boxes), 3):
+            targets = boxes[:a] + boxes[a + 1:]
+            norms = fac.block_norms(boxes[a], targets)
+            svd = _svd_norms(fac, boxes[a], targets)
+            big = svd > 1e-290
+            assert np.all(np.abs(norms[big] - svd[big]) <= 1e-12 * svd[big])
+
+    def test_straddling_and_non_tridiagonal_targets_keep_the_svd(self, monkeypatch):
+        H, _ = random_hamiltonian(1, 20.0, 6, Uniform01(), seed=31)
+        fac = ResolventFactorization(H, -0.5)
+        boxes = _unit_box_nodes(H)          # 19 boxes; box 9 is centered at 0
+        source = boxes[9]
+        straddling = [np.concatenate(boxes[8:11]),            # holds the source
+                      np.concatenate([boxes[3], boxes[15]]),  # one box on each side
+                      np.concatenate(boxes[9:11])[3:]]        # overlaps its right end
+        targets = [boxes[0], straddling[0], boxes[18], straddling[1], straddling[2]]
+        norms = fac.block_norms(source, targets)
+        svd = _svd_norms(fac, source, targets)
+        assert norms[[1, 3, 4]].tobytes() == svd[[1, 3, 4]].tobytes()
+        assert norms[[0, 2]] == pytest.approx(svd[[0, 2]], rel=1e-12)
+        # a source with no target is still solved, as check_goodness expects
+        solves = []
+        monkeypatch.setattr(ResolventFactorization, "solve",
+                            lambda self, rhs: solves.append(rhs) or np.zeros_like(rhs))
+        assert fac.block_norms(source, []).shape == (0,) and len(solves) == 1
+        monkeypatch.undo()
+        # periodic boundaries wrap the stencil: no target is one-sided there
+        H = periodic_hamiltonian(12.0, seed=32)
+        fac = ResolventFactorization(H, -0.5)
+        boxes = _unit_box_nodes(H)
+        norms = fac.block_norms(boxes[0], boxes[2:])
+        assert norms.tobytes() == _svd_norms(fac, boxes[0], boxes[2:]).tobytes()
+
+
 def _dense_pair_norms(H, energy, nodes, first, second):
     """Largest singular value of each block of a dense inverse of H - E."""
     G = np.linalg.inv(H.matrix.toarray() - energy * np.eye(H.size))
