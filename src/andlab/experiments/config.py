@@ -41,15 +41,15 @@ class ExperimentConfig:
 
     @property
     def root_seed(self) -> int:
-        return int(self.run.get("root_seed", 0))
+        return self.run.get("root_seed", 0)
 
     @property
     def n_samples(self) -> int:
-        return int(self.run.get("n_samples", 1))
+        return self.run.get("n_samples", 1)
 
     @property
     def workers(self) -> int:
-        return int(self.run.get("workers", 1))
+        return self.run.get("workers", 1)
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -88,7 +88,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if missing:
         raise ValidationError(f"experiment {kind!r} missing params: {sorted(missing)}")
     run = raw.get("run", {})
+    if not isinstance(run, dict):
+        raise ValidationError("run must be an object")
     _reject_unknown(run, _RUN_KEYS, "run")
+    for key in ("root_seed", "n_samples", "workers"):  # a bool or float is refused, not truncated
+        value = run.get(key, 1)
+        bound = "" if key == "root_seed" else " >= 1"
+        if type(value) is not int or bound and value < 1:
+            raise ValidationError(f"run.{key} must be an integer{bound}, got {value!r}")
     if entry.check is not None:
         entry.check(params)
     return ExperimentConfig(kind, dict(model), dict(params), dict(run), raw=raw)

@@ -23,7 +23,7 @@ from .. import __version__
 from ..covering import standard_covering_annulus, standard_covering_box
 from ..discretize import GridSpec, assemble_hamiltonian
 from ..errors import ValidationError
-from ..ids import ids_counts, ids_curve, log_holder_modulus
+from ..ids import checked_energy_grid, ids_counts, ids_curve, log_holder_modulus
 from ..model import AnnulusSpec, BoxSpec, sample_configuration
 from ..msa import PAIR_CAP, MsaParams, goodness_trial, initial_scale_values, ladder_row
 from ..observables import dichotomy_check, dynamical_moment
@@ -250,16 +250,11 @@ def _run_dichotomy(cfg: ExperimentConfig, out: Path, workers: int) -> list:
 
 
 def _check_energy_grid(params: dict) -> None:
-    if isinstance(params["energy_grid"], dict):
-        _reject_unknown(params["energy_grid"], {"start", "stop", "num"}, "params.energy_grid")
+    checked_energy_grid(params["energy_grid"])
 
 
 def _run_ids(cfg: ExperimentConfig, out: Path, workers: int) -> list:
-    spec = cfg.params["energy_grid"]
-    if isinstance(spec, dict):
-        energies = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
-    else:
-        energies = np.asarray([float(v) for v in spec])
+    energies = checked_energy_grid(cfg.params["energy_grid"])
     L = float(cfg.params["L"])
     dist, grid, profile, v_per = _model(cfg)
     trial = partial(ids_counts, dist, BoxSpec(D, (0.0,) * D, L), grid, profile, energies,
@@ -418,9 +413,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     raw = dict(cfg.raw)
     run = dict(raw.get("run", {}))
     if seed_override is not None:
-        run["root_seed"] = int(seed_override)
+        run["root_seed"] = seed_override
     if workers_override is not None:
-        run["workers"] = int(workers_override)
+        run["workers"] = workers_override
     raw["run"] = run
     cfg = validate_config(raw)
     workers = cfg.workers

@@ -3,7 +3,11 @@
 The finite-volume estimator is the disorder average of the normalized
 eigenvalue counting function,
 
-    N(E) ~ mean_omega  #{eigenvalues of H_{omega, Lambda_L} <= E} / L^d.
+    N(E) ~ mean_omega  #{eigenvalues of H_{omega, Lambda_L} <= E} / L^d,
+
+reported as measured at each energy of a strictly increasing grid
+(``checked_energy_grid``), where every trial's count, and so their mean, is
+nondecreasing.  The spectra come from ``spectral.full_spectrum``.
 
 The log-Holder modulus fit regresses ``log dN`` against ``log |log dE|``
 over adjacent grid pairs; the slope plays the role of ``-p d``.
@@ -12,52 +16,70 @@ over adjacent grid pairs; the slope plays the role of ``-p d``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as la
 
 from .discretize import GridSpec, PeriodicField, assemble_hamiltonian
 from .errors import ValidationError
 from .model import BoxSpec, SingleSiteDistribution, SiteProfile, sample_configuration
-from .spectral import is_tridiagonal
+from .spectral import full_spectrum
 
 
 @dataclass
 class IdsCurve:
     energies: np.ndarray
-    values: np.ndarray          # nondecreasing after the isotonic pass
+    values: np.ndarray          # mean count per unit volume at each energy
     stderr: np.ndarray
     n_samples: int
     volume: float
-    isotonic_corrected: bool
 
 
-def full_spectrum(H) -> np.ndarray:
-    """All eigenvalues in ascending order, with a tridiagonal fast path for
-    1-d Dirichlet."""
-    if is_tridiagonal(H):
-        return la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
-    return la.eigvalsh(H.matrix.toarray())
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"energy_grid holds {value!r}, which is not a number")
+    return float(value)
+
+
+def checked_energy_grid(spec) -> np.ndarray:
+    """The energies of an energy grid: a list of energies, or ``{start, stop,
+    num}`` for ``num`` evenly spaced energies from ``start`` to ``stop``.
+
+    The grid must be non-empty, finite and strictly increasing, and ``num``
+    an integer >= 1; bools are refused.
+    """
+    if isinstance(spec, dict):
+        if set(spec) != {"start", "stop", "num"}:
+            raise ValidationError(f"energy_grid object needs exactly the keys start, "
+                                  f"stop and num, got {sorted(spec)}")
+        num = spec["num"]
+        if isinstance(num, bool) or not isinstance(num, numbers.Integral) or num < 1:
+            raise ValidationError(f"energy_grid num must be an integer >= 1, got {num!r}")
+        energies = np.linspace(_number(spec["start"]), _number(spec["stop"]), int(num))
+    elif isinstance(spec, (list, tuple, np.ndarray)):
+        energies = np.array([_number(v) for v in spec], dtype=float)
+    else:
+        raise ValidationError(f"energy_grid must be a list or an object, got {spec!r}")
+    if energies.size == 0 or not np.all(np.isfinite(energies)) \
+            or np.any(np.diff(energies) <= 0.0):
+        raise ValidationError(f"energy_grid must be non-empty, finite and strictly "
+                              f"increasing, got {energies.tolist()}")
+    return energies
 
 
 def ids_curve(energy_grid, counts, volume: float) -> IdsCurve:
-    """IDS curve from per-trial eigenvalue counts (one row per trial).
-
-    The volume-normalized mean count is made nondecreasing by a running
-    maximum; standard errors come from the unbiased sample deviation.
-    """
+    """IDS curve from per-trial eigenvalue counts (one row per trial): the
+    volume-normalized mean count, with standard errors from the unbiased
+    sample deviation."""
     counts = np.asarray(counts, dtype=float)
     n_samples = len(counts)
     values = counts.mean(axis=0) / volume
     stderr = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / volume \
         if n_samples > 1 else np.zeros_like(values)
-    monotone = np.maximum.accumulate(values)
-    corrected = bool(np.any(monotone != values))
-    return IdsCurve(np.asarray(energy_grid, dtype=float), monotone, stderr, n_samples,
-                    volume, corrected)
+    return IdsCurve(np.asarray(energy_grid, dtype=float), values, stderr, n_samples, volume)
 
 
 def ids_counts(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
@@ -79,12 +101,11 @@ def ids_estimate(
     root_seed: int,
     v_per: Optional[PeriodicField] = None,
 ) -> IdsCurve:
-    """Monte Carlo IDS curve on an energy grid (volume-normalized counts)."""
+    """Monte Carlo IDS curve (volume-normalized counts) on an energy grid,
+    given as ``checked_energy_grid`` takes it."""
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    energy_grid = np.asarray(energy_grid, dtype=float)
-    if not np.all(np.isfinite(energy_grid)):
-        raise ValidationError("energy grid must be bounded")
+    energy_grid = checked_energy_grid(energy_grid)
     trial = partial(ids_counts, dist, box, grid_spec, profile, energy_grid, root_seed, v_per)
     return ids_curve(energy_grid, [trial(t) for t in range(n_samples)], box.side ** box.dimension)
 

@@ -7,6 +7,8 @@ straight to LAPACK's tridiagonal routines at every n: ``stebz`` bisection and
 range after reducing the matrix to tridiagonal form, and on an input that is
 already tridiagonal that reduction is exact, so the results are bitwise those
 of the dense solve, without its n x n copy or its O(n^3) Householder pass.
+Its whole spectrum (``full_spectrum``) is one tridiagonal ``sterf`` call, and
+every other H takes a dense ``eigvalsh`` for it.
 
 ``eigenvalue_count`` reads #{eigenvalues < E} from the inertia of ``H - E``
 (Sylvester's law): the negative pivots of an unpivoted ``L D L^T``.  On a
@@ -271,6 +273,14 @@ def lowest_eigenvalue(H: HamiltonianMatrix) -> float:
         return float(la.eigh(H.matrix.toarray(), eigvals_only=True,
                              subset_by_index=(0, 0))[0])
     return float(_shift_invert(H, 1, _gershgorin_lower(H.matrix) - 1.0, vectors=False)[0])
+
+
+def full_spectrum(H: HamiltonianMatrix) -> np.ndarray:
+    """All eigenvalues in ascending order: LAPACK's tridiagonal ``sterf`` on
+    a tridiagonal H, dense ``eigvalsh`` otherwise."""
+    if is_tridiagonal(H):
+        return la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
+    return la.eigvalsh(H.matrix.toarray())
 
 
 # ---------------------------------------------------------------------------

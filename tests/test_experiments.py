@@ -506,6 +506,36 @@ def ids_with_bad_energy_grid_key():
     return raw, "count"
 
 
+def _ids_with_grid(grid, label):
+    # an IDS grid must be strictly increasing: under a running maximum
+    # [1.5, 0.1, 0.6] would read N_hat(0.1) = 0.319, the value at 1.5, where
+    # the sorted grid gives 0.0069
+    def make():
+        raw = json.loads((CONFIG_DIR / "ids.json").read_text())
+        raw["params"]["energy_grid"] = grid
+        return raw, "strictly increasing"
+    make.__name__ = f"ids_with_{label}_energy_grid"
+    return make
+
+
+def _run_with(config, key, value):
+    # unchecked, n_samples 0 would raise TypeError (ids), ZeroDivisionError
+    # (ladders) or write empty results; 2.7 would run 2 trials, true 1; and
+    # workers 0 would run serially
+    def make():
+        raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        raw["run"][key] = value
+        return raw, key
+    make.__name__ = f"{config}_with_run_{key}_{value}"
+    return make
+
+
+def run_not_an_object():
+    raw = json.loads((CONFIG_DIR / "ids.json").read_text())
+    raw["run"] = [13, 6]
+    return raw, "run must be an object"
+
+
 @pytest.mark.parametrize("make_bad", [periodic_gap_with_bad_entry,
                                       periodic_gap_with_non_object_entry,
                                       periodic_gap_with_non_list_benchmarks,
@@ -528,6 +558,20 @@ def ids_with_bad_energy_grid_key():
                                       goodness_ladder_with_bad_rule_key,
                                       goodness_ladder_with_fixed_rule_missing_key,
                                       ids_with_bad_energy_grid_key,
+                                      _ids_with_grid([1.5, 0.1, 0.6], "unsorted"),
+                                      _ids_with_grid([0.1, 0.6, 0.6, 1.5], "repeated"),
+                                      _ids_with_grid({"start": 1.5, "stop": 0.1, "num": 4},
+                                                     "decreasing"),
+                                      _run_with("ids", "n_samples", 0),
+                                      _run_with("initial_scale", "n_samples", 0),
+                                      _run_with("dynamical", "n_samples", 0),
+                                      _run_with("dynamical", "n_samples", 2.7),
+                                      _run_with("qucp", "n_samples", True),
+                                      _run_with("ids", "workers", 0),
+                                      _run_with("ids", "workers", 2.0),
+                                      _run_with("dichotomy", "root_seed", 1.5),
+                                      _run_with("dichotomy", "root_seed", False),
+                                      run_not_an_object,
                                       goodness_ladder_with_zero_pair_cap,
                                       goodness_ladder_with_negative_pair_cap])
 class TestConfigTimeChecks:
@@ -543,8 +587,28 @@ class TestConfigTimeChecks:
         out_root = tmp_path / "out"
         assert cli_main([raw["experiment"], "--config", str(path),
                          "--out", str(out_root)]) == 2
-        assert name in capsys.readouterr().err
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert name in record["message"]
         assert not out_root.exists()
+
+
+class TestRunOverrides:
+    """``run_experiment`` re-validates the run section after the overrides."""
+
+    @pytest.mark.parametrize("override, name", [({"workers_override": 0}, "workers"),
+                                                ({"seed_override": 2.5}, "root_seed")])
+    def test_library_override_refused(self, override, name, tmp_path):
+        with pytest.raises(ValidationError, match=name):
+            run_experiment(load_config(CONFIG_DIR / "ids.json"), str(tmp_path / "out"),
+                           **override)
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_workers_zero_exits_2(self, tmp_path, capsys):
+        assert cli_main(["ids", "--config", str(CONFIG_DIR / "ids.json"),
+                         "--out", str(tmp_path / "out"), "--workers", "0"]) == 2
+        assert "workers" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
 
 
 CONFIG_FOR_KIND = {json.loads(p.read_text())["experiment"]: p

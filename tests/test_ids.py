@@ -1,11 +1,18 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import andlab.ids
+import andlab.spectral
 from andlab.discretize import GridSpec
 from andlab.errors import ValidationError
-from andlab.ids import IdsCurve, free_ids_weyl, ids_estimate, log_holder_modulus
+from andlab.ids import (IdsCurve, checked_energy_grid, free_ids_weyl, ids_counts, ids_curve,
+                        ids_estimate, log_holder_modulus)
 from andlab.model import Atoms, Bernoulli, SiteProfile, Uniform01
 
 from conftest import make_box
@@ -53,6 +60,54 @@ class TestIdsEstimate:
         assert 0.0 < curve.values[0] <= free_ids_weyl(2.0, 2) * 1.2
 
 
+class TestEnergyGrid:
+    # on the model of configs/ids.json, a running maximum over [1.5, 0.1, 0.6]
+    # would read N(0.1) = 0.319, the value at 1.5, where the sorted grid reads 0.0069
+    @pytest.mark.parametrize("grid", [[1.5, 0.1, 0.6], [0.1, 0.6, 0.6, 1.5],
+                                      {"start": 1.5, "stop": 0.1, "num": 4}])
+    def test_unsorted_or_repeated_grid_refused(self, grid):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            ids_estimate(Bernoulli(0.5), make_box(1, 10.0), GridSpec(4), SiteProfile(),
+                         grid, 2, 0)
+
+    @pytest.mark.parametrize("grid", [[], [0.1, float("nan")], [0.1, float("inf")],
+                                      np.array([[0.1, 0.2]]), [0.1, True], ["0.5"], 0.5,
+                                      {"start": 0.1, "stop": 1.0, "num": 0},
+                                      {"start": 0.1, "stop": 1.0, "num": 2.5},
+                                      {"start": 0.1, "stop": 1.0, "num": True},
+                                      {"start": False, "stop": 1.0, "num": 3},
+                                      {"start": 0.1, "stop": 1.0},
+                                      {"start": 0.1, "stop": 1.0, "num": 3, "count": 3}])
+    def test_malformed_grid_refused(self, grid):
+        with pytest.raises(ValidationError, match="energy_grid"):
+            checked_energy_grid(grid)
+
+    def test_accepted_grids(self):
+        assert checked_energy_grid({"start": 0.1, "stop": 1.5, "num": 8}).tolist() == \
+            np.linspace(0.1, 1.5, 8).tolist()
+        assert checked_energy_grid({"start": 0.1, "stop": 0.1, "num": 1}).tolist() == [0.1]
+        assert checked_energy_grid([0, 0.5, np.float64(2)]).tolist() == [0.0, 0.5, 2.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.lists(st.floats(-1.0, 6.0), min_size=1, max_size=12, unique=True)
+           .map(sorted), n_samples=st.integers(1, 4))
+    def test_values_are_the_measured_mean(self, grid, n_samples):
+        energies = checked_energy_grid(grid)
+        trial = partial(ids_counts, Bernoulli(0.5), make_box(1, 10.0), GridSpec(4),
+                        SiteProfile(), energies, 7, None)
+        counts = np.array([trial(t) for t in range(n_samples)])
+        curve = ids_curve(energies, counts, 10.0)
+        assert np.array_equal(curve.values, counts.mean(axis=0) / 10.0)
+        assert np.all(np.diff(curve.values) >= 0.0)
+
+    def test_spectra_come_from_spectral(self):
+        # the benchmark traces andlab.ids.full_spectrum; ids chooses no solver
+        assert andlab.ids.full_spectrum is andlab.spectral.full_spectrum
+        held = [id(value) for value in vars(andlab.ids).values()]
+        assert id(andlab.spectral.is_tridiagonal) not in held
+        assert id(scipy.linalg) not in held
+
+
 class TestLogHolder:
     def test_fit_recovers_planted_slope(self):
         # plant N(E) = exp(intercept) |log dE|^slope increments on a geometric
@@ -61,7 +116,7 @@ class TestLogHolder:
         slope_true = -2.0
         values = np.cumsum([0.0] + [abs(math.log(de)) ** slope_true
                                     for de in np.diff(energies)])
-        curve = IdsCurve(energies, values, np.zeros_like(values), 1, 1.0, False)
+        curve = IdsCurve(energies, values, np.zeros_like(values), 1, 1.0)
         fit = log_holder_modulus(curve)
         assert fit.slope == pytest.approx(slope_true, rel=1e-6)
         assert fit.constant == pytest.approx(1.0, rel=1e-6)
@@ -69,7 +124,7 @@ class TestLogHolder:
     def test_uniform_grid_rejected(self):
         energies = np.linspace(0.1, 0.5, 5)
         values = np.linspace(0.0, 0.1, 5)
-        curve = IdsCurve(energies, values, np.zeros_like(values), 1, 1.0, False)
+        curve = IdsCurve(energies, values, np.zeros_like(values), 1, 1.0)
         with pytest.raises(ValidationError):
             log_holder_modulus(curve)
 
