@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import GeometryError, ValidationError
 from .model import AnnulusSpec, BoxSpec, lattice_sites, open_integer_range
+from .rng import derive_key, uniforms
 
 _THREE_FIFTHS = Fraction(3, 5)
 _FOUR_FIFTHS = Fraction(4, 5)
@@ -237,6 +238,31 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
         centers = np.array([[float(v) for v in row] for row in order],
                            dtype=float).reshape(len(order), d)
     return Covering(annulus, float(ell), a, centers)
+
+
+def covering_instance(dims: tuple, n_boxes: int, root_seed: int, index: int) -> dict:
+    """Instance ``index`` of a covering suite, as a row: the standard covering
+    of a random box (the first ``n_boxes`` instances) or annulus, dimensions
+    cycling through ``dims``, and at most 300 000 centres."""
+    u = uniforms(derive_key(root_seed, 0xC0FE), np.arange(6 * index, 6 * index + 6,
+                                                           dtype=np.uint64))
+    if index < n_boxes:
+        d = dims[index % len(dims)]
+        L = 12.0 + 188.0 * u[0]
+        ell = L / 6.0 * (0.3 + 0.7 * u[1])
+        box = BoxSpec(d, tuple(20.0 * (u[2 + a] - 0.5) for a in range(d)), L)
+        cov = standard_covering_box(box, ell, max_centers=300_000)
+        centers, kind = (2 * cov.steps_per_axis + 1) ** d, "box"
+    else:
+        d = dims[(index - n_boxes) % len(dims)]
+        L = 30.0 + 100.0 * u[0]
+        L1 = L * (0.15 + 0.4 * u[1])
+        ell = (L - L1) / 7.0 * (0.4 + 0.55 * u[2])
+        cov = standard_covering_annulus(AnnulusSpec(d, tuple([0.0] * d), L1, L), ell,
+                                        max_centers=300_000)
+        centers, kind = len(cov), "annulus"
+    return {"instance": index, "kind": kind, "d": d, "L": L, "ell": ell,
+            "alpha": float(cov.alpha), "centers": centers}
 
 
 # ---------------------------------------------------------------------------

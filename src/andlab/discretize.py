@@ -22,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridError, ValidationError
-from .model import AnnulusSpec, BoxSpec, Configuration, SiteProfile
+from .model import (AnnulusSpec, BoxSpec, Configuration, SingleSiteDistribution, SiteProfile,
+                    sample_configuration)
 
 _FIT_TOL = 1e-9
 
@@ -283,9 +284,44 @@ def assemble_hamiltonian(
     return HamiltonianMatrix(H, grid, potential.ravel())
 
 
+def trial_hamiltonian(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
+                      profile: SiteProfile, root_seed: int, v_per: Optional[PeriodicField],
+                      trial: int) -> HamiltonianMatrix:
+    """The Hamiltonian of Monte Carlo trial ``trial``: its sampled couplings, assembled."""
+    config = sample_configuration(dist, box, None, root_seed, trial)
+    return assemble_hamiltonian(box, grid_spec, profile, config, v_per)
+
+
 def empty_configuration(box: BoxSpec) -> Configuration:
     """All-zero couplings on the box (the free operator's configuration)."""
     from .model import lattice_sites
 
     sites = lattice_sites(box)
     return Configuration(box, sites, np.zeros(len(sites)))
+
+
+def cosine_potential(amplitude: float, period: int, offset: float, shift: float, points):
+    """``offset + amplitude * sum_a cos(2 pi x_a / period) - shift`` per point."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return offset + amplitude * np.sum(np.cos(2.0 * np.pi * points / period), axis=1) - shift
+
+
+def periodic_ground_energy(field: PeriodicField, dimension: int,
+                           points_per_unit: int = 8) -> float:
+    """inf spec(-Lap + V_per) on the grid: the lowest eigenvalue on one period.
+
+    The periodic operator's ground state is positive and simple
+    (Perron-Frobenius), hence invariant under translation by a period, so it
+    lies in the k = 0 Floquet-Bloch block of every periodic box: the
+    one-period cell, whose lowest eigenvalue is exactly that of any
+    multi-period supercell on the same nodes.
+    """
+    from .spectral import lowest_eigenvalue
+
+    side = float(field.period)
+    # corner on q Z^d: V_per is sampled where an origin-centred box of an
+    # even number of periods samples it
+    box = BoxSpec(dimension, tuple([side / 2.0] * dimension), side)
+    H = assemble_hamiltonian(box, GridSpec(points_per_unit, "periodic"),
+                             SiteProfile(), empty_configuration(box), field)
+    return lowest_eigenvalue(H)

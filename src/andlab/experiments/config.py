@@ -1,38 +1,219 @@
-"""Experiment configuration: strict JSON schema and model builders.
+"""Experiment configuration: typed sections and model builders.
 
 Configs are flat JSON documents with four sections; unknown keys are
-rejected by name.  Physics parameters have no silent defaults -- each
-experiment kind's entry in ``runner.KINDS`` declares which are required and
-which are optional, and may check its params further.  Solver knobs default
-and are echoed into the manifest.
+rejected by name.  Every section is a frozen dataclass: the kind's params
+(``Kind.params`` in ``runner.KINDS``), :class:`ModelSection` and
+:class:`RunSection`.  Each field's annotation is a checked type from the
+vocabulary below, and a field without a default is required.
+``validate_config`` builds every section, so each value is checked before
+any output exists.  Physics parameters default only where the model does: a
+Bernoulli ``q`` of 0.5, a profile ``u_plus`` and ``delta_plus`` of 1.0 (and
+``u_minus``, ``delta_minus`` equal to them) and a grid ``boundary`` of
+``"dirichlet"``.  The params defaults are the dataclasses' own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from functools import partial
+import math
+import numbers
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Callable, Optional, get_origin, get_type_hints
 
-import numpy as np
-
-from ..discretize import GridSpec, PeriodicField
+from ..discretize import GridSpec, PeriodicField, cosine_potential, periodic_ground_energy
 from ..errors import ValidationError
 from ..model import Atoms, Bernoulli, Mixture, SingleSiteDistribution, SiteProfile, Uniform01
 
-_TOP_KEYS = {"experiment", "model", "params", "run"}
-_MODEL_KEYS = {"distribution", "profile", "v_per", "grid"}
-_RUN_KEYS = {"root_seed", "n_samples", "workers", "out"}
+# ---------------------------------------------------------------------------
+# checked field types: a check(value, where) in each annotation's metadata
+# ---------------------------------------------------------------------------
+
+def check(test: Callable, what: str, cast: Callable = lambda value: value):
+    """The check that passes ``value`` when ``test(value)``, as ``cast(value)``."""
+    def checked(value, where: str):
+        if not test(value):
+            raise ValidationError(f"{where} must be {what}, got {value!r}")
+        return cast(value)
+    return checked
+
+
+def _is_real(value) -> bool:  # a bool is not a number, nor is inf or nan
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) \
+        and math.isfinite(value)
+
+
+def listed(entry: Callable, length: Optional[int] = None):
+    """A non-empty list, of ``length`` entries if given, each checked by ``entry``."""
+    shape = check(lambda v: isinstance(v, list) and (len(v) == length if length else len(v) > 0),
+                  f"a list of {length or 'one or more'} entries")
+    return lambda value, where: tuple(entry(v, f"{where}[{i}]")
+                                      for i, v in enumerate(shape(value, where)))
+
+
+def tagged(kinds: dict):
+    """An object ``{"kind": name, ...}``, built as ``kinds[name]`` from its other keys."""
+    def checked(value, where: str):
+        kind = _object(value, where).get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ValidationError(f"unknown kind {kind!r} in {where}")
+        return build_params(kinds[kind], {k: v for k, v in value.items() if k != "kind"}, where)
+    return checked
+
+
+def optional(entry: Callable):
+    return lambda value, where: None if value is None else entry(value, where)
+
+
+real = check(_is_real, "a finite number", float)
+positive = check(lambda v: _is_real(v) and v > 0.0, "positive", float)
+count = check(lambda v: type(v) is int and v >= 1, "an integer >= 1")
+text = check(lambda v: isinstance(v, str), "a string")
+_object = check(lambda v: isinstance(v, dict), "an object")
+_ordered = check(lambda v: v[0] <= v[1], "ordered, lo <= hi")
+
+Real = Annotated[float, real]
+Positive = Annotated[float, positive]
+Unit = Annotated[float, check(lambda v: _is_real(v) and 0.0 < v <= 1.0, "in (0, 1]", float)]
+Integer = Annotated[int, check(lambda v: type(v) is int, "an integer")]
+Count = Annotated[int, count]
+Flag = Annotated[bool, check(lambda v: isinstance(v, bool), "true or false")]
+Interval = Annotated[tuple, lambda value, where: _ordered(listed(real, 2)(value, where), where)]
+Scales = Annotated[tuple, listed(positive)]
+Reals = Annotated[tuple, listed(real)]
+
+
+def _component(value, where: str) -> tuple:  # [weight, distribution spec]
+    weight, spec = listed(lambda v, w: v, 2)(value, where)
+    return real(weight, where), tagged(_DISTRIBUTIONS)(spec, where)
+
+
+# checks of the plain annotations of library classes (MsaParams, the model's
+# laws, SiteProfile, GridSpec); a field with none, a profile's callable
+# shape, is no config key
+_PLAIN = {int: count, float: real, Optional[float]: optional(real), str: text,
+          (Atoms, "points"): listed(listed(real, 2)),     # [value, weight] pairs
+          (Mixture, "components"): listed(_component)}      # [weight, law] pairs
+
+
+@lru_cache(maxsize=None)
+def _checks(cls) -> dict:
+    hints = get_type_hints(cls, include_extras=True)
+    checks = {f.name: hints[f.name].__metadata__[0] if get_origin(hints[f.name]) is Annotated
+              else _PLAIN.get((cls, f.name), _PLAIN.get(hints[f.name]))
+              for f in fields(cls) if f.init}
+    return {name: fn for name, fn in checks.items() if fn is not None}
+
+
+def build_params(cls, spec, where: str):
+    """``cls`` from a config object, each value checked by its field's type."""
+    checks = _checks(cls)
+    for key in _object(spec, where):
+        if key not in checks:
+            raise ValidationError(f"unknown key {key!r} in {where}")
+    for f in fields(cls):
+        if f.init and f.name not in spec and f.default is MISSING:
+            raise ValidationError(f"missing key {f.name!r} in {where}")
+    return cls(**{key: checks[key](value, f"{where}.{key}") for key, value in spec.items()})
+
+
+# ---------------------------------------------------------------------------
+# the model: laws, profile, grid and periodic field
+# ---------------------------------------------------------------------------
+
+_DISTRIBUTIONS = {"bernoulli": Bernoulli, "uniform01": Uniform01, "atoms": Atoms,
+                  "mixture": Mixture}
+
+
+@dataclass(frozen=True)
+class Cosine:
+    """``offset + amplitude * sum_a cos(2 pi x_a / period)``; under ``auto_shift``
+    less inf spec(-Lap + V_per) at the dimension and mesh of its box."""
+
+    amplitude: Real = 1.0
+    period: Count = 1
+    offset: Real = 0.0
+    auto_shift: Flag = False
+
+    def field(self, dimension: Optional[int], points_per_unit: Optional[int]) -> PeriodicField:
+        cosine = partial(cosine_potential, self.amplitude, self.period, self.offset)
+        unshifted = PeriodicField(partial(cosine, 0.0), self.period)
+        if not self.auto_shift:
+            return unshifted
+        if dimension is None or points_per_unit is None:
+            raise ValidationError("v_per auto_shift needs the dimension and "
+                                  "points_per_unit of the box it shifts")
+        shift = periodic_ground_energy(unshifted, dimension, points_per_unit)
+        return PeriodicField(partial(cosine, shift), self.period)
+
+
+@dataclass(frozen=True)
+class Zero:
+    def field(self, dimension: Optional[int], points_per_unit: Optional[int]) -> None:
+        return None
+
+
+_V_PER = {"zero": Zero, "cosine": Cosine}
+
+
+def v_per_spec(spec, where: str = "v_per"):
+    """The checked :class:`Zero` or :class:`Cosine` of a ``v_per`` spec (kind
+    ``zero`` by default); builds no field, so it never runs ``auto_shift``'s solve."""
+    return tagged(_V_PER)({"kind": "zero", **_object(spec, where)}, where)
+
+
+@dataclass(frozen=True)
+class ModelSection:
+    """A config's model; the runner builds the field of its ``v_per`` spec,
+    since ``auto_shift`` needs the dimension of the box it shifts."""
+
+    distribution: Annotated[SingleSiteDistribution, tagged(_DISTRIBUTIONS)]
+    profile: Annotated[SiteProfile, partial(build_params, SiteProfile)]
+    grid: Annotated[GridSpec, partial(build_params, GridSpec)]
+    v_per: Annotated[object, optional(v_per_spec)] = None
+
+
+# builders from spec dicts, one model section each
+
+def build_distribution(spec: dict) -> SingleSiteDistribution:
+    return tagged(_DISTRIBUTIONS)(spec, "distribution")
+
+
+def build_profile(spec: dict) -> SiteProfile:
+    return build_params(SiteProfile, spec, "profile")
+
+
+def build_grid(spec: dict) -> GridSpec:
+    return build_params(GridSpec, spec, "grid")
+
+
+def build_v_per(spec: Optional[dict], dimension: Optional[int] = None,
+                points_per_unit: Optional[int] = None) -> Optional[PeriodicField]:
+    """The periodic field of a ``v_per`` spec; picklable, so a model built
+    once per run crosses to worker processes."""
+    return None if spec is None else v_per_spec(spec).field(dimension, points_per_unit)
+
+
+# ---------------------------------------------------------------------------
+# the config
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RunSection:
+    root_seed: Integer = 0
+    n_samples: Count = 1
+    workers: Count = 1
+    out: Annotated[Optional[str], optional(text)] = None  # the output root, as --out
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    model: dict
-    params: dict
-    run: dict
+    model: Optional[ModelSection]  # None for a kind without a model
+    params: object                 # the kind's params dataclass
+    run: RunSection
     raw: dict = field(repr=False, default_factory=dict)
 
     def digest(self) -> str:
@@ -41,64 +222,32 @@ class ExperimentConfig:
 
     @property
     def root_seed(self) -> int:
-        return self.run.get("root_seed", 0)
+        return self.run.root_seed
 
     @property
     def n_samples(self) -> int:
-        return self.run.get("n_samples", 1)
+        return self.run.n_samples
 
     @property
     def workers(self) -> int:
-        return self.run.get("workers", 1)
-
-
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ValidationError(f"unknown key {key!r} in {where}")
+        return self.run.workers
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    from .runner import KINDS  # the runner imports this module's builders
+    from .runner import KINDS  # the runner imports this module's field types
 
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
+    for key in _object(raw, "config"):
+        if key not in ("experiment", "model", "params", "run"):
+            raise ValidationError(f"unknown key {key!r} in config")
     kind = raw.get("experiment")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValidationError(f"unknown experiment kind {kind!r}; "
                               f"expected one of {tuple(KINDS)}")
-    entry = KINDS[kind]
-    model = raw.get("model", {})
-    _reject_unknown(model, _MODEL_KEYS, "model")
-    if entry.needs_model:
-        for required in ("distribution", "profile", "grid"):
-            if required not in model:
-                raise ValidationError(f"experiment {kind!r} requires model.{required}")
-    for name, build in (("distribution", build_distribution), ("profile", build_profile),
-                        ("grid", build_grid), ("v_per", _v_per_kind)):
-        spec = model.get(name)
-        if spec is not None:
-            if not isinstance(spec, dict):
-                raise ValidationError(f"model.{name} must be an object")
-            build(spec)
-    params = raw.get("params", {})
-    _reject_unknown(params, entry.required | entry.optional, "params")
-    missing = entry.required - set(params)
-    if missing:
-        raise ValidationError(f"experiment {kind!r} missing params: {sorted(missing)}")
-    run = raw.get("run", {})
-    if not isinstance(run, dict):
-        raise ValidationError("run must be an object")
-    _reject_unknown(run, _RUN_KEYS, "run")
-    for key in ("root_seed", "n_samples", "workers"):  # a bool or float is refused, not truncated
-        value = run.get(key, 1)
-        bound = "" if key == "root_seed" else " >= 1"
-        if type(value) is not int or bound and value < 1:
-            raise ValidationError(f"run.{key} must be an integer{bound}, got {value!r}")
-    if entry.check is not None:
-        entry.check(params)
-    return ExperimentConfig(kind, dict(model), dict(params), dict(run), raw=raw)
+    entry, model = KINDS[kind], raw.get("model", {})
+    model = build_params(ModelSection, model, "model") if entry.needs_model or model else None
+    params = build_params(entry.params, raw.get("params", {}), "params")
+    run = build_params(RunSection, raw.get("run", {}), "run")
+    return ExperimentConfig(kind, model, params, run, raw=raw)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -108,105 +257,3 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     return validate_config(raw)
-
-
-# ---------------------------------------------------------------------------
-# builders from spec dicts (picklable inputs for worker processes)
-# ---------------------------------------------------------------------------
-
-_DISTRIBUTION_KEYS = {"bernoulli": {"kind", "q"}, "uniform01": {"kind"},
-                      "atoms": {"kind", "points"}, "mixture": {"kind", "components"}}
-_PROFILE_KEYS = {"u_plus", "delta_plus", "u_minus", "delta_minus"}
-_GRID_KEYS = {"points_per_unit", "boundary"}
-
-
-def build_distribution(spec: dict) -> SingleSiteDistribution:
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _DISTRIBUTION_KEYS:
-        raise ValidationError(f"unknown distribution kind {kind!r}")
-    _reject_unknown(spec, _DISTRIBUTION_KEYS[kind], "distribution")
-    if kind == "bernoulli":
-        return Bernoulli(float(spec.get("q", 0.5)))
-    if kind == "uniform01":
-        return Uniform01()
-    if kind == "atoms":
-        return Atoms(tuple((float(v), float(w)) for v, w in spec["points"]))
-    return Mixture(tuple((float(w), build_distribution(c)) for w, c in spec["components"]))
-
-
-def build_profile(spec: dict) -> SiteProfile:
-    _reject_unknown(spec, _PROFILE_KEYS, "profile")
-    return SiteProfile(
-        u_plus=float(spec.get("u_plus", 1.0)),
-        delta_plus=float(spec.get("delta_plus", 1.0)),
-        u_minus=None if "u_minus" not in spec else float(spec["u_minus"]),
-        delta_minus=None if "delta_minus" not in spec else float(spec["delta_minus"]),
-    )
-
-
-def build_grid(spec: dict) -> GridSpec:
-    _reject_unknown(spec, _GRID_KEYS, "grid")
-    return GridSpec(int(spec["points_per_unit"]), spec.get("boundary", "dirichlet"))
-
-
-_V_PER_KEYS = {"zero": {"kind"},
-               "cosine": {"kind", "amplitude", "period", "offset", "auto_shift"}}
-
-
-def _v_per_kind(spec: dict) -> str:
-    """The key-checked kind of a ``v_per`` spec; builds nothing, so a config
-    check never runs ``auto_shift``'s eigen-solve."""
-    kind = spec.get("kind", "zero")
-    if kind not in _V_PER_KEYS:
-        raise ValidationError(f"unknown v_per kind {kind!r}")
-    _reject_unknown(spec, _V_PER_KEYS[kind], "v_per")
-    return kind
-
-
-def _cosine(amplitude: float, period: int, offset: float, shift: float, points):
-    """``offset + amplitude * sum_a cos(2 pi x_a / period) - shift`` per point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return offset + amplitude * np.sum(np.cos(2.0 * np.pi * points / period), axis=1) - shift
-
-
-def build_v_per(spec: Optional[dict], dimension: Optional[int] = None,
-                points_per_unit: Optional[int] = None) -> Optional[PeriodicField]:
-    """The periodic field of a ``v_per`` spec; picklable, so a model built
-    once per run crosses to worker processes.  ``auto_shift`` normalizes
-    inf spec(-Lap + V_per) to zero at the dimension and mesh of its box."""
-    if spec is None or _v_per_kind(spec) == "zero":
-        return None
-    period = int(spec.get("period", 1))
-    cosine = partial(_cosine, float(spec.get("amplitude", 1.0)), period,
-                     float(spec.get("offset", 0.0)))
-    field = PeriodicField(partial(cosine, 0.0), period)
-    if spec.get("auto_shift", False):
-        if dimension is None or points_per_unit is None:
-            raise ValidationError("v_per auto_shift needs the dimension and "
-                                  "points_per_unit of the box it shifts")
-        shift = periodic_ground_energy(field, dimension, points_per_unit)
-        return PeriodicField(partial(cosine, shift), period)
-    return field
-
-
-def periodic_ground_energy(field: PeriodicField, dimension: int,
-                           points_per_unit: int = 8) -> float:
-    """inf spec(-Lap + V_per) on the grid: the lowest eigenvalue on one period.
-
-    The periodic operator's ground state is positive and simple
-    (Perron-Frobenius), hence invariant under translation by a period, so it
-    lies in the k = 0 Floquet-Bloch block of every periodic box: the
-    one-period cell, whose lowest eigenvalue is exactly that of any
-    multi-period supercell on the same nodes.
-    """
-    from ..discretize import assemble_hamiltonian, empty_configuration
-    from ..model import BoxSpec
-    from ..spectral import lowest_eigenvalue
-
-    side = float(field.period)
-    # corner on q Z^d: V_per is sampled where an origin-centred box of an
-    # even number of periods samples it
-    box = BoxSpec(dimension, tuple([side / 2.0] * dimension), side)
-    H = assemble_hamiltonian(box, GridSpec(points_per_unit, "periodic"),
-                             SiteProfile(), empty_configuration(box), field)
-    return lowest_eigenvalue(H)

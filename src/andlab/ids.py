@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import GridSpec, PeriodicField, assemble_hamiltonian
+from .discretize import GridSpec, PeriodicField, trial_hamiltonian
 from .errors import ValidationError
-from .model import BoxSpec, SingleSiteDistribution, SiteProfile, sample_configuration
+from .model import BoxSpec, SingleSiteDistribution, SiteProfile
 from .spectral import full_spectrum
 
 
@@ -86,8 +86,7 @@ def ids_counts(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
                profile: SiteProfile, energy_grid: np.ndarray, root_seed: int,
                v_per: Optional[PeriodicField], trial: int) -> np.ndarray:
     """#{eigenvalues <= E} at each grid energy in Monte Carlo trial ``trial``."""
-    config = sample_configuration(dist, box, None, root_seed, trial)
-    H = assemble_hamiltonian(box, grid_spec, profile, config, v_per)
+    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
     return np.searchsorted(full_spectrum(H), energy_grid, side="right")
 
 

@@ -19,12 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .covering import standard_covering_box
-from .discretize import GridSpec, PeriodicField, assemble_hamiltonian
+from .discretize import GridSpec, PeriodicField, assemble_hamiltonian, trial_hamiltonian
 from .errors import ScaleError, ValidationError
 from .model import BoxSpec, Configuration, SingleSiteDistribution, SiteProfile, \
     lattice_sites, sample_configuration
 from .rng import derive_key, uniforms
-from .spectral import ResolventFactorization, eigs_window
+from .spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +485,14 @@ def ladder_row(scale: float, dimension: int, p: float, energy: float, m: float,
     target = 1.0 - scale ** (-p * dimension)
     return LadderRow(scale, energy, m, n_samples, successes, phat, low, high, target,
                      verdict=(low >= target) or (phat >= target))
+
+
+def initial_scale_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
+                        profile: SiteProfile, threshold: float, root_seed: int,
+                        v_per: Optional[PeriodicField], trial: int) -> bool:
+    """Whether lambda_min >= ``threshold`` in Monte Carlo trial ``trial``."""
+    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
+    return bool(lowest_eigenvalue(H) >= threshold)
 
 
 def goodness_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,

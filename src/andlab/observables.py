@@ -25,10 +25,11 @@ import numpy as np
 import scipy.linalg as la
 
 from .discretize import (Grid, GridSpec, HamiltonianMatrix, PeriodicField,
-                         annulus_shell_mask, assemble_hamiltonian,
+                         annulus_shell_mask, assemble_hamiltonian, trial_hamiltonian,
                          unit_box_mask)
 from .errors import GeometryError, ValidationError
-from .model import BoxSpec, Configuration, SiteProfile, lattice_sites
+from .model import (BoxSpec, Configuration, SingleSiteDistribution, SiteProfile, lattice_sites,
+                    sample_configuration)
 
 MASS_FLOOR = 1e-14
 
@@ -164,6 +165,16 @@ def dichotomy_check(
     return records
 
 
+def dichotomy_trial(dist: SingleSiteDistribution, outer_box: BoxSpec, grid_spec: GridSpec,
+                    profile: SiteProfile, x0, L: float, interval: tuple, M: float,
+                    vartheta: float, nu: float, root_seed: int,
+                    v_per: Optional[PeriodicField], trial: int) -> List[DichotomyRecord]:
+    """:func:`dichotomy_check` on the outer box of Monte Carlo trial ``trial``."""
+    config = sample_configuration(dist, outer_box, None, root_seed, trial)
+    return dichotomy_check(outer_box, grid_spec, profile, config, x0, L, interval, M,
+                           vartheta, nu, v_per)
+
+
 # ---------------------------------------------------------------------------
 # localization centers, dynamical moments, Fermi kernels
 # ---------------------------------------------------------------------------
@@ -246,6 +257,15 @@ def dynamical_moment(H: HamiltonianMatrix, interval: tuple, b: float, x0,
         tn = float(np.sum(la.svdvals(core @ (phases[:, None] * right))))
         samples.append((float(t), tn))
     return DynamicalMoment(float(proxy), samples, len(res.energies), False)
+
+
+def dynamical_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
+                    profile: SiteProfile, interval: tuple, b: float, x0,
+                    t_grid: Sequence[float], root_seed: int, v_per: Optional[PeriodicField],
+                    trial: int) -> DynamicalMoment:
+    """:func:`dynamical_moment` of Monte Carlo trial ``trial``'s Hamiltonian."""
+    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
+    return dynamical_moment(H, interval, b, x0, t_grid)
 
 
 @dataclass

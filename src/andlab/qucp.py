@@ -38,10 +38,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import (GridSpec, HamiltonianMatrix, PeriodicField,
-                         assemble_hamiltonian, bloch_blocks, empty_configuration)
+from .discretize import (GridSpec, HamiltonianMatrix, PeriodicField, assemble_hamiltonian,
+                         bloch_blocks, empty_configuration, trial_hamiltonian)
 from .errors import GeometryError, ValidationError
-from .model import BoxSpec, SiteProfile
+from .model import BoxSpec, SingleSiteDistribution, SiteProfile
+from .spectral import eigs_window
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -324,6 +325,23 @@ def qucp_verify(H: HamiltonianMatrix, psi: np.ndarray, energy: float,
             err = 2.0 * spread / denom if denom > 0 else math.inf
             kappa_hat, band = float(slope), (float(slope - err), float(slope + err))
     return UcpFit(records, kappa_hat, band, penalty)
+
+
+def qucp_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
+               profile: SiteProfile, theta, delta: float, probes: Sequence,
+               D: Optional[float], root_seed: int, v_per: Optional[PeriodicField],
+               trial: int) -> List[UcpRecord]:
+    """:func:`qucp_verify` records on the ground state of Monte Carlo trial
+    ``trial``'s Dirichlet box; none when its ground window is empty."""
+    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
+    # min V < lambda_0 <= max V + the free ground energy (Dirichlet box)
+    lower = min(-0.1, float(np.min(H.potential)) - 0.1)
+    upper = 4.0 * (np.pi / box.side) ** 2 + float(np.max(H.potential)) + 1.0
+    res = eigs_window(H, (lower, upper), max_count=1)  # qucp_verify reads the ground pair
+    if len(res.energies) == 0:
+        return []
+    return qucp_verify(H, res.vectors[:, 0], float(res.energies[0]), theta, delta, probes,
+                       D).records
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from andlab.discretize import GridSpec, assemble_hamiltonian, empty_configuration
 from andlab.model import BoxSpec, SiteProfile, sample_configuration
+
+# CI runs the suite with --hypothesis-profile=ci: the same examples on every
+# run (each test's own max_examples kept), so a failing run reproduces locally
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

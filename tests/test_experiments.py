@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -8,8 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from andlab import qucp as qucp_module
 from andlab.cli import build_parser, main as cli_main
+from andlab.discretize import GridSpec
 from andlab.errors import ValidationError
 from andlab.experiments import config as config_module
 from andlab.experiments.config import (build_distribution, build_grid,
@@ -18,6 +23,7 @@ from andlab.experiments.config import (build_distribution, build_grid,
 from andlab.experiments.emit import emit_plotdata, write_csv
 from andlab.experiments import runner
 from andlab.experiments.runner import KINDS, run_experiment
+from andlab.model import SiteProfile
 from andlab.msa import initial_scale_values
 from andlab.spectral import lowest_eigenvalue
 
@@ -193,9 +199,8 @@ class TestRunnerDeterminism:
         rows = [line.split(",") for line in (out / "ladder.csv").read_text().splitlines()[2:]]
         model = runner._model(cfg)
         expected = []
-        for L in cfg.params["scales"]:
-            _, _, trial = runner._initial_scale_inputs(cfg.params, cfg.root_seed, model,
-                                                       float(L))
+        for L in cfg.params.scales:
+            _, _, trial = cfg.params.scale(model, cfg.root_seed, L)
             expected.append(sum(trial(t) for t in range(cfg.n_samples)))
         assert [int(row[4]) for row in rows] == expected
         assert len(set(expected)) == len(expected)    # a swapped split would show
@@ -295,13 +300,13 @@ def _qucp_records(tmp_path, name: str) -> list:
 class TestQucpGroundPair:
     def test_trial_asks_for_the_ground_pair_alone(self, tmp_path, monkeypatch):
         caps = []
-        window = runner.eigs_window
+        window = qucp_module.eigs_window
 
         def spy(H, interval, max_count=10**6):
             caps.append(max_count)
             return window(H, interval, max_count)
 
-        monkeypatch.setattr(runner, "eigs_window", spy)
+        monkeypatch.setattr(qucp_module, "eigs_window", spy)
         cfg = load_config(CONFIG_DIR / "qucp.json")
         assert _qucp_records(tmp_path, "one")
         assert caps == [1] * cfg.n_samples
@@ -309,13 +314,13 @@ class TestQucpGroundPair:
     def test_ground_pair_below_the_default_window(self, tmp_path, monkeypatch):
         # V dips to -1.5, so lambda_0 is below -0.1, where the window used to start
         calls = []
-        verify = runner.qucp_verify
+        verify = qucp_module.qucp_verify
 
         def spy(H, psi, energy, *args):
             calls.append((lowest_eigenvalue(H), energy))
             return verify(H, psi, energy, *args)
 
-        monkeypatch.setattr(runner, "qucp_verify", spy)
+        monkeypatch.setattr(qucp_module, "qucp_verify", spy)
         raw = json.loads((CONFIG_DIR / "qucp.json").read_text())
         raw["model"]["v_per"] = {"kind": "cosine", "amplitude": 1.0, "period": 1,
                                  "offset": -0.5}
@@ -326,8 +331,8 @@ class TestQucpGroundPair:
 
     def test_records_match_a_four_pair_reference(self, tmp_path, monkeypatch):
         one = _qucp_records(tmp_path, "one")
-        window = runner.eigs_window
-        monkeypatch.setattr(runner, "eigs_window",
+        window = qucp_module.eigs_window
+        monkeypatch.setattr(qucp_module, "eigs_window",
                             lambda H, interval, max_count: window(H, interval, max_count=4))
         four = _qucp_records(tmp_path, "four")
         assert len(one) == len(four) > 0
@@ -530,6 +535,50 @@ def _run_with(config, key, value):
     return make
 
 
+def _set(config, path, value, label, name):
+    # one bad value in a shipped config, at "section.key" or "model.section.key";
+    # the refusal names ``name``.  Unchecked, some of these raised a traceback
+    # (ids L "abc", dynamical interval [0.0] and t_grid "x", initial-scale p "x",
+    # goodness-ladder varsigma null, covering-suite dims [4], run.out 5), some
+    # were refused only after the output directory existed (ids L 0, dynamical
+    # x0 [0, 1], qucp delta -1 and theta_side 0), and the rest ran: qucp
+    # probe_count 0, dichotomy interval [1, 0], initial-scale scales [] and
+    # covering-suite n_instances 0 wrote empty or vacuous results, ids L true
+    # ran at L = 1, and points_per_unit 8.7 ran at 8
+    def make():
+        raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        *sections, key = path.split(".")
+        target = raw
+        for section in sections:
+            target = target[section]
+        target[key] = value
+        return raw, name
+    make.__name__ = f"{config}_with_{label}"
+    return make
+
+
+BAD_VALUES = [
+    _set("ids", "params.L", "abc", "L_text", "params.L"),
+    _set("ids", "params.L", 0, "L_0", "params.L"),
+    _set("ids", "params.L", True, "L_true", "params.L"),
+    _set("dynamical", "params.interval", [0.0], "one_entry_interval", "params.interval"),
+    _set("dynamical", "params.t_grid", "x", "t_grid_text", "params.t_grid"),
+    _set("dynamical", "params.x0", [0, 1], "two_coordinate_x0", "params.x0"),
+    _set("initial_scale", "params.p", "x", "p_text", "params.p"),
+    _set("initial_scale", "params.scales", [], "no_scales", "params.scales"),
+    _set("goodness_ladder", "params.varsigma", None, "varsigma_null", "params.varsigma"),
+    _set("covering_suite", "params.dims", [4], "dims_4", "params.dims"),
+    _set("covering_suite", "params.dims", [3], "dims_3", "params.dims"),
+    _set("covering_suite", "params.n_instances", 0, "no_instances", "params.n_instances"),
+    _set("qucp", "params.delta", -1, "negative_delta", "params.delta"),
+    _set("qucp", "params.theta_side", 0, "theta_side_0", "params.theta_side"),
+    _set("qucp", "params.probe_count", 0, "no_probes", "params.probe_count"),
+    _set("dichotomy", "params.interval", [1, 0], "reversed_interval", "params.interval"),
+    _set("ids", "run.out", 5, "run_out_5", "run.out"),
+    _set("ids", "model.grid.points_per_unit", 8.7, "points_per_unit_8.7", "grid.points_per_unit"),
+]
+
+
 def run_not_an_object():
     raw = json.loads((CONFIG_DIR / "ids.json").read_text())
     raw["run"] = [13, 6]
@@ -573,7 +622,7 @@ def run_not_an_object():
                                       _run_with("dichotomy", "root_seed", False),
                                       run_not_an_object,
                                       goodness_ladder_with_zero_pair_cap,
-                                      goodness_ladder_with_negative_pair_cap])
+                                      goodness_ladder_with_negative_pair_cap] + BAD_VALUES)
 class TestConfigTimeChecks:
     def test_validate_rejects(self, make_bad):
         raw, name = make_bad()
@@ -591,6 +640,73 @@ class TestConfigTimeChecks:
         assert record["error"] == "validation"
         assert name in record["message"]
         assert not out_root.exists()
+
+
+def _check_of(cls, name: str):
+    """The check that ``build_params`` applies to field ``name`` of ``cls``."""
+    return config_module._checks(cls)[name]
+
+
+NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                        st.lists(st.integers(), max_size=2), st.dictionaries(st.text(), st.none()),
+                        st.sampled_from([math.inf, -math.inf, math.nan]))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NOT_LISTS = st.one_of(NOT_NUMBERS.filter(lambda v: not isinstance(v, list)), FINITE)
+# each field type with values it must refuse: the wrong type or out of range
+REFUSED = {
+    "real": (_check_of(runner.FixedRule, "energy"), NOT_NUMBERS),
+    "positive": (_check_of(runner.IdsParams, "L"),
+                 st.one_of(NOT_NUMBERS, FINITE.filter(lambda v: v <= 0.0),
+                           st.integers(max_value=0))),
+    "unit": (_check_of(runner.InitialScaleParams, "eps"),
+             st.one_of(NOT_NUMBERS, FINITE.filter(lambda v: not 0.0 < v <= 1.0))),
+    "integer": (_check_of(config_module.RunSection, "root_seed"),
+                st.one_of(NOT_NUMBERS, FINITE)),
+    "count": (_check_of(config_module.RunSection, "workers"),
+              st.one_of(NOT_NUMBERS, FINITE, st.integers(max_value=0))),
+    "flag": (_check_of(runner.IdsParams, "modulus_fit"),
+             st.one_of(st.none(), st.integers(), FINITE, st.text(max_size=3))),
+    "interval": (_check_of(runner.DynamicalParams, "interval"),
+                 st.one_of(NOT_LISTS, st.lists(FINITE, max_size=1), st.lists(FINITE, min_size=3),
+                           st.lists(NOT_NUMBERS, min_size=2, max_size=2),
+                           st.lists(FINITE, min_size=2, max_size=2, unique=True).map(
+                               lambda v: sorted(v, reverse=True)))),
+    "point": (_check_of(runner.DynamicalParams, "x0"),
+              st.one_of(NOT_LISTS, st.lists(FINITE, min_size=2), st.just([]),
+                        st.lists(NOT_NUMBERS, min_size=1, max_size=1))),
+    "scales": (_check_of(runner.InitialScaleParams, "scales"),
+               st.one_of(NOT_LISTS, st.just([]),
+                         st.lists(FINITE, min_size=1).filter(lambda v: min(v) <= 0.0))),
+    "energy_grid": (_check_of(runner.IdsParams, "energy_grid"),
+                    st.one_of(NOT_LISTS, st.just([]),
+                              st.lists(FINITE, min_size=2).filter(
+                                  lambda v: any(b <= a for a, b in zip(v, v[1:]))))),
+    "rule": (_check_of(runner.GoodnessParams, "energy_rule"),
+             st.one_of(NOT_LISTS, st.fixed_dictionaries({"kind": st.text(max_size=3)}),
+                       st.fixed_dictionaries({"kind": st.just("fixed"), "energy": NOT_NUMBERS,
+                                              "m": st.just(0.4)}))),
+    "periodic_gap_entry": (_check_of(runner.PeriodicGapParams, "benchmarks"),
+                           st.one_of(NOT_LISTS, st.just([]), st.lists(
+                               st.fixed_dictionaries({"L": st.integers(1, 9),
+                                                      "delta": st.just(1.0),
+                                                      "interval": st.just([0.0, 1.0]),
+                                                      "points_per_unit": st.just(4),
+                                                      "q": st.integers(2, 9)}),
+                               min_size=1, max_size=2))),
+    "dims": (_check_of(runner.CoveringParams, "dims"),
+             st.one_of(NOT_LISTS, st.just([]), st.lists(
+                 st.one_of(NOT_NUMBERS, FINITE, st.integers().filter(lambda v: v not in (1, 2))),
+                 min_size=1, max_size=2))),
+}
+
+
+@pytest.mark.parametrize("field_type", sorted(REFUSED))
+@given(data=st.data())
+def test_field_type_refuses_wrong_values(field_type, data):
+    check, values = REFUSED[field_type]
+    value = data.draw(values)
+    with pytest.raises(ValidationError):
+        check(value, "params.x")
 
 
 class TestRunOverrides:
@@ -631,16 +747,21 @@ class TestRegistry:
             validate_config(raw)
 
 
+def _fields(cls) -> set:
+    """The config keys of a dataclass: the fields that ``build_params`` checks."""
+    return set(config_module._checks(cls))
+
+
 def _accepted_keys() -> set:
     """``(section, key)`` for every key the config schema accepts."""
-    sections = {"run": config_module._RUN_KEYS, "profile": config_module._PROFILE_KEYS,
-                "grid": config_module._GRID_KEYS, "benchmark": runner._BENCHMARK_KEYS}
-    sections.update({f"distribution.{kind}": keys
-                     for kind, keys in config_module._DISTRIBUTION_KEYS.items()})
-    sections.update({f"v_per.{kind}": keys for kind, keys in config_module._V_PER_KEYS.items()})
-    sections.update({f"rule.{kind}": rule[0] for kind, rule in runner._RULES.items()})
-    sections.update({f"params.{kind}": entry.required | entry.optional
-                     for kind, entry in KINDS.items()})
+    sections = {"run": _fields(config_module.RunSection), "profile": _fields(SiteProfile),
+                "grid": _fields(GridSpec), "benchmark": _fields(runner.GapEntry)}
+    sections.update({f"distribution.{kind}": {"kind"} | _fields(cls)
+                     for kind, cls in config_module._DISTRIBUTIONS.items()})
+    sections.update({f"v_per.{kind}": {"kind"} | _fields(cls)
+                     for kind, cls in config_module._V_PER.items()})
+    sections.update({f"rule.{kind}": {"kind"} | _fields(cls) for kind, cls in runner.RULES.items()})
+    sections.update({f"params.{kind}": _fields(entry.params) for kind, entry in KINDS.items()})
     return {(section, key) for section, keys in sections.items() for key in keys}
 
 
