@@ -47,7 +47,7 @@ def main(argv=None) -> int:
         json.dump({"error": "validation", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except AndlabError as exc:
+    except (AndlabError, OSError) as exc:    # OSError: an unreadable config or output root
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -6,7 +6,10 @@ processes -- results are aggregated in index order, so output bytes do not
 depend on the worker count.  Each kind is one entry of ``KINDS``: its params
 dataclass, which ``validate_config`` builds with every field checked, and
 its body, which builds the model, binds the library's trial function, maps
-it over the trials and writes rows.  The CLI reads the same registry.
+it over the trials and returns ``{file name: writer(path)}``.  Only
+``run_experiment`` writes: it makes the run directory once the body has
+returned (a failed trial leaves none), then writes and digests those files.
+The CLI reads the same registry.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def _map(cfg: ExperimentConfig, trial: Callable, box: BoxSpec, *inputs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# params (one frozen dataclass per kind) and bodies: (cfg, out) -> file names
+# params (one frozen dataclass per kind) and bodies: cfg -> {file name: writer}
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -83,19 +86,17 @@ class CoveringParams:
     annulus_instances: Count = None    # None: max(1, n_instances // 5)
 
 
-def _run_covering_suite(cfg: ExperimentConfig, out: Path) -> list:
+def _run_covering_suite(cfg: ExperimentConfig) -> dict:
     n = cfg.params.n_instances
     rows = [covering_instance(cfg.params.dims, n, cfg.root_seed, index)
             for index in range(n + (cfg.params.annulus_instances or max(1, n // 5)))]
-    write_csv(out / "covering_identities.csv",
-              ("instance", "kind", "d", "L", "ell", "alpha", "centers"), rows,
-              comment="standard coverings constructed per instance")
-    return ["covering_identities.csv"]
+    return {"covering_identities.csv": partial(
+        write_csv, fieldnames=("instance", "kind", "d", "L", "ell", "alpha", "centers"),
+        rows=rows, comment="standard coverings constructed per instance")}
 
 
-def _run_constants(cfg: ExperimentConfig, out: Path) -> list:
-    write_json(out / "constants.json", cfg.params.to_dict())
-    return ["constants.json"]
+def _run_constants(cfg: ExperimentConfig) -> dict:
+    return {"constants.json": partial(write_json, payload=cfg.params.to_dict())}
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def _ladder_trial(trials: tuple, n_samples: int, index: int) -> bool:
     return trials[index // n_samples](index % n_samples)
 
 
-def _run_ladder(names: tuple, comment: str, cfg: ExperimentConfig, out: Path) -> list:
+def _run_ladder(names: tuple, comment: str, cfg: ExperimentConfig) -> dict:
     """Monte Carlo ladder: one :class:`~andlab.msa.LadderRow` per scale.
 
     ``cfg.params.scale(model, root_seed, L)`` gives the scale's energy, rate and
@@ -174,12 +175,11 @@ def _run_ladder(names: tuple, comment: str, cfg: ExperimentConfig, out: Path) ->
                       range(len(scales) * n), cfg.workers)
     rows = [ladder_row(L, D, cfg.params.p, energy, m, sum(hits[k * n:(k + 1) * n]), n)
             for k, (L, (energy, m, _)) in enumerate(zip(scales, per_scale))]
-    write_csv(out / "ladder.csv", columns, [dict(zip(columns, astuple(r))) for r in rows],
-              comment=comment)
-    emit_plotdata([{"L": r.scale, "p_hat": r.p_hat,
-                    "halfwidth": (r.wilson_high - r.wilson_low) / 2.0}
-                   for r in rows], "ladder", out / "plot_ladder.csv")
-    return ["ladder.csv", "plot_ladder.csv"]
+    return {"ladder.csv": partial(write_csv, fieldnames=columns, comment=comment,
+                                  rows=[dict(zip(columns, astuple(r))) for r in rows]),
+            "plot_ladder.csv": partial(emit_plotdata, [
+                {"L": r.scale, "p_hat": r.p_hat,
+                 "halfwidth": (r.wilson_high - r.wilson_low) / 2.0} for r in rows], "ladder")}
 
 
 @dataclass(frozen=True)
@@ -193,16 +193,15 @@ class DichotomyParams:
     x0: Point = (0.0,) * D
 
 
-def _run_dichotomy(cfg: ExperimentConfig, out: Path) -> list:
+def _run_dichotomy(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     records = _map(cfg, dichotomy_trial, _box(p.outer_factor * p.L), p.x0, p.L, p.interval,
                    p.M, p.vartheta, p.nu)
-    write_csv(out / "dichotomy.csv",
-              ("trial", "energy", "w_x", "w_x_L", "branch_point", "branch_annulus",
-               "product_ok"),
-              [dict(vars(r), trial=trial) for trial, rs in enumerate(records) for r in rs],
-              comment="either/or concentration records per outer-box eigenvalue")
-    return ["dichotomy.csv"]
+    return {"dichotomy.csv": partial(
+        write_csv, fieldnames=("trial", "energy", "w_x", "w_x_L", "branch_point",
+                               "branch_annulus", "product_ok"),
+        rows=[dict(vars(r), trial=trial) for trial, rs in enumerate(records) for r in rs],
+        comment="either/or concentration records per outer-box eigenvalue")}
 
 
 @dataclass(frozen=True)
@@ -212,18 +211,18 @@ class IdsParams:
     modulus_fit: Flag = False
 
 
-def _run_ids(cfg: ExperimentConfig, out: Path) -> list:
+def _run_ids(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     counts = _map(cfg, ids_counts, _box(p.L), p.energy_grid)
     curve = ids_curve(p.energy_grid, counts, p.L ** D)
     rows = [{"E": float(e), "N_hat": float(v), "se": float(s)}
             for e, v, s in zip(curve.energies, curve.values, curve.stderr)]
-    write_csv(out / "ids_curve.csv", ("E", "N_hat", "se"), rows,
-              comment="volume-normalized mean eigenvalue counts")
-    emit_plotdata(rows, "ids", out / "plot_ids.csv")
+    files = {"ids_curve.csv": partial(write_csv, fieldnames=("E", "N_hat", "se"), rows=rows,
+                                      comment="volume-normalized mean eigenvalue counts"),
+             "plot_ids.csv": partial(emit_plotdata, rows, "ids")}
     if p.modulus_fit:
-        write_json(out / "modulus.json", vars(log_holder_modulus(curve)))
-    return ["ids_curve.csv", "plot_ids.csv"] + (["modulus.json"] if p.modulus_fit else [])
+        files["modulus.json"] = partial(write_json, payload=vars(log_holder_modulus(curve)))
+    return files
 
 
 @dataclass(frozen=True)
@@ -235,16 +234,15 @@ class DynamicalParams:
     t_grid: Reals = (0.0, 0.5, 1.0, 2.0, 5.0)
 
 
-def _run_dynamical(cfg: ExperimentConfig, out: Path) -> list:
+def _run_dynamical(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     moments = _map(cfg, dynamical_trial, _box(p.L), p.interval, p.b, p.x0, p.t_grid)
-    write_csv(out / "dynamical.csv",
-              ("trial", "t", "moment", "proxy", "count", "bounded"),
-              [{"trial": trial, "t": t, "moment": val, "proxy": dm.proxy,
-                "count": dm.window_count, "bounded": val <= dm.proxy + 1e-10}
-               for trial, dm in enumerate(moments) for t, val in dm.samples],
-              comment="evolved moment samples against the time-uniform proxy")
-    return ["dynamical.csv"]
+    return {"dynamical.csv": partial(
+        write_csv, fieldnames=("trial", "t", "moment", "proxy", "count", "bounded"),
+        rows=[{"trial": trial, "t": t, "moment": val, "proxy": dm.proxy,
+               "count": dm.window_count, "bounded": val <= dm.proxy + 1e-10}
+              for trial, dm in enumerate(moments) for t, val in dm.samples],
+        comment="evolved moment samples against the time-uniform proxy")}
 
 
 @dataclass(frozen=True)
@@ -257,7 +255,7 @@ class QucpParams:
     D: Positive = None                 # None: max(diam Theta, delta / 4)
 
 
-def _run_qucp(cfg: ExperimentConfig, out: Path) -> list:
+def _run_qucp(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     probes = [[-p.L / 2.0 + p.delta + (p.L - 2 * p.delta) * (k + 0.5) / p.probe_count]
               for k in range(p.probe_count)]
@@ -265,13 +263,14 @@ def _run_qucp(cfg: ExperimentConfig, out: Path) -> list:
     records = _map(cfg, qucp_trial, _box(p.L), theta, p.delta, probes, p.D)
     rows = [dict(vars(r), trial=trial, x=r.x[0] if D == 1 else str(r.x))
             for trial, rs in enumerate(records) for r in rs]
-    write_csv(out / "qucp_records.csv",
-              ("trial", "x", "R", "K", "lhs", "rhs", "ratio", "kappa", "skipped"),
-              rows, comment="local-mass records per probe point")
     kappas = [r["kappa"] for r in rows if r["kappa"] is not None and r["skipped"] is None]
-    write_json(out / "qucp_fit.json", {"kappa_max": max(kappas) if kappas else None,
-                                       "n_records": len(rows), "n_used": len(kappas)})
-    return ["qucp_records.csv", "qucp_fit.json"]
+    return {"qucp_records.csv": partial(
+                write_csv, fieldnames=("trial", "x", "R", "K", "lhs", "rhs", "ratio", "kappa",
+                                       "skipped"),
+                rows=rows, comment="local-mass records per probe point"),
+            "qucp_fit.json": partial(write_json, payload={
+                "kappa_max": max(kappas) if kappas else None,
+                "n_records": len(rows), "n_used": len(kappas)})}
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,7 @@ class PeriodicGapParams:
     benchmarks: Annotated[tuple, listed(partial(build_params, GapEntry))]
 
 
-def _run_periodic_gap(cfg: ExperimentConfig, out: Path) -> list:
+def _run_periodic_gap(cfg: ExperimentConfig) -> dict:
     rows = []
     # the L, delta and window columns echo each entry as written
     for entry, given in zip(cfg.params.benchmarks, cfg.raw["params"]["benchmarks"]):
@@ -316,15 +315,14 @@ def _run_periodic_gap(cfg: ExperimentConfig, out: Path) -> list:
         rows.append({"q": entry.q, "L": given["L"], "delta": given["delta"],
                      "lo": given["interval"][0], "hi": given["interval"][1],
                      "count": res.count, "gap": res.gap, "empty": res.empty})
-    write_csv(out / "periodic_gap.csv",
-              ("q", "L", "delta", "lo", "hi", "count", "gap", "empty"),
-              [dict(r, gap="" if r["gap"] is None else r["gap"]) for r in rows],
-              comment="compressed-projection smallest eigenvalues")
-    write_json(out / "periodic_gap.json", {"benchmarks": [
-        {"window": [r["lo"], r["hi"]], "delta": r["delta"], "q": r["q"],
-         "L": r["L"], "gap": r["gap"], "count": r["count"], "empty": r["empty"]}
-        for r in rows]})
-    return ["periodic_gap.csv", "periodic_gap.json"]
+    return {"periodic_gap.csv": partial(
+                write_csv, fieldnames=("q", "L", "delta", "lo", "hi", "count", "gap", "empty"),
+                rows=[dict(r, gap="" if r["gap"] is None else r["gap"]) for r in rows],
+                comment="compressed-projection smallest eigenvalues"),
+            "periodic_gap.json": partial(write_json, payload={"benchmarks": [
+                {"window": [r["lo"], r["hi"]], "delta": r["delta"], "q": r["q"],
+                 "L": r["L"], "gap": r["gap"], "count": r["count"], "empty": r["empty"]}
+                for r in rows]})}
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ class Kind:
     """One experiment kind: its params dataclass, its model need and its body."""
 
     params: type                       # a frozen dataclass; validate_config builds it
-    body: Callable                     # (cfg, out) -> file names
+    body: Callable                     # cfg -> {file name: writer(path)}
     needs_model: bool = True
 
 
@@ -362,7 +360,7 @@ KINDS = {
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                    seed_override: Optional[int] = None,
                    workers_override: Optional[int] = None) -> Path:
-    """Execute one experiment; returns the output directory with a manifest."""
+    """Execute one experiment; returns the run directory with a manifest."""
     raw = dict(cfg.raw)
     run = dict(raw.get("run", {}))
     if seed_override is not None:
@@ -374,11 +372,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     root = Path(out_dir) if out_dir else \
         Path(cfg.run.out or os.environ.get("ANDLAB_OUT", "andlab_out"))
-    out = root / f"{cfg.kind}-{cfg.digest()[:8]}"
-    out.mkdir(parents=True, exist_ok=True)
-
+    root.mkdir(parents=True, exist_ok=True)    # an unusable root fails before any trial
     t0 = time.monotonic()
-    files = KINDS[cfg.kind].body(cfg, out)
+    files = KINDS[cfg.kind].body(cfg)
+    out = root / f"{cfg.kind}-{cfg.digest()[:8]}"
+    out.mkdir(exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
     elapsed = time.monotonic() - t0
 
     manifest = {

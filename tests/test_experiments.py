@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from andlab import qucp as qucp_module
 from andlab.cli import build_parser, main as cli_main
 from andlab.discretize import GridSpec
-from andlab.errors import ValidationError
+from andlab.errors import GeometryError, SolverError, ValidationError
 from andlab.experiments import config as config_module
 from andlab.experiments.config import (build_distribution, build_grid,
                                        build_profile, build_v_per, load_config,
@@ -725,6 +725,84 @@ class TestRunOverrides:
                          "--out", str(tmp_path / "out"), "--workers", "0"]) == 2
         assert "workers" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "out").exists()
+
+
+def _shipped_with(config, **params):
+    raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    raw["params"].update(params)
+    return raw
+
+
+def _broken_ids_trial(monkeypatch):
+    def broken(*args):
+        raise SolverError("trial broke down")
+
+    monkeypatch.setattr(runner, "ids_counts", broken)
+    return _shipped_with("ids")
+
+
+# Conditions that pass validate_config and are raised inside a body, by the
+# library or by a trial: (config maker, error, CLI exit code, CLI error record,
+# message).  Each used to leave an empty run directory, or data files without
+# a manifest (ids modulus_fit on a uniform grid).
+FAILED_RUNS = {
+    "dichotomy_outer_factor_1.5": (lambda mp: _shipped_with("dichotomy", outer_factor=1.5),
+                                   GeometryError, 1, "GeometryError", "outer box too small"),
+    "qucp_D_0.1": (lambda mp: _shipped_with("qucp", D=0.1),
+                   ValidationError, 2, "validation", "diam Theta <= D"),
+    "qucp_massless_theta": (lambda mp: _shipped_with("qucp", theta_center=[30.0]),
+                            ValidationError, 2, "validation", "Theta carries no mass"),
+    "ids_uniform_grid_modulus_fit": (
+        lambda mp: _shipped_with("ids", energy_grid=[0.1, 0.2, 0.3], modulus_fit=True),
+        ValidationError, 2, "validation", "varying grid spacing"),
+    "ids_trial_raises": (_broken_ids_trial, SolverError, 1, "SolverError", "trial broke down"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+class TestFailedRunLeavesNoDirectory:
+    """The run directory is made only once the body has returned."""
+
+    def test_run_experiment(self, case, tmp_path, monkeypatch):
+        make, error, _, _, message = FAILED_RUNS[case]
+        with pytest.raises(error, match=message):
+            run_experiment(validate_config(make(monkeypatch)), str(tmp_path / "out"),
+                           workers_override=1)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_cli(self, case, tmp_path, monkeypatch, capsys):
+        make, _, code, name, message = FAILED_RUNS[case]
+        raw = make(monkeypatch)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main([raw["experiment"], "--config", str(path),
+                         "--out", str(tmp_path / "out"), "--workers", "1"]) == code
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == name and message in record["message"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("out, name", [("file", "FileExistsError"),
+                                       ("file/sub", "NotADirectoryError")])
+def test_unusable_output_root_fails_before_any_trial(out, name, tmp_path, monkeypatch,
+                                                     capsys):
+    trials = []
+    monkeypatch.setattr(runner, "map_trials", lambda *args: trials.append(args))
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        run_experiment(load_config(CONFIG_DIR / "ids.json"), str(tmp_path / out))
+    assert cli_main(["ids", "--config", str(CONFIG_DIR / "ids.json"),
+                     "--out", str(tmp_path / out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == name
+    assert trials == []
+
+
+def test_run_directory_holds_exactly_its_manifest_files(tmp_path):
+    out = run_experiment(load_config(CONFIG_DIR / "ids.json"), str(tmp_path))
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert sorted(files) == ["ids_curve.csv", "modulus.json", "plot_ids.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *files])
+    assert list(tmp_path.iterdir()) == [out]
 
 
 CONFIG_FOR_KIND = {json.loads(p.read_text())["experiment"]: p

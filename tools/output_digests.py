@@ -6,7 +6,9 @@ Runs every config in ``configs/`` and ``perfbench/configs/*/`` (each with its
 own seed) at ``--workers N`` (default 1) and prints ``{config: {file:
 sha256}}`` as JSON, taken from each run's manifest.  The ``andlab`` it runs is
 the one under this checkout's ``src/``, so running the same script in two
-checkouts and diffing the outputs compares their bytes.
+checkouts and diffing the outputs compares their bytes.  It exits 1, naming
+the config on stderr, when a run directory holds anything other than
+``manifest.json`` plus the files its manifest lists.
 
 The runs go to a temporary directory that is deleted afterwards, unless
 ``--out DIR`` is given: then each config's run directory is kept under
@@ -43,7 +45,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", metavar="DIR", help="keep the run directories under DIR")
     args = parser.parse_args(argv)
     paths = sorted(ROOT.glob("configs/*.json")) + sorted(ROOT.glob("perfbench/configs/*/*.json"))
-    digests = {}
+    digests, status = {}, 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.out or tmp)
         for path in paths:
@@ -52,9 +54,14 @@ def main(argv=None) -> int:
                                  workers_override=args.workers)
             manifest = json.loads((out / "manifest.json").read_text())
             digests[str(name)] = manifest["files"]
+            held = sorted(p.name for p in out.iterdir())
+            if held != sorted(["manifest.json", *manifest["files"]]):
+                print(f"{name}: run directory holds {held}, its manifest lists "
+                      f"{sorted(manifest['files'])}", file=sys.stderr)
+                status = 1
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
+    return status
 
 
 if __name__ == "__main__":
