@@ -284,12 +284,25 @@ def assemble_hamiltonian(
     return HamiltonianMatrix(H, grid, potential.ravel())
 
 
-def trial_hamiltonian(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
-                      profile: SiteProfile, root_seed: int, v_per: Optional[PeriodicField],
-                      trial: int) -> HamiltonianMatrix:
-    """The Hamiltonian of Monte Carlo trial ``trial``: its sampled couplings, assembled."""
-    config = sample_configuration(dist, box, None, root_seed, trial)
-    return assemble_hamiltonian(box, grid_spec, profile, config, v_per)
+@dataclass(frozen=True)
+class Ensemble:
+    """The random operator ``-Lap + V_per + sum_zeta omega_zeta u(.-zeta)``: the law
+    of omega, the mesh, u, the field V_per and the root seed that keys its trials."""
+
+    distribution: SingleSiteDistribution
+    grid: GridSpec
+    profile: SiteProfile
+    v_per: Optional[PeriodicField] = None
+    root_seed: int = 0
+
+    def configuration(self, box: BoxSpec, trial: int) -> Configuration:
+        """The couplings on ``box`` sampled in trial ``trial``."""
+        return sample_configuration(self.distribution, box, None, self.root_seed, trial)
+
+    def hamiltonian(self, box: BoxSpec, trial: int) -> HamiltonianMatrix:
+        """The Hamiltonian on ``box`` of trial ``trial``: its couplings, assembled."""
+        return assemble_hamiltonian(box, self.grid, self.profile,
+                                    self.configuration(box, trial), self.v_per)
 
 
 def empty_configuration(box: BoxSpec) -> Configuration:

@@ -77,7 +77,8 @@ _ordered = check(lambda v: v[0] <= v[1], "ordered, lo <= hi")
 Real = Annotated[float, real]
 Positive = Annotated[float, positive]
 Unit = Annotated[float, check(lambda v: _is_real(v) and 0.0 < v <= 1.0, "in (0, 1]", float)]
-Integer = Annotated[int, check(lambda v: type(v) is int, "an integer")]
+Seed = Annotated[int, check(lambda v: type(v) is int and 0 <= v < 2**64,
+                            "an integer in [0, 2^64)")]
 Count = Annotated[int, count]
 Flag = Annotated[bool, check(lambda v: isinstance(v, bool), "true or false")]
 Interval = Annotated[tuple, lambda value, where: _ordered(listed(real, 2)(value, where), where)]
@@ -202,7 +203,7 @@ def build_v_per(spec: Optional[dict], dimension: Optional[int] = None,
 
 @dataclass(frozen=True)
 class RunSection:
-    root_seed: Integer = 0
+    root_seed: Seed = 0      # folded into 64-bit stream keys: a wider seed would alias
     n_samples: Count = 1
     workers: Count = 1
     out: Annotated[Optional[str], optional(text)] = None  # the output root, as --out

@@ -5,7 +5,7 @@ trials are independent, keyed by trial index, and may run in worker
 processes -- results are aggregated in index order, so output bytes do not
 depend on the worker count.  Each kind is one entry of ``KINDS``: its params
 dataclass, which ``validate_config`` builds with every field checked, and
-its body, which builds the model, binds the library's trial function, maps
+its body, which builds the ensemble, binds the library's trial function, maps
 it over the trials and returns ``{file name: writer(path)}``.  Only
 ``run_experiment`` writes: it makes the run directory once the body has
 returned (a failed trial leaves none), then writes and digests those files.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import __version__
 from ..covering import covering_instance
-from ..discretize import GridSpec
+from ..discretize import Ensemble, GridSpec
 from ..errors import ValidationError
 from ..ids import checked_energy_grid, ids_counts, ids_curve, log_holder_modulus
 from ..model import BoxSpec
@@ -55,11 +55,11 @@ def map_trials(fn: Callable, trials: range, workers: int) -> list:
         return list(pool.map(fn, trials, chunksize=chunk))
 
 
-def _model(cfg: ExperimentConfig) -> tuple:
-    """``(distribution, grid, profile, v_per)`` of the config's model."""
+def _ensemble(cfg: ExperimentConfig) -> Ensemble:
+    """The config's random operator, with its ``v_per`` field built once per run."""
     m = cfg.model
-    return (m.distribution, m.grid, m.profile,
-            None if m.v_per is None else m.v_per.field(D, m.grid.points_per_unit))
+    return Ensemble(m.distribution, m.grid, m.profile,
+                    m.v_per and m.v_per.field(D, m.grid.points_per_unit), cfg.root_seed)
 
 
 def _box(side: float) -> BoxSpec:
@@ -67,11 +67,10 @@ def _box(side: float) -> BoxSpec:
 
 
 def _map(cfg: ExperimentConfig, trial: Callable, box: BoxSpec, *inputs) -> list:
-    """``trial(dist, box, grid, profile, *inputs, root_seed, v_per, t)`` for every
-    trial ``t``, in trial order: the library's trial-function convention."""
-    dist, grid, profile, v_per = _model(cfg)
-    return map_trials(partial(trial, dist, box, grid, profile, *inputs, cfg.root_seed, v_per),
-                      range(cfg.n_samples), cfg.workers)
+    """``trial(ensemble, box, *inputs, t)`` for every trial ``t``, in trial
+    order: the library's trial-function convention."""
+    return map_trials(partial(trial, _ensemble(cfg), box, *inputs), range(cfg.n_samples),
+                      cfg.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +105,19 @@ class InitialScaleParams:
     eps: Unit
     energy_factor: Positive = 2.0
 
-    def scale(self, model: tuple, root_seed: int, L: float) -> tuple:
+    def scale(self, ensemble: Ensemble, L: float) -> tuple:
         """``(E_L, m_L, trial)`` at side L: the trial tests lambda_min >= factor * E_L."""
-        E_L, m_L = InitialScaleRule(self.eps).values(model, L, self.p)
-        dist, grid, profile, v_per = model
-        return E_L, m_L, partial(initial_scale_trial, dist, _box(L), grid, profile,
-                                 self.energy_factor * E_L, root_seed, v_per)
+        E_L, m_L = InitialScaleRule(self.eps).values(ensemble, L, self.p)
+        return E_L, m_L, partial(initial_scale_trial, ensemble, _box(L),
+                                 self.energy_factor * E_L)
 
 
 @dataclass(frozen=True)
 class FixedRule:
-    energy: Real
-    m: Positive
+    energy: Real = None
+    m: Positive = None
 
-    def values(self, model: tuple, L: float, p: float) -> tuple:
+    def values(self, ensemble: Ensemble, L: float, p: float) -> tuple:
         return self.energy, self.m
 
 
@@ -127,11 +125,10 @@ class FixedRule:
 class InitialScaleRule:
     eps: Unit = 1.0
 
-    def values(self, model: tuple, L: float, p: float) -> tuple:
+    def values(self, ensemble: Ensemble, L: float, p: float) -> tuple:
         """``(E_L, m_L)`` at the model's support side delta_plus and V_per period q."""
-        _, _, profile, v_per = model
-        return initial_scale_values(L, p, D, self.eps, profile.delta_plus,
-                                    1 if v_per is None else v_per.period)
+        return initial_scale_values(L, p, D, self.eps, ensemble.profile.delta_plus,
+                                    1 if ensemble.v_per is None else ensemble.v_per.period)
 
 
 RULES = {"initial-scale": InitialScaleRule, "fixed": FixedRule}
@@ -147,13 +144,24 @@ class GoodnessParams:
     p: Positive
     pair_cap: Count = PAIR_CAP
 
-    def scale(self, model: tuple, root_seed: int, L: float) -> tuple:
+    def __post_init__(self):
+        # E comes from energy_rule and m from m_rule; the other rule may restate it, equal
+        for key, source, other in (("energy", "energy_rule", "m_rule"),
+                                   ("m", "m_rule", "energy_rule")):
+            given, stated = (getattr(getattr(self, rule), key, None) for rule in (source, other))
+            if isinstance(getattr(self, source), FixedRule) and given is None:
+                raise ValidationError(f"missing key {key!r} in params.{source}")
+            if stated not in (None, given):
+                raise ValidationError(f"params.{other}.{key} {stated!r} " + (
+                    f"is unused beside an initial-scale params.{source}" if given is None
+                    else f"differs from params.{source}.{key} {given!r}"))
+
+    def scale(self, ensemble: Ensemble, L: float) -> tuple:
         """``(E, m, trial)`` at side L: the trial tests (E, m, varsigma)-goodness."""
-        energy, _ = self.energy_rule.values(model, L, self.p)
-        _, m = self.m_rule.values(model, L, self.p)
-        dist, grid, profile, v_per = model
-        return energy, m, partial(goodness_trial, dist, _box(L), grid, profile, energy, m,
-                                  self.varsigma, root_seed, v_per, self.pair_cap)
+        energy, _ = self.energy_rule.values(ensemble, L, self.p)
+        _, m = self.m_rule.values(ensemble, L, self.p)
+        return energy, m, partial(goodness_trial, ensemble, _box(L), energy, m, self.varsigma,
+                                  self.pair_cap)
 
 
 def _ladder_trial(trials: tuple, n_samples: int, index: int) -> bool:
@@ -163,13 +171,13 @@ def _ladder_trial(trials: tuple, n_samples: int, index: int) -> bool:
 def _run_ladder(names: tuple, comment: str, cfg: ExperimentConfig) -> dict:
     """Monte Carlo ladder: one :class:`~andlab.msa.LadderRow` per scale.
 
-    ``cfg.params.scale(model, root_seed, L)`` gives the scale's energy, rate and
+    ``cfg.params.scale(ensemble, L)`` gives the scale's energy, rate and
     trial function; ``names`` are the columns of the energy, rate and count.
     """
     columns = ("L", *names[:2], "n", names[2], "p_hat", "wilson_low", "wilson_high",
                "target", "verdict")
-    model, n, scales = _model(cfg), cfg.n_samples, cfg.params.scales
-    per_scale = [cfg.params.scale(model, cfg.root_seed, L) for L in scales]
+    ensemble, n, scales = _ensemble(cfg), cfg.n_samples, cfg.params.scales
+    per_scale = [cfg.params.scale(ensemble, L) for L in scales]
     # one pool for the whole ladder: trial index k * n + t is trial t at scale k
     hits = map_trials(partial(_ladder_trial, tuple(trial for _, _, trial in per_scale), n),
                       range(len(scales) * n), cfg.workers)

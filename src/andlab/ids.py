@@ -19,13 +19,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
-from .discretize import GridSpec, PeriodicField, trial_hamiltonian
+from .discretize import Ensemble
 from .errors import ValidationError
-from .model import BoxSpec, SingleSiteDistribution, SiteProfile
+from .model import BoxSpec
 from .spectral import full_spectrum
 
 
@@ -82,30 +81,20 @@ def ids_curve(energy_grid, counts, volume: float) -> IdsCurve:
     return IdsCurve(np.asarray(energy_grid, dtype=float), values, stderr, n_samples, volume)
 
 
-def ids_counts(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
-               profile: SiteProfile, energy_grid: np.ndarray, root_seed: int,
-               v_per: Optional[PeriodicField], trial: int) -> np.ndarray:
+def ids_counts(ensemble: Ensemble, box: BoxSpec, energy_grid: np.ndarray,
+               trial: int) -> np.ndarray:
     """#{eigenvalues <= E} at each grid energy in Monte Carlo trial ``trial``."""
-    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
+    H = ensemble.hamiltonian(box, trial)
     return np.searchsorted(full_spectrum(H), energy_grid, side="right")
 
 
-def ids_estimate(
-    dist: SingleSiteDistribution,
-    box: BoxSpec,
-    grid_spec: GridSpec,
-    profile: SiteProfile,
-    energy_grid: np.ndarray,
-    n_samples: int,
-    root_seed: int,
-    v_per: Optional[PeriodicField] = None,
-) -> IdsCurve:
+def ids_estimate(ensemble: Ensemble, box: BoxSpec, energy_grid, n_samples: int) -> IdsCurve:
     """Monte Carlo IDS curve (volume-normalized counts) on an energy grid,
     given as ``checked_energy_grid`` takes it."""
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     energy_grid = checked_energy_grid(energy_grid)
-    trial = partial(ids_counts, dist, box, grid_spec, profile, energy_grid, root_seed, v_per)
+    trial = partial(ids_counts, ensemble, box, energy_grid)
     return ids_curve(energy_grid, [trial(t) for t in range(n_samples)], box.side ** box.dimension)
 
 

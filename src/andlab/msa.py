@@ -19,10 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .covering import standard_covering_box
-from .discretize import GridSpec, PeriodicField, assemble_hamiltonian, trial_hamiltonian
+from .discretize import Ensemble, GridSpec, PeriodicField, assemble_hamiltonian
 from .errors import ScaleError, ValidationError
-from .model import BoxSpec, Configuration, SingleSiteDistribution, SiteProfile, \
-    lattice_sites, sample_configuration
+from .model import BoxSpec, Configuration, SiteProfile, lattice_sites
 from .rng import derive_key, uniforms
 from .spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
@@ -230,7 +229,6 @@ class GoodnessReport:
     weg_norms: list                    # (policy label, measured |R|) per t_S
     decay_pass: bool
     worst_pair: Optional[PairResult]
-    decay_rate_fit: float
     policy_record: list
     indeterminate: bool = False
     subreports: list = field(default_factory=list)  # pgood only
@@ -327,7 +325,6 @@ def check_goodness(
     fallbacks: list = []
     worst: Optional[PairResult] = None
     worst_ratio = -np.inf
-    fit = [np.zeros((2, 0))]                           # (distance, -log measured)
     nodes = None
 
     for label, cfg in configs:
@@ -358,17 +355,12 @@ def check_goodness(
                                float(distance[k]), float(measured[k]), float(bound[k]))
         if np.any(measured[sel] > bound[sel]):
             decay_pass = False
-        sel = sel[measured[sel] > 1e-300]
-        fit.append(np.stack([distance[sel], -np.log(measured[sel])]))
-
-    xs, ys = np.concatenate(fit, axis=1)
-    rate = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 1 else 0.0
 
     return GoodnessReport(
         box=box, energy=energy, m=m, varsigma=varsigma, variant=variant,
         n_free_sites=0 if config.free_sites is None else len(config.free_sites),
         weg_pass=weg_pass, weg_threshold=weg_threshold, weg_norms=weg_norms,
-        decay_pass=decay_pass, worst_pair=worst, decay_rate_fit=rate,
+        decay_pass=decay_pass, worst_pair=worst,
         policy_record=[label for label, _ in configs], indeterminate=indeterminate,
         fallbacks=fallbacks)
 
@@ -419,7 +411,7 @@ def check_pgood(box: BoxSpec, grid_spec: GridSpec, profile: SiteProfile,
     head = GoodnessReport(
         box=box, energy=energy, m=m, varsigma=varsigma, variant="good",
         n_free_sites=0, weg_pass=all_good, weg_threshold=math.nan, weg_norms=[],
-        decay_pass=all_good, worst_pair=None, decay_rate_fit=math.nan,
+        decay_pass=all_good, worst_pair=None,
         policy_record=[f"pgood ell={ell}"], subreports=subreports)
     return head
 
@@ -487,45 +479,28 @@ def ladder_row(scale: float, dimension: int, p: float, energy: float, m: float,
                      verdict=(low >= target) or (phat >= target))
 
 
-def initial_scale_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
-                        profile: SiteProfile, threshold: float, root_seed: int,
-                        v_per: Optional[PeriodicField], trial: int) -> bool:
+def initial_scale_trial(ensemble: Ensemble, box: BoxSpec, threshold: float, trial: int) -> bool:
     """Whether lambda_min >= ``threshold`` in Monte Carlo trial ``trial``."""
-    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
-    return bool(lowest_eigenvalue(H) >= threshold)
+    return bool(lowest_eigenvalue(ensemble.hamiltonian(box, trial)) >= threshold)
 
 
-def goodness_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
-                   profile: SiteProfile, energy: float, m: float, varsigma: float,
-                   root_seed: int, v_per: Optional[PeriodicField], pair_cap: int,
-                   trial: int) -> bool:
+def goodness_trial(ensemble: Ensemble, box: BoxSpec, energy: float, m: float, varsigma: float,
+                   pair_cap: int, trial: int) -> bool:
     """Whether the box is (E, m, varsigma)-good in Monte Carlo trial ``trial``."""
-    config = sample_configuration(dist, box, None, root_seed, trial)
-    return bool(check_goodness(box, grid_spec, profile, config, energy, m, varsigma,
-                               FreeSitePolicy(seed=root_seed), "good", v_per,
+    return bool(check_goodness(box, ensemble.grid, ensemble.profile,
+                               ensemble.configuration(box, trial), energy, m, varsigma,
+                               FreeSitePolicy(seed=ensemble.root_seed), "good", ensemble.v_per,
                                pair_cap).is_good)
 
 
-def goodness_probability(
-    dist: SingleSiteDistribution,
-    box: BoxSpec,
-    grid_spec: GridSpec,
-    profile: SiteProfile,
-    energy: float,
-    m: float,
-    varsigma: float,
-    p: float,
-    n_samples: int,
-    root_seed: int,
-    v_per: Optional[PeriodicField] = None,
-    pair_cap: int = PAIR_CAP,
-) -> LadderRow:
+def goodness_probability(ensemble: Ensemble, box: BoxSpec, energy: float, m: float,
+                         varsigma: float, p: float, n_samples: int,
+                         pair_cap: int = PAIR_CAP) -> LadderRow:
     """Monte Carlo estimate of P{box is (E, m, varsigma)-good} with the
     Wilson interval and the 1 - L^(-pd) target."""
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    trial = partial(goodness_trial, dist, box, grid_spec, profile, energy, m, varsigma,
-                    root_seed, v_per, pair_cap)
+    trial = partial(goodness_trial, ensemble, box, energy, m, varsigma, pair_cap)
     good = sum(trial(t) for t in range(n_samples))
     return ladder_row(box.side, box.dimension, p, energy, m, good, n_samples)
 

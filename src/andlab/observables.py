@@ -24,12 +24,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import (Grid, GridSpec, HamiltonianMatrix, PeriodicField,
-                         annulus_shell_mask, assemble_hamiltonian, trial_hamiltonian,
-                         unit_box_mask)
+from .discretize import (Ensemble, Grid, GridSpec, HamiltonianMatrix, PeriodicField,
+                         annulus_shell_mask, assemble_hamiltonian, unit_box_mask)
 from .errors import GeometryError, ValidationError
-from .model import (BoxSpec, Configuration, SingleSiteDistribution, SiteProfile, lattice_sites,
-                    sample_configuration)
+from .model import BoxSpec, Configuration, SiteProfile, lattice_sites
 
 MASS_FLOOR = 1e-14
 
@@ -165,14 +163,12 @@ def dichotomy_check(
     return records
 
 
-def dichotomy_trial(dist: SingleSiteDistribution, outer_box: BoxSpec, grid_spec: GridSpec,
-                    profile: SiteProfile, x0, L: float, interval: tuple, M: float,
-                    vartheta: float, nu: float, root_seed: int,
-                    v_per: Optional[PeriodicField], trial: int) -> List[DichotomyRecord]:
+def dichotomy_trial(ensemble: Ensemble, outer_box: BoxSpec, x0, L: float, interval: tuple,
+                    M: float, vartheta: float, nu: float, trial: int) -> List[DichotomyRecord]:
     """:func:`dichotomy_check` on the outer box of Monte Carlo trial ``trial``."""
-    config = sample_configuration(dist, outer_box, None, root_seed, trial)
-    return dichotomy_check(outer_box, grid_spec, profile, config, x0, L, interval, M,
-                           vartheta, nu, v_per)
+    return dichotomy_check(outer_box, ensemble.grid, ensemble.profile,
+                           ensemble.configuration(outer_box, trial), x0, L, interval, M,
+                           vartheta, nu, ensemble.v_per)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +255,10 @@ def dynamical_moment(H: HamiltonianMatrix, interval: tuple, b: float, x0,
     return DynamicalMoment(float(proxy), samples, len(res.energies), False)
 
 
-def dynamical_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
-                    profile: SiteProfile, interval: tuple, b: float, x0,
-                    t_grid: Sequence[float], root_seed: int, v_per: Optional[PeriodicField],
-                    trial: int) -> DynamicalMoment:
+def dynamical_trial(ensemble: Ensemble, box: BoxSpec, interval: tuple, b: float, x0,
+                    t_grid: Sequence[float], trial: int) -> DynamicalMoment:
     """:func:`dynamical_moment` of Monte Carlo trial ``trial``'s Hamiltonian."""
-    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
-    return dynamical_moment(H, interval, b, x0, t_grid)
+    return dynamical_moment(ensemble.hamiltonian(box, trial), interval, b, x0, t_grid)
 
 
 @dataclass

@@ -38,10 +38,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import (GridSpec, HamiltonianMatrix, PeriodicField, assemble_hamiltonian,
-                         bloch_blocks, empty_configuration, trial_hamiltonian)
+from .discretize import (Ensemble, GridSpec, HamiltonianMatrix, PeriodicField,
+                         assemble_hamiltonian, bloch_blocks, empty_configuration)
 from .errors import GeometryError, ValidationError
-from .model import BoxSpec, SingleSiteDistribution, SiteProfile
+from .model import BoxSpec, SiteProfile
 from .spectral import eigs_window
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -327,13 +327,11 @@ def qucp_verify(H: HamiltonianMatrix, psi: np.ndarray, energy: float,
     return UcpFit(records, kappa_hat, band, penalty)
 
 
-def qucp_trial(dist: SingleSiteDistribution, box: BoxSpec, grid_spec: GridSpec,
-               profile: SiteProfile, theta, delta: float, probes: Sequence,
-               D: Optional[float], root_seed: int, v_per: Optional[PeriodicField],
-               trial: int) -> List[UcpRecord]:
+def qucp_trial(ensemble: Ensemble, box: BoxSpec, theta, delta: float, probes: Sequence,
+               D: Optional[float], trial: int) -> List[UcpRecord]:
     """:func:`qucp_verify` records on the ground state of Monte Carlo trial
     ``trial``'s Dirichlet box; none when its ground window is empty."""
-    H = trial_hamiltonian(dist, box, grid_spec, profile, root_seed, v_per, trial)
+    H = ensemble.hamiltonian(box, trial)
     # min V < lambda_0 <= max V + the free ground energy (Dirichlet box)
     lower = min(-0.1, float(np.min(H.potential)) - 0.1)
     upper = 4.0 * (np.pi / box.side) ** 2 + float(np.max(H.potential)) + 1.0

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as la
 
 from andlab.covering import box_covering_structure, standard_covering_annulus
-from andlab.discretize import (GridSpec, PeriodicField, assemble_hamiltonian,
+from andlab.discretize import (Ensemble, GridSpec, PeriodicField, assemble_hamiltonian,
                                empty_configuration, unit_box_mask)
 from andlab.experiments.config import load_config
 from andlab.experiments.runner import run_experiment
@@ -501,13 +501,12 @@ def test_criterion_10_hs_reconstruction():
 # ---------------------------------------------------------------------------
 
 def test_criterion_11_ids():
-    free = ids_estimate(Atoms(((0.0, 1.0),)), make_box(1, 100.0), GridSpec(8),
-                        SiteProfile(), np.array([1.0]), 1, 0)
+    free = ids_estimate(Ensemble(Atoms(((0.0, 1.0),)), GridSpec(8), SiteProfile()),
+                        make_box(1, 100.0), np.array([1.0]), 1)
     weyl = free_ids_weyl(1.0, 1)
     ok_weyl = abs(free.values[0] - weyl) / weyl <= 0.05
-    curve = ids_estimate(Bernoulli(0.5), make_box(1, 40.0), GridSpec(4),
-                         SiteProfile(), np.array([0.05, 0.1, 0.2, 0.35, 0.55]),
-                         60, 5)
+    curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=5),
+                         make_box(1, 40.0), np.array([0.05, 0.1, 0.2, 0.35, 0.55]), 60)
     ok_monotone = bool(np.all(np.diff(curve.values) >= 0.0))
     mask = curve.values > 0
     slope = np.polyfit(curve.energies[mask] ** -0.5,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from andlab import qucp as qucp_module
 from andlab.cli import build_parser, main as cli_main
-from andlab.discretize import GridSpec
+from andlab.discretize import Ensemble, GridSpec, assemble_hamiltonian
 from andlab.errors import GeometryError, SolverError, ValidationError
 from andlab.experiments import config as config_module
 from andlab.experiments.config import (build_distribution, build_grid,
@@ -23,7 +23,7 @@ from andlab.experiments.config import (build_distribution, build_grid,
 from andlab.experiments.emit import emit_plotdata, write_csv
 from andlab.experiments import runner
 from andlab.experiments.runner import KINDS, run_experiment
-from andlab.model import SiteProfile
+from andlab.model import Bernoulli, BoxSpec, SiteProfile, sample_configuration
 from andlab.msa import initial_scale_values
 from andlab.spectral import lowest_eigenvalue
 
@@ -197,10 +197,10 @@ class TestRunnerDeterminism:
         cfg = validate_config(raw)
         out = run_experiment(cfg, str(tmp_path), workers_override=2)
         rows = [line.split(",") for line in (out / "ladder.csv").read_text().splitlines()[2:]]
-        model = runner._model(cfg)
+        ensemble = runner._ensemble(cfg)
         expected = []
         for L in cfg.params.scales:
-            _, _, trial = cfg.params.scale(model, cfg.root_seed, L)
+            _, _, trial = cfg.params.scale(ensemble, L)
             expected.append(sum(trial(t) for t in range(cfg.n_samples)))
         assert [int(row[4]) for row in rows] == expected
         assert len(set(expected)) == len(expected)    # a swapped split would show
@@ -217,6 +217,18 @@ class TestRunnerDeterminism:
         copy = pickle.loads(pickle.dumps(field))
         assert copy.period == 2
         assert copy(points).tobytes() == field(points).tobytes()
+        # an ensemble holding the field crosses a pickle too, and its trial H
+        # is the one rebuilt from the law, the box, the seed and the field
+        dist, grid, profile = Bernoulli(0.5), GridSpec(8), SiteProfile()
+        ensemble = pickle.loads(pickle.dumps(Ensemble(dist, grid, profile, field, 11)))
+        box = BoxSpec(1, (0.0,), 6.0)
+        for t in range(3):
+            H = ensemble.hamiltonian(box, t)
+            ref = assemble_hamiltonian(box, grid, profile,
+                                       sample_configuration(dist, box, None, 11, t), field)
+            for a, b in ((H.matrix.data, ref.matrix.data), (H.matrix.indices, ref.matrix.indices),
+                         (H.matrix.indptr, ref.matrix.indptr), (H.potential, ref.potential)):
+                assert a.tobytes() == b.tobytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = load_config(CONFIG_DIR / "ids.json")
@@ -281,7 +293,7 @@ class TestModelFacts:
         assert raw["model"]["grid"]["points_per_unit"] == 4
         raw["model"]["v_per"] = {"kind": "cosine", "period": 2, "amplitude": 0.5,
                                  "auto_shift": True}
-        v_per = runner._model(validate_config(raw))[3]
+        v_per = runner._ensemble(validate_config(raw)).v_per
         assert abs(config_module.periodic_ground_energy(v_per, 1, 4)) <= 1e-12
 
     def test_auto_shift_needs_the_box(self):
@@ -435,9 +447,24 @@ def goodness_ladder_with_bad_rule_key():
 
 
 def goodness_ladder_with_fixed_rule_missing_key():
+    # a fixed energy rule must give the energy; its m is optional
     raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
-    del raw["params"]["energy_rule"]["m"]
-    return raw, "missing key 'm'"
+    del raw["params"]["energy_rule"]["energy"]
+    return raw, "missing key 'energy' in params.energy_rule"
+
+
+def _goodness_ladder_with_rule(rule, spec, name):
+    # E comes from energy_rule and m from m_rule, whose fixed form must give
+    # it; the value the other rule restates must agree with it, and is unused
+    # beside an initial-scale rule (unchecked, m_rule energy 0.9 and
+    # energy_rule m 7.0 left ladder.csv unchanged)
+    def make():
+        raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+        raw["params"][rule] = spec
+        return raw, name
+    make.__name__ = "goodness_ladder_with_{}_{}".format(
+        rule, "_".join(f"{k}_{v}" for k, v in spec.items()))
+    return make
 
 
 def goodness_ladder_with_zero_pair_cap():
@@ -606,6 +633,22 @@ def run_not_an_object():
                                       _periodic_gap_entry_with("L", None, "missing key 'L'"),
                                       goodness_ladder_with_bad_rule_key,
                                       goodness_ladder_with_fixed_rule_missing_key,
+                                      _goodness_ladder_with_rule(
+                                          "m_rule", {"kind": "fixed", "energy": -0.5},
+                                          "missing key 'm' in params.m_rule"),
+                                      _goodness_ladder_with_rule(
+                                          "m_rule", {"kind": "fixed", "energy": 0.9, "m": 0.4},
+                                          "params.m_rule.energy 0.9 differs"),
+                                      _goodness_ladder_with_rule(
+                                          "energy_rule", {"kind": "fixed", "energy": -0.5,
+                                                          "m": 7.0},
+                                          "params.energy_rule.m 7.0 differs"),
+                                      _goodness_ladder_with_rule(
+                                          "energy_rule", {"kind": "initial-scale"},
+                                          "params.m_rule.energy -0.5 is unused"),
+                                      _goodness_ladder_with_rule(
+                                          "m_rule", {"kind": "initial-scale"},
+                                          "params.energy_rule.m 0.4 is unused"),
                                       ids_with_bad_energy_grid_key,
                                       _ids_with_grid([1.5, 0.1, 0.6], "unsorted"),
                                       _ids_with_grid([0.1, 0.6, 0.6, 1.5], "repeated"),
@@ -620,6 +663,8 @@ def run_not_an_object():
                                       _run_with("ids", "workers", 2.0),
                                       _run_with("dichotomy", "root_seed", 1.5),
                                       _run_with("dichotomy", "root_seed", False),
+                                      _run_with("initial_scale", "root_seed", -1),
+                                      _run_with("initial_scale", "root_seed", 2**64),
                                       run_not_an_object,
                                       goodness_ladder_with_zero_pair_cap,
                                       goodness_ladder_with_negative_pair_cap] + BAD_VALUES)
@@ -642,6 +687,16 @@ class TestConfigTimeChecks:
         assert not out_root.exists()
 
 
+def test_fixed_rules_need_only_the_value_they_supply(tmp_path):
+    raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
+    shipped = run_experiment(validate_config(raw), str(tmp_path / "shipped"))
+    raw["params"]["energy_rule"] = {"kind": "fixed", "energy": -0.5}
+    raw["params"]["m_rule"] = {"kind": "fixed", "m": 0.4}
+    short = run_experiment(validate_config(raw), str(tmp_path / "short"))
+    for name in ("ladder.csv", "plot_ladder.csv"):
+        assert (short / name).read_bytes() == (shipped / name).read_bytes()
+
+
 def _check_of(cls, name: str):
     """The check that ``build_params`` applies to field ``name`` of ``cls``."""
     return config_module._checks(cls)[name]
@@ -661,7 +716,8 @@ REFUSED = {
     "unit": (_check_of(runner.InitialScaleParams, "eps"),
              st.one_of(NOT_NUMBERS, FINITE.filter(lambda v: not 0.0 < v <= 1.0))),
     "integer": (_check_of(config_module.RunSection, "root_seed"),
-                st.one_of(NOT_NUMBERS, FINITE)),
+                st.one_of(NOT_NUMBERS, FINITE, st.integers(max_value=-1),
+                          st.integers(min_value=2**64))),
     "count": (_check_of(config_module.RunSection, "workers"),
               st.one_of(NOT_NUMBERS, FINITE, st.integers(max_value=0))),
     "flag": (_check_of(runner.IdsParams, "modulus_fit"),
@@ -725,6 +781,20 @@ class TestRunOverrides:
                          "--out", str(tmp_path / "out"), "--workers", "0"]) == 2
         assert "workers" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_cli_seed_outside_64_bits_exits_2(self, seed, tmp_path, capsys):
+        # stream keys fold the seed mod 2^64: 2^64 would rerun seed 0 under
+        # another digest, -1 seed 2^64 - 1
+        assert cli_main(["initial-scale", "--config", str(CONFIG_DIR / "initial_scale.json"),
+                         "--out", str(tmp_path / "out"), "--seed", str(seed)]) == 2
+        assert "root_seed" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = run_experiment(load_config(CONFIG_DIR / "initial_scale.json"),
+                             str(tmp_path), seed_override=2**64 - 1)
+        assert json.loads((out / "manifest.json").read_text())["root_seed"] == 2**64 - 1
 
 
 def _shipped_with(config, **params):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import andlab.ids
 import andlab.spectral
-from andlab.discretize import GridSpec
+from andlab.discretize import Ensemble, GridSpec
 from andlab.errors import ValidationError
 from andlab.ids import (IdsCurve, checked_energy_grid, free_ids_weyl, ids_counts, ids_curve,
                         ids_estimate, log_holder_modulus)
@@ -20,8 +20,8 @@ from conftest import make_box
 
 def free_curve(L, n, energies, d=1):
     dist = Atoms(((0.0, 1.0),))
-    return ids_estimate(dist, make_box(d, L), GridSpec(n), SiteProfile(),
-                        np.asarray(energies), 1, 0)
+    return ids_estimate(Ensemble(dist, GridSpec(n), SiteProfile()), make_box(d, L),
+                        np.asarray(energies), 1)
 
 
 class TestIdsEstimate:
@@ -30,24 +30,24 @@ class TestIdsEstimate:
         assert curve.values[0] == pytest.approx(1.0 / math.pi, rel=0.05)
 
     def test_nondecreasing_and_nonnegative(self):
-        curve = ids_estimate(Bernoulli(0.5), make_box(1, 30.0), GridSpec(4),
-                             SiteProfile(), np.linspace(0.05, 2.0, 12), 8, 3)
+        curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=3),
+                             make_box(1, 30.0), np.linspace(0.05, 2.0, 12), 8)
         assert np.all(np.diff(curve.values) >= 0.0)
         assert np.all(curve.values >= 0.0)
 
     def test_zero_below_spectrum(self):
-        curve = ids_estimate(Bernoulli(0.5), make_box(1, 20.0), GridSpec(4),
-                             SiteProfile(), np.array([-1.0, -0.5]), 4, 1)
+        curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=1),
+                             make_box(1, 20.0), np.array([-1.0, -0.5]), 4)
         assert np.all(curve.values == 0.0)
 
     def test_sample_count_required(self):
         with pytest.raises(ValidationError):
-            ids_estimate(Uniform01(), make_box(1, 10.0), GridSpec(4),
-                         SiteProfile(), np.array([1.0]), 0, 0)
+            ids_estimate(Ensemble(Uniform01(), GridSpec(4), SiteProfile()), make_box(1, 10.0),
+                         np.array([1.0]), 0)
 
     def test_reproducible(self):
-        args = (Bernoulli(0.5), make_box(1, 16.0), GridSpec(4), SiteProfile(),
-                np.array([0.5, 1.0]), 5, 77)
+        args = (Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=77),
+                make_box(1, 16.0), np.array([0.5, 1.0]), 5)
         a = ids_estimate(*args)
         b = ids_estimate(*args)
         assert np.array_equal(a.values, b.values)
@@ -55,8 +55,8 @@ class TestIdsEstimate:
     def test_2d_matches_1d_free_structure(self):
         # tensor structure sanity: the 2-d free IDS at E is bounded by the
         # Weyl value with the usual finite-size deficit
-        curve = ids_estimate(Atoms(((0.0, 1.0),)), make_box(2, 16.0), GridSpec(4),
-                             SiteProfile(), np.array([2.0]), 1, 0)
+        curve = ids_estimate(Ensemble(Atoms(((0.0, 1.0),)), GridSpec(4), SiteProfile()),
+                             make_box(2, 16.0), np.array([2.0]), 1)
         assert 0.0 < curve.values[0] <= free_ids_weyl(2.0, 2) * 1.2
 
 
@@ -67,8 +67,8 @@ class TestEnergyGrid:
                                       {"start": 1.5, "stop": 0.1, "num": 4}])
     def test_unsorted_or_repeated_grid_refused(self, grid):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            ids_estimate(Bernoulli(0.5), make_box(1, 10.0), GridSpec(4), SiteProfile(),
-                         grid, 2, 0)
+            ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile()), make_box(1, 10.0),
+                         grid, 2)
 
     @pytest.mark.parametrize("grid", [[], [0.1, float("nan")], [0.1, float("inf")],
                                       np.array([[0.1, 0.2]]), [0.1, True], ["0.5"], 0.5,
@@ -93,8 +93,8 @@ class TestEnergyGrid:
            .map(sorted), n_samples=st.integers(1, 4))
     def test_values_are_the_measured_mean(self, grid, n_samples):
         energies = checked_energy_grid(grid)
-        trial = partial(ids_counts, Bernoulli(0.5), make_box(1, 10.0), GridSpec(4),
-                        SiteProfile(), energies, 7, None)
+        trial = partial(ids_counts, Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(),
+                                             root_seed=7), make_box(1, 10.0), energies)
         counts = np.array([trial(t) for t in range(n_samples)])
         curve = ids_curve(energies, counts, 10.0)
         assert np.array_equal(curve.values, counts.mean(axis=0) / 10.0)
@@ -131,9 +131,8 @@ class TestLogHolder:
     def test_lifshitz_tail_slope_negative(self):
         # log N vs E^{-1/2}: super-polynomial smallness at the bottom makes the
         # fitted slope negative for the Bernoulli model
-        curve = ids_estimate(Bernoulli(0.5), make_box(1, 40.0), GridSpec(4),
-                             SiteProfile(), np.array([0.05, 0.1, 0.2, 0.35, 0.55]),
-                             60, 5)
+        curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=5),
+                             make_box(1, 40.0), np.array([0.05, 0.1, 0.2, 0.35, 0.55]), 60)
         mask = curve.values > 0
         assert mask.sum() >= 3
         x = curve.energies[mask] ** -0.5
@@ -189,8 +188,8 @@ class TestTieConvention:
         # indices of eigenvalues well apart from both neighbours
         apart = np.diff(vals) > 1e-9 * H.norm_bound()
         simple = np.flatnonzero(np.r_[True, apart] & np.r_[apart, True])[::7]
-        return H, vals, simple, lambda energies: ids_counts(dist, box, grid, SiteProfile(),
-                                                            energies, 3, None, 0)
+        ensemble = Ensemble(dist, grid, SiteProfile(), root_seed=3)
+        return H, vals, simple, lambda energies: ids_counts(ensemble, box, energies, 0)
 
     def test_an_eigenvalue_on_the_grid_is_counted(self, d, L):
         _, vals, simple, counts = self._setup(d, L)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from andlab import msa, spectral
-from andlab.discretize import Grid, GridSpec, empty_configuration
+from andlab.discretize import Ensemble, Grid, GridSpec, empty_configuration
 from andlab.errors import ScaleError, ValidationError
 from andlab.model import (Atoms, Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
@@ -293,7 +293,6 @@ class TestRankOneGoodness:
         assert (worst.x, worst.y, worst.distance, worst.bound) == \
             (expected.x, expected.y, expected.distance, expected.bound)
         assert worst.measured == pytest.approx(expected.measured, rel=1e-12)
-        assert rep.decay_rate_fit == pytest.approx(ref.decay_rate_fit, rel=1e-12)
 
 
 class TestSemiseparableGoodness:
@@ -327,8 +326,8 @@ class TestSemiseparableGoodness:
         [(label, why)] = rep.fallbacks
         assert label == "no-free-sites" and why.startswith(reason)
         assert not rep.indeterminate and rep.weg_norms == ref.weg_norms
-        assert (rep.is_good, rep.decay_pass, rep.worst_pair, rep.decay_rate_fit) == \
-            (ref.is_good, ref.decay_pass, ref.worst_pair, ref.decay_rate_fit)
+        assert (rep.is_good, rep.decay_pass, rep.worst_pair) == \
+            (ref.is_good, ref.decay_pass, ref.worst_pair)
 
 
 class TestUnitBoxNodes:
@@ -353,8 +352,8 @@ class TestUnitBoxNodes:
 class TestGoodnessProbability:
     def test_deterministic_good(self):
         box = make_box(1, 12.0)
-        row = goodness_probability(Atoms(((1.0, 1.0),)), box, GridSpec(4),
-                                   SiteProfile(), -1.0, 0.5, 0.1, 0.35, 6, 7)
+        row = goodness_probability(Ensemble(Atoms(((1.0, 1.0),)), GridSpec(4), SiteProfile(),
+                                            root_seed=7), box, -1.0, 0.5, 0.1, 0.35, 6)
         assert row.p_hat == 1.0 and row.good_count == 6
         assert row.verdict
 
@@ -363,16 +362,15 @@ class TestGoodnessProbability:
         box = make_box(1, 12.0)
         H = assemble(box, n=4, config=_ones_config(box))
         lam = lowest_eigenvalue(H)
-        row = goodness_probability(Atoms(((1.0, 1.0),)), box, GridSpec(4),
-                                   SiteProfile(), lam, 5.0, 0.1, 0.35, 4, 7)
+        row = goodness_probability(Ensemble(Atoms(((1.0, 1.0),)), GridSpec(4), SiteProfile(),
+                                            root_seed=7), box, lam, 5.0, 0.1, 0.35, 4)
         assert row.p_hat == 0.0
 
     def test_reproducible(self):
         box = make_box(1, 10.0)
-        a = goodness_probability(Bernoulli(0.5), box, GridSpec(4), SiteProfile(),
-                                 -0.5, 0.4, 0.1, 0.35, 8, 123)
-        b = goodness_probability(Bernoulli(0.5), box, GridSpec(4), SiteProfile(),
-                                 -0.5, 0.4, 0.1, 0.35, 8, 123)
+        ensemble = Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=123)
+        a = goodness_probability(ensemble, box, -0.5, 0.4, 0.1, 0.35, 8)
+        b = goodness_probability(ensemble, box, -0.5, 0.4, 0.1, 0.35, 8)
         assert (a.good_count, a.p_hat) == (b.good_count, b.p_hat)
 
     def test_wilson_halfwidth_bound(self):
