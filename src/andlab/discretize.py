@@ -299,10 +299,13 @@ class Ensemble:
         """The couplings on ``box`` sampled in trial ``trial``."""
         return sample_configuration(self.distribution, box, None, self.root_seed, trial)
 
+    def assemble(self, config: Configuration) -> HamiltonianMatrix:
+        """The Hamiltonian of the couplings ``config`` on their own box."""
+        return assemble_hamiltonian(config.region, self.grid, self.profile, config, self.v_per)
+
     def hamiltonian(self, box: BoxSpec, trial: int) -> HamiltonianMatrix:
         """The Hamiltonian on ``box`` of trial ``trial``: its couplings, assembled."""
-        return assemble_hamiltonian(box, self.grid, self.profile,
-                                    self.configuration(box, trial), self.v_per)
+        return self.assemble(self.configuration(box, trial))
 
 
 def empty_configuration(box: BoxSpec) -> Configuration:

@@ -360,7 +360,6 @@ class Configuration:
     values: np.ndarray         # (m,) floats in [0,1]
     free_sites: Optional[np.ndarray] = None    # (s, d) int
     free_values: Optional[np.ndarray] = None   # (s,) floats in [0,1] or None
-    degenerate_warning: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -370,10 +369,11 @@ class Configuration:
             fv = np.asarray(self.free_values, dtype=float)
             if np.any(fv < 0.0) or np.any(fv > 1.0):
                 raise ValidationError("free-site values must lie in [0,1]")
-        if self.free_sites is not None and len(self.free_sites) and len(self.sites):
-            joint = {tuple(s) for s in np.asarray(self.sites)} & {
-                tuple(s) for s in np.asarray(self.free_sites)
-            }
+        if self.free_sites is not None and len(self.free_sites):
+            free = {tuple(s) for s in np.asarray(self.free_sites)}
+            if len(free) < len(self.free_sites):
+                raise ValidationError("a repeated free site would add its coupling twice")
+            joint = free.intersection(tuple(s) for s in np.asarray(self.sites))
             if joint:
                 raise ValidationError(f"free sites overlap omega domain: {sorted(joint)[:3]}")
 
@@ -384,10 +384,7 @@ class Configuration:
         t = np.asarray(t, dtype=float)
         if t.shape != (len(self.free_sites),):
             raise ValidationError(f"expected {len(self.free_sites)} free values, got {t.shape}")
-        return Configuration(
-            self.region, self.sites, self.values, self.free_sites, t,
-            self.degenerate_warning,
-        )
+        return Configuration(self.region, self.sites, self.values, self.free_sites, t)
 
     def all_sites_and_values(self) -> tuple:
         """Concatenated (sites, values) over omega and assigned free sites."""
@@ -445,5 +442,4 @@ def sample_configuration(
         values=omega_values,
         free_sites=fs,
         free_values=None,
-        degenerate_warning=dist.is_degenerate,
     )

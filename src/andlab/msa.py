@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .covering import standard_covering_box
-from .discretize import Ensemble, GridSpec, PeriodicField, assemble_hamiltonian
+from .discretize import Ensemble
 from .errors import ScaleError, ValidationError
-from .model import BoxSpec, Configuration, SiteProfile, lattice_sites
+from .model import BoxSpec, Configuration, lattice_sites
 from .rng import derive_key, uniforms
 from .spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
@@ -277,19 +277,18 @@ def _box_pairs(box: BoxSpec, pair_cap: int, seed: int) -> tuple:
 
 
 def check_goodness(
-    box: BoxSpec,
-    grid_spec: GridSpec,
-    profile: SiteProfile,
+    ensemble: Ensemble,
     config: Configuration,
     energy: float,
     m: float,
     varsigma: float,
     policy: FreeSitePolicy = FreeSitePolicy(),
     variant: str = "good",
-    v_per: Optional[PeriodicField] = None,
     pair_cap: int = PAIR_CAP,
 ) -> GoodnessReport:
-    """Evaluate the good-box criterion on one configuration.
+    """Evaluate the good-box criterion on the box ``config.region`` of one
+    configuration: each free-site assignment ``t_S`` of ``policy`` is assembled
+    by ``ensemble.assemble``.
 
     ``variant="jgood"`` doubles both right-hand sides.  The probes are the
     unit boxes centered at the integer lattice sites of the box; their node
@@ -305,6 +304,7 @@ def check_goodness(
     if variant not in ("good", "jgood"):
         raise ValidationError(f"unknown variant {variant!r}")
     factor = 2.0 if variant == "jgood" else 1.0
+    box = config.region
     L = box.side
     weg_threshold = factor * math.exp(L ** (1.0 - varsigma))
 
@@ -328,7 +328,7 @@ def check_goodness(
     nodes = None
 
     for label, cfg in configs:
-        H = assemble_hamiltonian(box, grid_spec, profile, cfg, v_per)
+        H = ensemble.assemble(cfg)
         fac = ResolventFactorization(H, energy)
         if fac.divergent:
             weg_norms.append((label, math.inf))
@@ -386,16 +386,16 @@ def _unit_box_nodes(points: np.ndarray, centers: np.ndarray) -> list:
     return np.split(np.flatnonzero(inside)[order], np.cumsum(counts)[:-1])
 
 
-def check_pgood(box: BoxSpec, grid_spec: GridSpec, profile: SiteProfile,
-                config: Configuration, energy: float, m: float, varsigma: float,
-                eta: float, v_per: Optional[PeriodicField] = None,
-                pair_cap: int = PAIR_CAP) -> GoodnessReport:
-    """pgood: every box of the standard ell-covering, ell = L^(1/(1+eta)),
-    must be good (no free sites) on the restricted configuration."""
+def check_pgood(ensemble: Ensemble, config: Configuration, energy: float, m: float,
+                varsigma: float, eta: float, pair_cap: int = PAIR_CAP) -> GoodnessReport:
+    """pgood: every box of the standard ell-covering of ``config.region``,
+    ell = L^(1/(1+eta)), must be good (no free sites) on the restricted
+    configuration."""
+    box = config.region
     L = box.side
     ell = L ** (1.0 / (1.0 + eta))
     # snap to the grid so sub-boxes assemble exactly
-    n = grid_spec.points_per_unit
+    n = ensemble.grid.points_per_unit
     ell = max(math.floor(ell * n), 2) / n
     covering = standard_covering_box(box, ell)
     subreports = []
@@ -403,8 +403,7 @@ def check_pgood(box: BoxSpec, grid_spec: GridSpec, profile: SiteProfile,
     for center in covering.centers:
         sub_box = BoxSpec(box.dimension, tuple(center), ell)
         sub_cfg = restrict_configuration(config, sub_box)
-        rep = check_goodness(sub_box, grid_spec, profile, sub_cfg, energy, m,
-                             varsigma, FreeSitePolicy(), "good", v_per, pair_cap)
+        rep = check_goodness(ensemble, sub_cfg, energy, m, varsigma, pair_cap=pair_cap)
         subreports.append(rep)
         if not rep.is_good:
             all_good = False
@@ -432,8 +431,7 @@ def restrict_configuration(config: Configuration, sub_box: BoxSpec) -> Configura
                     "free sites inside the sub-box but no t_S assigned")
             sites.append(config.free_sites[fin])
             values.append(config.free_values[fin])
-    return Configuration(sub_box, np.vstack(sites), np.concatenate(values),
-                         degenerate_warning=config.degenerate_warning)
+    return Configuration(sub_box, np.vstack(sites), np.concatenate(values))
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +485,8 @@ def initial_scale_trial(ensemble: Ensemble, box: BoxSpec, threshold: float, tria
 def goodness_trial(ensemble: Ensemble, box: BoxSpec, energy: float, m: float, varsigma: float,
                    pair_cap: int, trial: int) -> bool:
     """Whether the box is (E, m, varsigma)-good in Monte Carlo trial ``trial``."""
-    return bool(check_goodness(box, ensemble.grid, ensemble.profile,
-                               ensemble.configuration(box, trial), energy, m, varsigma,
-                               FreeSitePolicy(seed=ensemble.root_seed), "good", ensemble.v_per,
-                               pair_cap).is_good)
+    return bool(check_goodness(ensemble, ensemble.configuration(box, trial), energy, m, varsigma,
+                               FreeSitePolicy(seed=ensemble.root_seed), "good", pair_cap).is_good)
 
 
 def goodness_probability(ensemble: Ensemble, box: BoxSpec, energy: float, m: float,
@@ -509,26 +505,18 @@ def goodness_probability(ensemble: Ensemble, box: BoxSpec, energy: float, m: flo
 # reduced spectrum
 # ---------------------------------------------------------------------------
 
-def reduced_spectrum(
-    box: BoxSpec,
-    grid_spec: GridSpec,
-    profile: SiteProfile,
-    config: Configuration,
-    interval: tuple,
-    rho: float,
-    n1: int,
-    m_hat: float,
-    v_per: Optional[PeriodicField] = None,
-) -> np.ndarray:
+def reduced_spectrum(ensemble: Ensemble, config: Configuration, interval: tuple, rho: float,
+                     n1: int, m_hat: float) -> np.ndarray:
     """Eigenvalues in the window consistent with the nested-box spectra.
 
-    Keeps ``E`` in the window spectrum of the full box whose distance to the
-    window spectrum of every nested box of side ``L^(rho^n)``, n = 1..n1, is
-    at most ``2 exp(-m_hat L_n)``.  Nested sides snap to the mesh; a nested
-    side below three cells raises :class:`ScaleError`.
+    Keeps ``E`` in the window spectrum of the full box ``config.region`` whose
+    distance to the window spectrum of every nested box of side ``L^(rho^n)``,
+    n = 1..n1, is at most ``2 exp(-m_hat L_n)``.  Nested sides snap to the
+    mesh; a nested side below three cells raises :class:`ScaleError`.
     """
+    box = config.region
     L = box.side
-    ppu = grid_spec.points_per_unit
+    ppu = ensemble.grid.points_per_unit
 
     def snapped(side):
         cells = round(side * ppu)
@@ -536,16 +524,14 @@ def reduced_spectrum(
             raise ScaleError(f"nested box of side {side} is below 3 grid cells")
         return cells / ppu
 
-    H = assemble_hamiltonian(box, grid_spec, profile, config, v_per)
-    base = eigs_window(H, interval).energies
+    base = eigs_window(ensemble.assemble(config), interval).energies
     if n1 == 0 or len(base) == 0:
         return base
     keep = np.ones(len(base), dtype=bool)
     for n in range(1, n1 + 1):
         side = snapped(L ** (rho ** n))
         sub_box = BoxSpec(box.dimension, box.center, side)
-        sub_cfg = restrict_configuration(config, sub_box)
-        sub_H = assemble_hamiltonian(sub_box, grid_spec, profile, sub_cfg, v_per)
+        sub_H = ensemble.assemble(restrict_configuration(config, sub_box))
         sub_spec = eigs_window(sub_H, interval).energies
         tol = 2.0 * math.exp(-m_hat * side)
         if len(sub_spec) == 0:

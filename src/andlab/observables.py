@@ -24,10 +24,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import (Ensemble, Grid, GridSpec, HamiltonianMatrix, PeriodicField,
-                         annulus_shell_mask, assemble_hamiltonian, unit_box_mask)
+from .discretize import Ensemble, Grid, HamiltonianMatrix, annulus_shell_mask, unit_box_mask
 from .errors import GeometryError, ValidationError
-from .model import BoxSpec, Configuration, SiteProfile, lattice_sites
+from .model import BoxSpec, lattice_sites
 
 MASS_FLOOR = 1e-14
 
@@ -111,27 +110,17 @@ class DichotomyRecord:
     outer_factor: float
 
 
-def dichotomy_check(
-    outer_box: BoxSpec,
-    grid_spec: GridSpec,
-    profile: SiteProfile,
-    config: Configuration,
-    x0,
-    L: float,
-    interval: tuple,
-    M: float,
-    vartheta: float,
-    nu: float,
-    v_per: Optional[PeriodicField] = None,
-    energies: Optional[Sequence[float]] = None,
-) -> List[DichotomyRecord]:
-    """Check the either/or concentration bound on outer-box eigenfunctions.
+def dichotomy_check(H: HamiltonianMatrix, x0, L: float, interval: tuple, M: float,
+                    vartheta: float, nu: float) -> List[DichotomyRecord]:
+    """Check the either/or concentration bound on the eigenfunctions of H.
 
-    Eigenfunctions of the enlarged Dirichlet box stand in for generalized
-    eigenfunctions; only energies in the shrunken window
-    ``{E : dist(E, R \\ I) > exp(-M L^vartheta)}`` are examined.  An empty
+    H lives on the enlarged outer box ``H.grid.box``, which must hold the
+    L_+ box around ``x0``; its eigenfunctions stand in for generalized
+    eigenfunctions.  Every eigenpair in the shrunken window
+    ``{E : dist(E, R \\ I) > exp(-M L^vartheta)}`` is examined.  An empty
     energy set is a vacuous pass (no records).
     """
+    outer_box = H.grid.box
     x0 = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
     L_plus = 1001.0 * L / 500.0
     for i in range(outer_box.dimension):
@@ -139,36 +128,31 @@ def dichotomy_check(
             raise GeometryError("outer box too small to contain the L_+ annulus box")
     from .spectral import eigs_window
 
-    H = assemble_hamiltonian(outer_box, grid_spec, profile, config, v_per)
     margin = math.exp(-M * L ** vartheta)
     lo, hi = interval
     window = (lo + margin, hi - margin)
     if window[1] <= window[0]:
         return []
     result = eigs_window(H, window)
-    keep = [idx for idx, energy in enumerate(result.energies)
-            if energies is None or any(abs(energy - e) < 1e-12 for e in energies)]
-    if not keep:
+    if not len(result.energies):
         return []
     arrays = _w_arrays(H.grid, x0, nu, L)
     records = []
     factor = outer_box.side / L
-    for idx in keep:
-        w_x, w_xl = _w_values(H.grid, result.vectors[:, idx], arrays)
+    for energy, psi in zip(result.energies, result.vectors.T):
+        w_x, w_xl = _w_values(H.grid, psi, arrays)
         b1 = w_x <= math.exp(-M * L ** vartheta)
         b2 = w_xl <= math.exp(-M * L)
         prod = w_x * w_xl <= math.exp(-0.5 * M * L ** vartheta)
-        records.append(DichotomyRecord(float(result.energies[idx]), w_x, w_xl,
-                                       b1, b2, prod, factor))
+        records.append(DichotomyRecord(float(energy), w_x, w_xl, b1, b2, prod, factor))
     return records
 
 
 def dichotomy_trial(ensemble: Ensemble, outer_box: BoxSpec, x0, L: float, interval: tuple,
                     M: float, vartheta: float, nu: float, trial: int) -> List[DichotomyRecord]:
     """:func:`dichotomy_check` on the outer box of Monte Carlo trial ``trial``."""
-    return dichotomy_check(outer_box, ensemble.grid, ensemble.profile,
-                           ensemble.configuration(outer_box, trial), x0, L, interval, M,
-                           vartheta, nu, ensemble.v_per)
+    return dichotomy_check(ensemble.hamiltonian(outer_box, trial), x0, L, interval, M,
+                           vartheta, nu)
 
 
 # ---------------------------------------------------------------------------

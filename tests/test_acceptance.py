@@ -34,7 +34,7 @@ from andlab.rng import derive_key, uniforms
 from andlab.spectral import (ResolventFactorization, eigs_window,
                              lowest_eigenvalue)
 
-from conftest import assemble, make_box
+from conftest import assemble, ensemble, make_box
 from test_discretize import free_dirichlet_eigenvalues
 from test_percolation import random_graph, union_find_oracle
 
@@ -427,8 +427,7 @@ def test_criterion_08_reduced_spectrum():
         window = (0.0, 2.0)
         results = {}
         for n1 in (0, 1, 2):
-            red = reduced_spectrum(box, GridSpec(4), SiteProfile(), cfg, window,
-                                   rho, n1, m_hat)
+            red = reduced_spectrum(ensemble(), cfg, window, rho, n1, m_hat)
             results[n1] = set(np.round(red, 12))
             # brute-force filter oracle
             full = eigs_window(assemble(box, config=cfg), window).energies

@@ -218,17 +218,23 @@ class TestRunnerDeterminism:
         assert copy.period == 2
         assert copy(points).tobytes() == field(points).tobytes()
         # an ensemble holding the field crosses a pickle too, and its trial H
-        # is the one rebuilt from the law, the box, the seed and the field
+        # is the one rebuilt from the law, the box, the seed and the field;
+        # any configuration, free sites assigned, assembles on its own region
         dist, grid, profile = Bernoulli(0.5), GridSpec(8), SiteProfile()
         ensemble = pickle.loads(pickle.dumps(Ensemble(dist, grid, profile, field, 11)))
         box = BoxSpec(1, (0.0,), 6.0)
         for t in range(3):
-            H = ensemble.hamiltonian(box, t)
-            ref = assemble_hamiltonian(box, grid, profile,
-                                       sample_configuration(dist, box, None, 11, t), field)
-            for a, b in ((H.matrix.data, ref.matrix.data), (H.matrix.indices, ref.matrix.indices),
-                         (H.matrix.indptr, ref.matrix.indptr), (H.potential, ref.potential)):
-                assert a.tobytes() == b.tobytes()
+            trial_ref = assemble_hamiltonian(box, grid, profile,
+                                             sample_configuration(dist, box, None, 11, t), field)
+            cfg = sample_configuration(dist, BoxSpec(1, (1.0,), 4.0), [[t]], 11,
+                                       t).with_free_values(np.ones(1))
+            for H, ref in ((ensemble.hamiltonian(box, t), trial_ref),
+                           (ensemble.assemble(cfg),
+                            assemble_hamiltonian(cfg.region, grid, profile, cfg, field))):
+                for a, b in ((H.matrix.data, ref.matrix.data),
+                             (H.matrix.indices, ref.matrix.indices),
+                             (H.matrix.indptr, ref.matrix.indptr), (H.potential, ref.potential)):
+                    assert a.tobytes() == b.tobytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = load_config(CONFIG_DIR / "ids.json")

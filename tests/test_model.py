@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from andlab.errors import ValidationError
-from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Mixture,
+from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Configuration, Mixture,
                           SiteProfile, Uniform01, lattice_sites, open_integer_range,
                           sample_configuration)
 
@@ -138,7 +138,7 @@ class TestSampling:
         box = BoxSpec(1, (0.0,), 10.0)
         cfg = sample_configuration(Atoms(((0.0, 1.0),)), box, None, 1, 0)
         assert np.all(cfg.values == 0.0)
-        assert cfg.degenerate_warning
+        assert Atoms(((0.0, 1.0),)).is_degenerate
 
     def test_reproducible(self):
         box = BoxSpec(2, (0.0, 0.0), 8.0)
@@ -175,6 +175,15 @@ class TestSampling:
         box = BoxSpec(1, (0.0,), 10.0)
         with pytest.raises(ValidationError):
             sample_configuration(Uniform01(), box, np.array([[99]]), 0, 0)
+
+    def test_repeated_free_site_rejected(self):
+        # a repeated site would carry two couplings, a potential past u_+
+        box = BoxSpec(1, (0.0,), 6.0)
+        with pytest.raises(ValidationError, match="repeated free site"):
+            sample_configuration(Bernoulli(0.5), box, [[0], [0]], 1, 0)
+        sites = lattice_sites(box)
+        with pytest.raises(ValidationError, match="repeated free site"):
+            Configuration(box, sites[1:], np.zeros(len(sites) - 1), sites[[0, 0]])
 
 
 class TestSiteProfile:

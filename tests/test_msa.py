@@ -16,7 +16,7 @@ from andlab.msa import (FreeSitePolicy, GAMMA_CRITICAL, MsaParams, _candidate_pa
 from andlab.rng import derive_key, uniforms
 from andlab.spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
-from conftest import assemble, make_box
+from conftest import assemble, ensemble, make_box
 
 
 class TestConstants:
@@ -99,8 +99,7 @@ class TestInitialScale:
 class TestGoodness:
     def test_free_operator_combes_thomas_regime(self):
         box = make_box(1, 40.0)
-        rep = check_goodness(box, GridSpec(4), SiteProfile(),
-                             empty_configuration(box), -1.0, 2.0 / 3.0, 0.1)
+        rep = check_goodness(ensemble(), empty_configuration(box), -1.0, 2.0 / 3.0, 0.1)
         assert rep.weg_pass and rep.decay_pass and rep.is_good
         # dense-probe oracle on the worst recorded pair
         import scipy.linalg as la
@@ -121,7 +120,7 @@ class TestGoodness:
 
         box = make_box(d, L)
         cfg = sample_configuration(Bernoulli(0.5), box, None, seed, 0)
-        rep = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1)
+        rep = check_goodness(ensemble(), cfg, -0.5, 0.4, 0.1)
         H = assemble(box, n=4, config=cfg)
         dense = np.linalg.inv(H.matrix.toarray() + 0.5 * np.eye(H.size))
         wp = rep.worst_pair
@@ -137,22 +136,20 @@ class TestGoodness:
 
         monkeypatch.setattr(ResolventFactorization, "block_norms", blow_up)
         box = make_box(1, 12.0)
-        rep = check_goodness(box, GridSpec(4), SiteProfile(),
-                             empty_configuration(box), -1.0, 0.4, 0.1)
+        rep = check_goodness(ensemble(), empty_configuration(box), -1.0, 0.4, 0.1)
         assert rep.indeterminate and not rep.is_good
 
     def test_divergent_energy_fails(self):
         box = make_box(1, 12.0)
         H = assemble(box, n=4)
         lam = lowest_eigenvalue(H)
-        rep = check_goodness(box, GridSpec(4), SiteProfile(),
-                             empty_configuration(box), lam, 0.5, 0.1)
+        rep = check_goodness(ensemble(), empty_configuration(box), lam, 0.5, 0.1)
         assert not rep.weg_pass and not rep.is_good
 
     def test_empty_free_site_policy_identity(self):
         box = make_box(1, 12.0)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 3, 0)
-        rep = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1)
+        rep = check_goodness(ensemble(), cfg, -0.5, 0.4, 0.1)
         assert rep.policy_record == ["no-free-sites"]
         assert rep.n_free_sites == 0
 
@@ -161,8 +158,7 @@ class TestGoodness:
         sites = lattice_sites(box)
         cfg = sample_configuration(Bernoulli(0.5), box, sites[:3], 3, 0)
         policy = FreeSitePolicy(corners=2, draws=2, seed=1)
-        rep = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1,
-                             policy=policy)
+        rep = check_goodness(ensemble(), cfg, -0.5, 0.4, 0.1, policy=policy)
         assert rep.n_free_sites == 3
         assert rep.policy_record == ["zeros", "ones", "corner0", "corner1",
                                      "draw0", "draw1"]
@@ -173,9 +169,8 @@ class TestGoodness:
         box = make_box(1, 16.0)
         for seed in range(5):
             cfg = sample_configuration(Bernoulli(0.5), box, None, 40 + seed, 0)
-            good = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.3, 0.5, 0.1)
-            jgood = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.3, 0.5,
-                                   0.1, variant="jgood")
+            good = check_goodness(ensemble(), cfg, -0.3, 0.5, 0.1)
+            jgood = check_goodness(ensemble(), cfg, -0.3, 0.5, 0.1, variant="jgood")
             if good.is_good:
                 assert jgood.is_good
 
@@ -185,19 +180,17 @@ class TestGoodness:
         m, L = 0.5, 16.0
         for seed in range(4):
             cfg = sample_configuration(Bernoulli(0.5), box, None, 60 + seed, 0)
-            good = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.3, m, 0.1)
+            good = check_goodness(ensemble(), cfg, -0.3, m, 0.1)
             if not good.is_good:
                 continue
             shift = math.exp(-2 * m * L)
-            jrep = check_goodness(box, GridSpec(4), SiteProfile(), cfg,
-                                  -0.3 + shift, m, 0.1, variant="jgood")
+            jrep = check_goodness(ensemble(), cfg, -0.3 + shift, m, 0.1, variant="jgood")
             assert jrep.is_good
 
     def test_pgood_covers_subboxes(self):
         # desk scale: eta must be large enough that ell = L^(1/(1+eta)) <= L/6
         box = make_box(1, 18.0)
-        rep = check_pgood(box, GridSpec(4), SiteProfile(), empty_configuration(box),
-                          -1.0, 0.5, 0.1, eta=1.8)
+        rep = check_pgood(ensemble(), empty_configuration(box), -1.0, 0.5, 0.1, eta=1.8)
         assert rep.subreports and rep.is_good
         assert all(sub.is_good for sub in rep.subreports)
 
@@ -254,7 +247,7 @@ class TestCandidatePairs:
         msa._box_pairs.cache_clear()
         box = make_box(1, 200.0)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 0, 0)
-        args = (box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1, FreeSitePolicy(seed=3))
+        args = (ensemble(), cfg, -0.5, 0.4, 0.1, FreeSitePolicy(seed=3))
         first, second = check_goodness(*args), check_goodness(*args)
         assert len(calls) == 1
         assert first == second and first.worst_pair is not None
@@ -280,7 +273,7 @@ class TestRankOneGoodness:
     def test_same_report_as_svd_reference(self, L, trial, m, monkeypatch):
         box = make_box(1, L)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 0, trial)
-        args = (box, GridSpec(8), SiteProfile(), cfg, -0.5, m, 0.1, FreeSitePolicy(seed=0))
+        args = (ensemble(8), cfg, -0.5, m, 0.1, FreeSitePolicy(seed=0))
         rep = check_goodness(*args)
         # the reference: no generators, so one solve per source
         _without_generators(monkeypatch)
@@ -304,7 +297,7 @@ class TestSemiseparableGoodness:
         solve = ResolventFactorization.solve
         monkeypatch.setattr(ResolventFactorization, "solve",
                             lambda self, rhs: solves.append(rhs) or solve(self, rhs))
-        rep = check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1, policy)
+        rep = check_goodness(ensemble(), cfg, -0.5, 0.4, 0.1, policy)
         assert len(rep.weg_norms) == len(solves) == 5 and rep.fallbacks == []
 
     @pytest.mark.parametrize("case", ["zero-pivot", "disagreement"])
@@ -315,7 +308,7 @@ class TestSemiseparableGoodness:
         if case == "zero-pivot":   # E on the first diagonal entry of H
             energy = assemble(box, n=4, config=cfg).matrix.diagonal()[0]
             reason = "zero or non-finite Schur complement"
-        args = (box, GridSpec(4), SiteProfile(), cfg, energy, 0.4, 0.1)
+        args = (ensemble(), cfg, energy, 0.4, 0.1)
         if case == "disagreement":
             logs = spectral._semiseparable_logs
             monkeypatch.setattr(spectral, "_semiseparable_logs",
@@ -392,16 +385,14 @@ class TestReducedSpectrum:
 
     def test_n1_zero_unchanged(self):
         box, cfg = self._setup()
-        red = reduced_spectrum(box, GridSpec(4), SiteProfile(), cfg, (0.0, 2.0),
-                               0.7, 0, 0.5)
+        red = reduced_spectrum(ensemble(), cfg, (0.0, 2.0), 0.7, 0, 0.5)
         full = eigs_window(assemble(box, config=cfg), (0.0, 2.0)).energies
         assert np.array_equal(red, full)
 
     def test_huge_threshold_keeps_everything(self):
         # m_hat = 0 makes the threshold 2, wider than the window
         box, cfg = self._setup()
-        red = reduced_spectrum(box, GridSpec(4), SiteProfile(), cfg, (0.0, 1.5),
-                               0.7, 1, 0.0)
+        red = reduced_spectrum(ensemble(), cfg, (0.0, 1.5), 0.7, 1, 0.0)
         full = eigs_window(assemble(box, config=cfg), (0.0, 1.5)).energies
         assert np.array_equal(red, full)
 
@@ -410,8 +401,7 @@ class TestReducedSpectrum:
         for seed in range(6):
             box, cfg = self._setup(seed=seed + 10)
             rho, n1, m_hat = 0.75, 2, 0.6
-            red = reduced_spectrum(box, GridSpec(4), SiteProfile(), cfg,
-                                   (0.0, 2.0), rho, n1, m_hat)
+            red = reduced_spectrum(ensemble(), cfg, (0.0, 2.0), rho, n1, m_hat)
             full = eigs_window(assemble(box, config=cfg), (0.0, 2.0)).energies
             expected = []
             for E in full:
@@ -433,17 +423,14 @@ class TestReducedSpectrum:
         box, cfg = self._setup(seed=30)
         sets = []
         for n1 in (0, 1, 2):
-            red = reduced_spectrum(box, GridSpec(4), SiteProfile(), cfg,
-                                   (0.0, 2.0), 0.75, n1, 0.6)
+            red = reduced_spectrum(ensemble(), cfg, (0.0, 2.0), 0.75, n1, 0.6)
             sets.append(set(np.round(red, 12)))
         assert sets[2].issubset(sets[1]) and sets[1].issubset(sets[0])
 
     def test_monotone_in_threshold(self):
         box, cfg = self._setup(seed=31)
-        small = reduced_spectrum(box, GridSpec(4), SiteProfile(), cfg, (0.0, 2.0),
-                                 0.75, 2, 1.5)
-        large = reduced_spectrum(box, GridSpec(4), SiteProfile(), cfg, (0.0, 2.0),
-                                 0.75, 2, 0.1)
+        small = reduced_spectrum(ensemble(), cfg, (0.0, 2.0), 0.75, 2, 1.5)
+        large = reduced_spectrum(ensemble(), cfg, (0.0, 2.0), 0.75, 2, 0.1)
         assert set(np.round(small, 12)).issubset(set(np.round(large, 12)))
 
     def test_scale_error(self):
@@ -451,5 +438,4 @@ class TestReducedSpectrum:
         box = make_box(1, 12.0)
         cfg = sample_configuration(Uniform01(), box, None, 1, 0)
         with pytest.raises(ScaleError):
-            reduced_spectrum(box, GridSpec(2), SiteProfile(), cfg, (0.0, 2.0),
-                             0.02, 1, 0.5)
+            reduced_spectrum(ensemble(2), cfg, (0.0, 2.0), 0.02, 1, 0.5)

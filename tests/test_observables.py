@@ -10,7 +10,7 @@ import scipy.linalg as la
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from andlab.discretize import GridSpec, unit_box_mask
+from andlab.discretize import unit_box_mask
 from andlab.errors import GeometryError, ValidationError
 from andlab.model import (Bernoulli, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
@@ -165,7 +165,7 @@ class TestDichotomy:
     def test_no_energy_is_vacuous(self):
         box = make_box(1, 24.0)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 90, 0)
-        records = dichotomy_check(box, GridSpec(4), SiteProfile(), cfg, (0.0,),
+        records = dichotomy_check(assemble(box, config=cfg), (0.0,),
                                   8.0, (-2.0, -1.0), 0.05, 0.5, 1.0)
         assert records == []
 
@@ -173,8 +173,7 @@ class TestDichotomy:
         box = make_box(1, 10.0)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 91, 0)
         with pytest.raises(GeometryError):
-            dichotomy_check(box, GridSpec(4), SiteProfile(), cfg, (0.0,), 8.0,
-                            (0.0, 1.0), 0.05, 0.5, 1.0)
+            dichotomy_check(assemble(box, config=cfg), (0.0,), 8.0, (0.0, 1.0), 0.05, 0.5, 1.0)
 
     def test_product_bound_implication(self):
         # either branch plus the a priori caps forces the product bound,
@@ -182,8 +181,7 @@ class TestDichotomy:
         box = make_box(1, 30.0)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 92, 0)
         L, M, theta, nu = 10.0, 0.05, 0.5, 1.0
-        records = dichotomy_check(box, GridSpec(4), SiteProfile(), cfg, (0.0,),
-                                  L, (0.0, 0.4), M, theta, nu)
+        records = dichotomy_check(assemble(box, config=cfg), (0.0,), L, (0.0, 0.4), M, theta, nu)
         cap_x, cap_xl = w_caps(nu, L)
         for rec in records:
             if rec.branch_point and rec.w_x_L <= cap_xl:
@@ -214,8 +212,7 @@ class TestDichotomy:
         m_fit = lc.decay_rate
         assert m_fit > 0.8
         M = 0.8 * m_fit * (L - 1.0) / (2.0 * L)
-        records = dichotomy_check(box, GridSpec(4), deep, cfg, (0.0,),
-                                  L, (0.0, 3.2), M, 0.5, nu)
+        records = dichotomy_check(H, (0.0,), L, (0.0, 3.2), M, 0.5, nu)
         ground = min(records, key=lambda r: r.energy)
         predicted = math.exp(-m_fit * (L - 1.0) / 2.0)
         assert ground.w_x_L <= 3.0 * predicted     # fitted-rate oracle

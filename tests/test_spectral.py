@@ -7,15 +7,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from andlab import spectral
-from andlab.discretize import GridSpec, unit_box_mask
+from andlab.discretize import unit_box_mask
 from andlab.errors import SolverError, ValidationError
-from andlab.model import (Bernoulli, Configuration, SiteProfile, Uniform01, lattice_sites,
+from andlab.model import (Bernoulli, Configuration, Uniform01, lattice_sites,
                           sample_configuration)
 from andlab.msa import check_goodness
 from andlab.spectral import (ResolventFactorization, eigenvalue_count, eigs_window,
                              evolve, lowest_eigenvalue)
 
-from conftest import assemble, make_box, random_hamiltonian
+from conftest import assemble, ensemble, make_box, random_hamiltonian
 from test_discretize import free_dirichlet_eigenvalues
 
 
@@ -309,7 +309,7 @@ class TestSturmCount:
         # per-source path at a zero Schur complement
         box = make_box(1, 12.0)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 3, 0)
-        assert check_goodness(box, GridSpec(4), SiteProfile(), cfg, -0.5, 0.4, 0.1).is_good
+        assert check_goodness(ensemble(), cfg, -0.5, 0.4, 0.1).is_good
         fac = ResolventFactorization(H, H.matrix.diagonal()[0])
         nodes = _unit_box_nodes(H)
         first, second = np.triu_indices(len(nodes), k=1)
