@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .errors import GridError, ValidationError
 from .model import (AnnulusSpec, BoxSpec, Configuration, SingleSiteDistribution, SiteProfile,
-                    sample_configuration)
+                    lattice_sites, sample_configuration)
 
 _FIT_TOL = 1e-9
 
@@ -310,8 +310,6 @@ class Ensemble:
 
 def empty_configuration(box: BoxSpec) -> Configuration:
     """All-zero couplings on the box (the free operator's configuration)."""
-    from .model import lattice_sites
-
     sites = lattice_sites(box)
     return Configuration(box, sites, np.zeros(len(sites)))
 

@@ -13,7 +13,9 @@ the reconstruction below approximates with tensor Gauss-Legendre panels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as la
 
@@ -95,45 +97,35 @@ class QuasiAnalyticExtension:
         u = np.asarray(u, dtype=float)
         return 2.0 * np.sqrt(1.0 + u**2) / self.scale
 
+    def _taylor(self, u, v):
+        """sum_{r <= order} g^(r)(u) (iv)^r / r!"""
+        taylor = np.zeros(np.broadcast(u, v).shape, dtype=complex)
+        iv = 1j * v
+        term = np.ones_like(taylor)
+        for r in range(self.order + 1):
+            if r > 0:
+                term = term * iv
+            taylor = taylor + self.g.derivative(r, u) * term / math.factorial(r)
+        return taylor
+
     def value(self, u, v):
         """gext(u+iv); equals g(u) on the real axis."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        taylor = np.zeros(np.broadcast(u, v).shape, dtype=complex)
-        iv = 1j * v
-        term = np.ones_like(taylor)
-        fact = 1.0
-        for r in range(self.order + 1):
-            if r > 0:
-                term = term * iv
-                fact *= r
-            taylor = taylor + self.g.derivative(r, u) * term / fact
-        bra = np.sqrt(1.0 + u**2)
-        return taylor * xi_cutoff(self.scale * v / bra)
+        return self._taylor(u, v) * xi_cutoff(self.scale * v / np.sqrt(1.0 + u**2))
 
     def dbar(self, u, v):
         """(d/du + i d/dv) gext at u+iv (the HS surface density up to 1/2pi)."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        iv = 1j * v
         bra = np.sqrt(1.0 + u**2)
         s = self.scale * v / bra
         # the Taylor part telescopes: only the top derivative survives
-        fact = 1.0
-        for r in range(2, self.order + 1):
-            fact *= r
-        top = self.g.derivative(self.order + 1, u) * (iv ** self.order) / fact
-        taylor = np.zeros(np.broadcast(u, v).shape, dtype=complex)
-        term = np.ones_like(taylor)
-        f = 1.0
-        for r in range(self.order + 1):
-            if r > 0:
-                term = term * iv
-                f *= r
-            taylor = taylor + self.g.derivative(r, u) * term / f
+        top = self.g.derivative(self.order + 1, u) * ((1j * v) ** self.order) \
+            / math.factorial(self.order)
         # dbar of the cutoff argument: (d/du + i d/dv)(a v / <u>)
         darg = -self.scale * v * u / bra**3 + 1j * self.scale / bra
-        return top * xi_cutoff(s) + taylor * xi_cutoff_prime(s) * darg
+        return top * xi_cutoff(s) + self._taylor(u, v) * xi_cutoff_prime(s) * darg
 
 
 def hnorm(g: GaussianBump, n: int, s: float = 0.0, a: float = 1.0,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -86,16 +85,6 @@ def ids_counts(ensemble: Ensemble, box: BoxSpec, energy_grid: np.ndarray,
     """#{eigenvalues <= E} at each grid energy in Monte Carlo trial ``trial``."""
     H = ensemble.hamiltonian(box, trial)
     return np.searchsorted(full_spectrum(H), energy_grid, side="right")
-
-
-def ids_estimate(ensemble: Ensemble, box: BoxSpec, energy_grid, n_samples: int) -> IdsCurve:
-    """Monte Carlo IDS curve (volume-normalized counts) on an energy grid,
-    given as ``checked_energy_grid`` takes it."""
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
-    energy_grid = checked_energy_grid(energy_grid)
-    trial = partial(ids_counts, ensemble, box, energy_grid)
-    return ids_curve(energy_grid, [trial(t) for t in range(n_samples)], box.side ** box.dimension)
 
 
 @dataclass

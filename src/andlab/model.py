@@ -369,13 +369,26 @@ class Configuration:
             fv = np.asarray(self.free_values, dtype=float)
             if np.any(fv < 0.0) or np.any(fv > 1.0):
                 raise ValidationError("free-site values must lie in [0,1]")
-        if self.free_sites is not None and len(self.free_sites):
-            free = {tuple(s) for s in np.asarray(self.free_sites)}
-            if len(free) < len(self.free_sites):
-                raise ValidationError("a repeated free site would add its coupling twice")
-            joint = free.intersection(tuple(s) for s in np.asarray(self.sites))
-            if joint:
-                raise ValidationError(f"free sites overlap omega domain: {sorted(joint)[:3]}")
+        # a site listed twice would carry two couplings, a potential past u_+
+        sites = np.asarray(self.sites)
+        every = sites if self.free_sites is None else np.concatenate([sites, self.free_sites])
+        if len(every):
+            half = self.region.side / 2.0
+            axes = [open_integer_range(c - half, c + half) for c in self.region.center]
+            try:  # the flat index of each site in the box's lattice
+                index = np.ravel_multi_index(tuple((every - [lo for lo, _ in axes]).T),
+                                             [hi - lo + 1 for lo, hi in axes])
+            except ValueError:
+                raise ValidationError(f"a site lies outside the box {self.region}") from None
+            count = np.bincount(index)
+            if count.max() > 1:
+                free_count = np.bincount(index[len(sites):], minlength=len(count))
+                for kind, counted in (("repeated free site", free_count),
+                                      ("repeated omega site", count - free_count),
+                                      ("free site in the omega domain", count)):
+                    hit = np.flatnonzero(counted[index] > 1)
+                    if len(hit):
+                        raise ValidationError(f"{kind} {tuple(every[hit[0]].tolist())}")
 
     def with_free_values(self, t: np.ndarray) -> "Configuration":
         """Same configuration with the free couplings set to ``t``."""
@@ -424,7 +437,8 @@ def sample_configuration(
         raise ValidationError("distribution produced values outside [0,1]")
 
     if free_sites is not None:
-        fs = np.atleast_2d(np.asarray(free_sites, dtype=np.int64))
+        fs = np.asarray(free_sites, dtype=np.int64)
+        fs = fs.reshape(0, box.dimension) if fs.size == 0 else np.atleast_2d(fs)
         site_set = {tuple(s) for s in all_sites}
         for s in fs:
             if tuple(s) not in site_set:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -487,18 +487,6 @@ def goodness_trial(ensemble: Ensemble, box: BoxSpec, energy: float, m: float, va
     """Whether the box is (E, m, varsigma)-good in Monte Carlo trial ``trial``."""
     return bool(check_goodness(ensemble, ensemble.configuration(box, trial), energy, m, varsigma,
                                FreeSitePolicy(seed=ensemble.root_seed), "good", pair_cap).is_good)
-
-
-def goodness_probability(ensemble: Ensemble, box: BoxSpec, energy: float, m: float,
-                         varsigma: float, p: float, n_samples: int,
-                         pair_cap: int = PAIR_CAP) -> LadderRow:
-    """Monte Carlo estimate of P{box is (E, m, varsigma)-good} with the
-    Wilson interval and the 1 - L^(-pd) target."""
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
-    trial = partial(goodness_trial, ensemble, box, energy, m, varsigma, pair_cap)
-    good = sum(trial(t) for t in range(n_samples))
-    return ladder_row(box.side, box.dimension, p, energy, m, good, n_samples)
 
 
 # ---------------------------------------------------------------------------

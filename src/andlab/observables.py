@@ -27,6 +27,7 @@ import scipy.linalg as la
 from .discretize import Ensemble, Grid, HamiltonianMatrix, annulus_shell_mask, unit_box_mask
 from .errors import GeometryError, ValidationError
 from .model import BoxSpec, lattice_sites
+from .spectral import eigs_window
 
 MASS_FLOOR = 1e-14
 
@@ -126,8 +127,6 @@ def dichotomy_check(H: HamiltonianMatrix, x0, L: float, interval: tuple, M: floa
     for i in range(outer_box.dimension):
         if abs(x0[i] - outer_box.center[i]) + L_plus / 2.0 > outer_box.side / 2.0:
             raise GeometryError("outer box too small to contain the L_+ annulus box")
-    from .spectral import eigs_window
-
     margin = math.exp(-M * L ** vartheta)
     lo, hi = interval
     window = (lo + margin, hi - margin)
@@ -211,8 +210,6 @@ def dynamical_moment(H: HamiltonianMatrix, interval: tuple, b: float, x0,
     k x m core (k window pairs, m mask nodes) after one thin QR of the
     weighted eigenvectors per call, with no n x m block.
     """
-    from .spectral import eigs_window
-
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = H.grid.box.dimension
     res = eigs_window(H, interval)
@@ -270,8 +267,6 @@ def fermi_kernel_decay(H: HamiltonianMatrix, energy: float, x0,
     rate is against ``|x0 - y|^vartheta`` (stretched exponential).
     """
     x0 = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
-    from .spectral import eigs_window
-
     lo = -H.norm_bound() - 1.0
     res = eigs_window(H, (lo, energy))
     if targets is None:

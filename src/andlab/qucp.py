@@ -169,40 +169,26 @@ class RadialBump:
     r0: float
     width: float
 
-    def _b(self, t):
+    def _profile(self, t):
+        """``(b, b', b'')`` at ``t``, all zero outside |t| < 1."""
         t = np.asarray(t, dtype=float)
         inside = np.abs(t) < 1.0
-        out = np.zeros_like(t)
-        tt = np.where(inside, t, 0.0)
-        out[inside] = np.exp(-1.0 / (1.0 - tt[inside] ** 2))
-        return out
-
-    def _b1(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = np.abs(t) < 1.0
-        out = np.zeros_like(t)
+        out = np.zeros((3,) + t.shape)
         ti = t[inside]
-        out[inside] = self._b(ti) * (-2.0 * ti / (1.0 - ti**2) ** 2)
-        return out
-
-    def _b2(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = np.abs(t) < 1.0
-        out = np.zeros_like(t)
-        ti = t[inside]
-        g = -2.0 * ti / (1.0 - ti**2) ** 2
+        b = np.exp(-1.0 / (1.0 - ti**2))
+        g = -2.0 * ti / (1.0 - ti**2) ** 2                   # (log b)'
         gp = -2.0 * (1.0 + 3.0 * ti**2) / (1.0 - ti**2) ** 3
-        out[inside] = self._b(ti) * (g * g + gp)
+        out[:, inside] = b, b * g, b * (g * g + gp)
         return out
 
     def value(self, r):
-        return self._b((np.asarray(r, float) - self.r0) / self.width)
+        return self._profile((np.asarray(r, float) - self.r0) / self.width)[0]
 
     def radial_laplacian(self, r, d: int):
         r = np.asarray(r, dtype=float)
-        t = (r - self.r0) / self.width
-        fpp = self._b2(t) / self.width**2
-        fp = self._b1(t) / self.width
+        _, b1, b2 = self._profile((r - self.r0) / self.width)
+        fpp = b2 / self.width**2
+        fp = b1 / self.width
         return fpp + (d - 1) / np.maximum(r, 1e-300) * fp
 
 

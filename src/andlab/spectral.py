@@ -1,4 +1,4 @@
-"""Eigenvalue counts and windows, resolvent block-norm probes, unitary evolution.
+"""Eigenvalue counts and windows, resolvent block norms, unitary evolution.
 
 Structure decides first, then size.  A 1-d Dirichlet Hamiltonian is
 tridiagonal (``is_tridiagonal``), and its windows and smallest eigenvalue go
@@ -26,10 +26,10 @@ eigenvector tails (dichotomy masses down to 1e-33) far below ARPACK's floor of
 about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
 ``EigenWindowResult.solver`` records which of the three ran.
 
-Resolvent probes share one solver for ``H - E``: on a tridiagonal H one banded
-LAPACK solve (``gtsv`` through ``solve_banded``, O(n) per right-hand side, no
-factor kept), otherwise one SuperLU factor.  Block norms are exact.
-``block_norms`` takes one solve for the source columns, then each target
+Block norms at one energy share one solver for ``H - E``: on a tridiagonal H
+one banded LAPACK solve (``gtsv`` through ``solve_banded``, O(n) per
+right-hand side, no factor kept), otherwise one SuperLU factor.  They are
+exact: ``block_norms`` takes one solve for the source columns, then each target
 block's largest singular value, one batched SVD per target node count, on
 every structure.  A goodness check's pair norms all come from ``pair_norms``.
 On a tridiagonal H the inverse is semiseparable,
@@ -43,9 +43,10 @@ takes one ``block_norms`` solve.  The whole-box norm
 H (a Sturm count and ``stebz`` by index), and from one Lanczos call over the
 LU otherwise.  SuperLU and ARPACK (``scipy.sparse.linalg``) serve only d >= 2
 and periodic boxes, so they are imported inside the functions that call them
-and a 1-d Dirichlet run never loads them.  Near-resonant energies are reported
-as DIVERGENT rather than as a huge number, since the boundary-value extension
-of the resolvent norm at spectral points is a limsup.
+and a 1-d Dirichlet run never loads them.  A factorization at an energy
+within ``1e-10 * H.norm_bound()`` of the spectrum is ``divergent``, and its
+callers report that rather than a huge number, since the boundary-value
+extension of the resolvent norm at spectral points is a limsup.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .rng import derive_key, uniforms
 
 DENSE_MAX_VECTORS = 3000
 DENSE_MAX_VALUES = 300
-DIVERGENT = "divergent"
 # relative agreement a certifying solve must show with the semiseparable norms
 CERTIFY_RTOL = 1e-9
 
@@ -284,39 +284,20 @@ def full_spectrum(H: HamiltonianMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# resolvent probes
+# resolvent block norms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ResolventProbe:
-    """One resolvent norm at ``energy``: a block norm
-    ``|chi_target (H-E)^{-1} chi_source|`` or the whole-box ``|(H-E)^{-1}|``.
-
-    ``norm_estimate`` is NaN when divergent and 0.0 for an empty block;
-    ``gap_estimate`` is dist(E, spectrum) from :class:`ResolventFactorization`,
-    which also counts the Lanczos solves behind it (``gap_solves``, zero on a
-    tridiagonal H).
-    """
-
-    energy: float
-    norm_estimate: float           # nan when divergent
-    status: str                    # "ok", "divergent", "empty"
-    gap_estimate: float = np.inf   # dist(E, spectrum)
-
-    @property
-    def divergent(self) -> bool:
-        return self.status == DIVERGENT
-
-
 class ResolventFactorization:
-    """Shared solver of ``H - E`` for many block probes: a banded LAPACK solve
-    on a tridiagonal H, a SuperLU factor otherwise.
+    """Shared solver of ``H - E`` for the block norms at one energy
+    (``block_norms``, ``pair_norms``): a banded LAPACK solve on a tridiagonal
+    H, a SuperLU factor otherwise.
 
-    ``divergent`` holds when ``H - E`` is singular or dist(E, spectrum) is
-    below the fixed tolerance ``1e-10 * H.norm_bound()``; a divergent
-    factorization answers every probe with status DIVERGENT.  On a
-    tridiagonal H that distance is the Sturm gap (``_tridiagonal_gap``).
-    Immutable after construction; concurrent probes may share it.
+    ``resolvent_norm`` is the exact ``|(H-E)^{-1}|`` and ``gap`` the
+    dist(E, spectrum) behind it; on a tridiagonal H that distance is the
+    Sturm gap (``_tridiagonal_gap``).  ``divergent`` holds when ``H - E`` is
+    singular or ``gap`` is below the fixed tolerance
+    ``1e-10 * H.norm_bound()``; callers read it before any block norm.
+    Immutable after construction; concurrent callers may share it.
     """
 
     def __init__(self, H: HamiltonianMatrix, energy: float):
@@ -482,20 +463,6 @@ class ResolventFactorization:
             return None, f"certifying solve differs by {abs(direct - measured[top]):.3e}"
         measured[top] = direct
         return measured, None
-
-    def block_norm(self, source_mask: np.ndarray, target_mask: np.ndarray) -> ResolventProbe:
-        """Largest singular value of ``chi_target R chi_source``."""
-        if self.divergent:
-            return ResolventProbe(self.energy, np.nan, DIVERGENT, self.gap)
-        # R is symmetric: solve from the smaller mask (the source on a tie)
-        src, tgt = sorted((np.flatnonzero(m) for m in (source_mask, target_mask)), key=len)
-        if not len(src):
-            return ResolventProbe(self.energy, 0.0, "empty", self.gap)
-        try:
-            norm = float(self.block_norms(src, [tgt])[0])
-        except FloatingPointError:
-            return ResolventProbe(self.energy, np.nan, DIVERGENT, 0.0)
-        return ResolventProbe(self.energy, norm, "ok", self.gap)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from andlab.experiments.config import load_config
 from andlab.experiments.runner import run_experiment
 from andlab.hs import (GaussianBump, QuadratureSpec, QuasiAnalyticExtension,
                        hs_reconstruct)
-from andlab.ids import free_ids_weyl, ids_estimate
+from andlab.ids import free_ids_weyl, ids_counts, ids_curve
 from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Configuration,
                           SiteProfile, Uniform01, lattice_sites,
                           sample_configuration)
@@ -245,13 +245,14 @@ def test_criterion_03_spectral_core():
         y = float(np.floor((2 * u[i, 4] - 1) * span))
         src = unit_box_mask(H.grid, (x,))
         tgt = unit_box_mask(H.grid, (y,))
-        probe = ResolventFactorization(H, E).block_norm(src, tgt)
+        norm = ResolventFactorization(H, E).block_norms(np.flatnonzero(src),
+                                                        [np.flatnonzero(tgt)])[0]
         lu = la.lu_factor(H.matrix.toarray() - E * np.eye(H.size))
         rhs = np.zeros((H.size, int(src.sum())))
         rhs[np.flatnonzero(src), np.arange(int(src.sum()))] = 1.0
         cols = la.lu_solve(lu, rhs)
         oracle = la.svdvals(cols[np.flatnonzero(tgt), :])[0]
-        rel = abs(probe.norm_estimate - oracle) / max(oracle, 1e-300)
+        rel = abs(norm - oracle) / max(oracle, 1e-300)
         worst = max(worst, rel)
     elapsed = time.monotonic() - t0
     report(3, "spectral core", ok_closed and worst <= 1e-6 and elapsed < 120.0,
@@ -282,11 +283,11 @@ def test_criterion_04_combes_thomas():
             fac = ResolventFactorization(H, E)
             for i, j in pairs:
                 total += 1
-                p = fac.block_norm(unit_box_mask(H.grid, centers[i]),
-                                   unit_box_mask(H.grid, centers[j]))
+                norm = fac.block_norms(np.flatnonzero(unit_box_mask(H.grid, centers[i])),
+                                       [np.flatnonzero(unit_box_mask(H.grid, centers[j]))])[0]
                 r = abs(centers[i, 0] - centers[j, 0])
                 bound = (2.0 / gap) * math.exp(-(2.0 / 3.0) * math.sqrt(gap) * r)
-                if p.norm_estimate > bound:
+                if norm > bound:
                     violations += 1
     report(4, "Combes-Thomas regime", violations == 0,
            f"{total} probed pairs, {violations} violations")
@@ -500,12 +501,15 @@ def test_criterion_10_hs_reconstruction():
 # ---------------------------------------------------------------------------
 
 def test_criterion_11_ids():
-    free = ids_estimate(Ensemble(Atoms(((0.0, 1.0),)), GridSpec(8), SiteProfile()),
-                        make_box(1, 100.0), np.array([1.0]), 1)
+    free_ens = Ensemble(Atoms(((0.0, 1.0),)), GridSpec(8), SiteProfile())
+    grid = np.array([1.0])
+    free = ids_curve(grid, [ids_counts(free_ens, make_box(1, 100.0), grid, 0)], 100.0)
     weyl = free_ids_weyl(1.0, 1)
     ok_weyl = abs(free.values[0] - weyl) / weyl <= 0.05
-    curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=5),
-                         make_box(1, 40.0), np.array([0.05, 0.1, 0.2, 0.35, 0.55]), 60)
+    ens = Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=5)
+    grid = np.array([0.05, 0.1, 0.2, 0.35, 0.55])
+    curve = ids_curve(grid, [ids_counts(ens, make_box(1, 40.0), grid, t) for t in range(60)],
+                      40.0)
     ok_monotone = bool(np.all(np.diff(curve.values) >= 0.0))
     mask = curve.values > 0
     slope = np.polyfit(curve.energies[mask] ** -0.5,

@@ -364,8 +364,9 @@ class TestLaplacianCache:
         first = assemble_hamiltonian(box, spec, SiteProfile(), cfg)
         shifted = first.shifted(0.7)
         shifted.matrix.data *= 1.0          # results are the caller's to write
-        ResolventFactorization(shifted, -0.3).block_norm(
-            unit_box_mask(first.grid, (-1.0, -1.0)), unit_box_mask(first.grid, (1.0, 1.0)))
+        ResolventFactorization(shifted, -0.3).block_norms(
+            np.flatnonzero(unit_box_mask(first.grid, (-1.0, -1.0))),
+            [np.flatnonzero(unit_box_mask(first.grid, (1.0, 1.0)))])
         again = assemble_hamiltonian(box, spec, SiteProfile(), cfg)
         _laplacian.cache_clear()
         uncached = assemble_hamiltonian(box, spec, SiteProfile(), cfg)

@@ -12,16 +12,16 @@ import andlab.spectral
 from andlab.discretize import Ensemble, GridSpec
 from andlab.errors import ValidationError
 from andlab.ids import (IdsCurve, checked_energy_grid, free_ids_weyl, ids_counts, ids_curve,
-                        ids_estimate, log_holder_modulus)
-from andlab.model import Atoms, Bernoulli, SiteProfile, Uniform01
+                        log_holder_modulus)
+from andlab.model import Atoms, Bernoulli, SiteProfile
 
 from conftest import make_box
 
 
 def free_curve(L, n, energies, d=1):
-    dist = Atoms(((0.0, 1.0),))
-    return ids_estimate(Ensemble(dist, GridSpec(n), SiteProfile()), make_box(d, L),
-                        np.asarray(energies), 1)
+    grid = np.asarray(energies, dtype=float)
+    ens = Ensemble(Atoms(((0.0, 1.0),)), GridSpec(n), SiteProfile())
+    return ids_curve(grid, [ids_counts(ens, make_box(d, L), grid, 0)], L ** d)
 
 
 class TestIdsEstimate:
@@ -30,33 +30,31 @@ class TestIdsEstimate:
         assert curve.values[0] == pytest.approx(1.0 / math.pi, rel=0.05)
 
     def test_nondecreasing_and_nonnegative(self):
-        curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=3),
-                             make_box(1, 30.0), np.linspace(0.05, 2.0, 12), 8)
+        ens = Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=3)
+        grid = np.linspace(0.05, 2.0, 12)
+        curve = ids_curve(grid, [ids_counts(ens, make_box(1, 30.0), grid, t) for t in range(8)],
+                          30.0)
         assert np.all(np.diff(curve.values) >= 0.0)
         assert np.all(curve.values >= 0.0)
 
     def test_zero_below_spectrum(self):
-        curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=1),
-                             make_box(1, 20.0), np.array([-1.0, -0.5]), 4)
+        ens = Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=1)
+        grid = np.array([-1.0, -0.5])
+        curve = ids_curve(grid, [ids_counts(ens, make_box(1, 20.0), grid, t) for t in range(4)],
+                          20.0)
         assert np.all(curve.values == 0.0)
 
-    def test_sample_count_required(self):
-        with pytest.raises(ValidationError):
-            ids_estimate(Ensemble(Uniform01(), GridSpec(4), SiteProfile()), make_box(1, 10.0),
-                         np.array([1.0]), 0)
-
     def test_reproducible(self):
-        args = (Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=77),
-                make_box(1, 16.0), np.array([0.5, 1.0]), 5)
-        a = ids_estimate(*args)
-        b = ids_estimate(*args)
+        ens = Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=77)
+        grid = np.array([0.5, 1.0])
+        a, b = (ids_curve(grid, [ids_counts(ens, make_box(1, 16.0), grid, t) for t in range(5)],
+                          16.0) for _ in range(2))
         assert np.array_equal(a.values, b.values)
 
     def test_2d_matches_1d_free_structure(self):
         # tensor structure sanity: the 2-d free IDS at E is bounded by the
         # Weyl value with the usual finite-size deficit
-        curve = ids_estimate(Ensemble(Atoms(((0.0, 1.0),)), GridSpec(4), SiteProfile()),
-                             make_box(2, 16.0), np.array([2.0]), 1)
+        curve = free_curve(16.0, 4, [2.0], d=2)
         assert 0.0 < curve.values[0] <= free_ids_weyl(2.0, 2) * 1.2
 
 
@@ -67,8 +65,7 @@ class TestEnergyGrid:
                                       {"start": 1.5, "stop": 0.1, "num": 4}])
     def test_unsorted_or_repeated_grid_refused(self, grid):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile()), make_box(1, 10.0),
-                         grid, 2)
+            checked_energy_grid(grid)
 
     @pytest.mark.parametrize("grid", [[], [0.1, float("nan")], [0.1, float("inf")],
                                       np.array([[0.1, 0.2]]), [0.1, True], ["0.5"], 0.5,
@@ -131,8 +128,10 @@ class TestLogHolder:
     def test_lifshitz_tail_slope_negative(self):
         # log N vs E^{-1/2}: super-polynomial smallness at the bottom makes the
         # fitted slope negative for the Bernoulli model
-        curve = ids_estimate(Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=5),
-                             make_box(1, 40.0), np.array([0.05, 0.1, 0.2, 0.35, 0.55]), 60)
+        ens = Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=5)
+        grid = np.array([0.05, 0.1, 0.2, 0.35, 0.55])
+        curve = ids_curve(grid, [ids_counts(ens, make_box(1, 40.0), grid, t) for t in range(60)],
+                          40.0)
         mask = curve.values > 0
         assert mask.sum() >= 3
         x = curve.energies[mask] ** -0.5

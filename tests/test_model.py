@@ -175,6 +175,15 @@ class TestSampling:
         box = BoxSpec(1, (0.0,), 10.0)
         with pytest.raises(ValidationError):
             sample_configuration(Uniform01(), box, np.array([[99]]), 0, 0)
+        with pytest.raises(ValidationError):
+            sample_configuration(Uniform01(), box, np.array([[0, 1]]), 0, 0)
+
+    def test_empty_free_site_list_is_no_free_sites(self):
+        box = BoxSpec(1, (0.0,), 6.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, [], 1, 0)
+        base = sample_configuration(Bernoulli(0.5), box, None, 1, 0)
+        assert cfg.free_sites.shape == (0, 1)
+        assert np.array_equal(cfg.sites, base.sites) and np.array_equal(cfg.values, base.values)
 
     def test_repeated_free_site_rejected(self):
         # a repeated site would carry two couplings, a potential past u_+
@@ -184,6 +193,22 @@ class TestSampling:
         sites = lattice_sites(box)
         with pytest.raises(ValidationError, match="repeated free site"):
             Configuration(box, sites[1:], np.zeros(len(sites) - 1), sites[[0, 0]])
+
+    def test_repeated_omega_site_rejected(self):
+        # assembled, the repeated site would carry a potential of 2.0, past u_+ = 1
+        box = BoxSpec(1, (0.0,), 6.0)
+        sites = lattice_sites(box)
+        with pytest.raises(ValidationError, match="repeated omega site"):
+            Configuration(box, np.vstack([sites, sites[:1]]), np.ones(len(sites) + 1))
+        with pytest.raises(ValidationError, match="free site in the omega domain"):
+            Configuration(box, sites, np.ones(len(sites)), sites[[2]])
+
+    def test_site_outside_the_box_rejected(self):
+        # the site at 3 is not strictly inside (-3, 3); the refusal also keeps
+        # the duplicate count's table within the box
+        box = BoxSpec(1, (0.0,), 6.0)
+        with pytest.raises(ValidationError, match="outside the box"):
+            Configuration(box, np.array([[0], [3]]), np.ones(2))
 
 
 class TestSiteProfile:

@@ -8,9 +8,9 @@ from andlab.discretize import Ensemble, Grid, GridSpec, empty_configuration
 from andlab.errors import ScaleError, ValidationError
 from andlab.model import (Atoms, Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
-from andlab.msa import (FreeSitePolicy, GAMMA_CRITICAL, MsaParams, _candidate_pairs,
+from andlab.msa import (PAIR_CAP, FreeSitePolicy, GAMMA_CRITICAL, MsaParams, _candidate_pairs,
                         _unit_box_nodes, check_goodness, check_pgood,
-                        goodness_probability, initial_scale_values, minimal_n1,
+                        goodness_trial, initial_scale_values, ladder_row, minimal_n1,
                         n_hat, reduced_spectrum,
                         restrict_configuration, scale_ladder, wilson_interval)
 from andlab.rng import derive_key, uniforms
@@ -345,8 +345,9 @@ class TestUnitBoxNodes:
 class TestGoodnessProbability:
     def test_deterministic_good(self):
         box = make_box(1, 12.0)
-        row = goodness_probability(Ensemble(Atoms(((1.0, 1.0),)), GridSpec(4), SiteProfile(),
-                                            root_seed=7), box, -1.0, 0.5, 0.1, 0.35, 6)
+        ens = Ensemble(Atoms(((1.0, 1.0),)), GridSpec(4), SiteProfile(), root_seed=7)
+        good = sum(goodness_trial(ens, box, -1.0, 0.5, 0.1, PAIR_CAP, t) for t in range(6))
+        row = ladder_row(12.0, 1, 0.35, -1.0, 0.5, good, 6)
         assert row.p_hat == 1.0 and row.good_count == 6
         assert row.verdict
 
@@ -355,15 +356,17 @@ class TestGoodnessProbability:
         box = make_box(1, 12.0)
         H = assemble(box, n=4, config=_ones_config(box))
         lam = lowest_eigenvalue(H)
-        row = goodness_probability(Ensemble(Atoms(((1.0, 1.0),)), GridSpec(4), SiteProfile(),
-                                            root_seed=7), box, lam, 5.0, 0.1, 0.35, 4)
+        ens = Ensemble(Atoms(((1.0, 1.0),)), GridSpec(4), SiteProfile(), root_seed=7)
+        good = sum(goodness_trial(ens, box, lam, 5.0, 0.1, PAIR_CAP, t) for t in range(4))
+        row = ladder_row(12.0, 1, 0.35, lam, 5.0, good, 4)
         assert row.p_hat == 0.0
 
     def test_reproducible(self):
         box = make_box(1, 10.0)
         ensemble = Ensemble(Bernoulli(0.5), GridSpec(4), SiteProfile(), root_seed=123)
-        a = goodness_probability(ensemble, box, -0.5, 0.4, 0.1, 0.35, 8)
-        b = goodness_probability(ensemble, box, -0.5, 0.4, 0.1, 0.35, 8)
+        a, b = (ladder_row(10.0, 1, 0.35, -0.5, 0.4,
+                           sum(goodness_trial(ensemble, box, -0.5, 0.4, 0.1, PAIR_CAP, t)
+                               for t in range(8)), 8) for _ in range(2))
         assert (a.good_count, a.p_hat) == (b.good_count, b.p_hat)
 
     def test_wilson_halfwidth_bound(self):
