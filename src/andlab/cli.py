@@ -14,8 +14,8 @@ import json
 import sys
 
 from .errors import AndlabError, ValidationError
-from .experiments.config import load_config
-from .experiments.runner import KINDS, run_experiment
+from .experiments import load_config, run_experiment
+from .experiments.runner import KINDS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .model import AnnulusSpec, BoxSpec, lattice_sites, open_integer_range
+from .model import AnnulusSpec, BoxSpec, lattice_index, lattice_sites, open_integer_range
 from .rng import derive_key, uniforms
 
 _THREE_FIFTHS = Fraction(3, 5)
@@ -283,19 +283,13 @@ def is_abundant(sites: np.ndarray, box: BoxSpec, varsigma_prime: float) -> bool:
     threshold = L ** ((1.0 - varsigma_prime) * d)
     if len(sites) == 0:
         return threshold <= 0.0
-    full = {tuple(s) for s in lattice_sites(box)}
-    for s in sites:
-        if tuple(s) not in full:
-            raise ValidationError(f"site {tuple(s)} is not a lattice site of the box")
+    occupied = lattice_index(box, sites)  # refuses a site that is not a lattice site
 
     w = L / 5.0
-    # summed-area table over the integer bounding range
-    mins = sites.min(axis=0)
-    maxs = sites.max(axis=0)
-    shape = tuple(int(maxs[i] - mins[i]) + 1 for i in range(d))
-    occ = np.zeros(shape, dtype=np.int64)
-    occ[tuple((sites - mins).T)] = 1
-    sat = occ
+    # summed-area table over the box's lattice
+    full = lattice_sites(box)
+    mins, shape = full[0], tuple(full[-1] - full[0] + 1)
+    sat = np.isin(np.arange(len(full)), occupied).reshape(shape)
     for axis in range(d):
         sat = np.cumsum(sat, axis=axis)
     padded = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)

@@ -249,7 +249,7 @@ def assemble_hamiltonian(
     box, grid_spec : geometry and mesh; the configuration region must be
         contained in ``box``.
     profile : single-site bump shape shared by all sites.
-    config : coupling realization; assigned free-site values are included.
+    config : coupling realization; its free sites carry their assigned t_S.
     v_per : optional background field added onto the diagonal.  On a periodic
         box its period must divide the side; on a Dirichlet box any field,
         periodic or not, may be passed.
@@ -272,8 +272,7 @@ def assemble_hamiltonian(
     if v_per is not None:
         potential += np.asarray(v_per(grid.points()), dtype=float).reshape(grid.shape)
 
-    sites, values = config.all_sites_and_values()
-    potential += _site_potential(grid, profile, sites, values)
+    potential += _site_potential(grid, profile, config.sites, config.couplings())
 
     # lap + diag(potential), exactly symmetric: the potential added onto the
     # stored diagonal, whose exact zeros are dropped as the sparse sum drops them
@@ -310,8 +309,7 @@ class Ensemble:
 
 def empty_configuration(box: BoxSpec) -> Configuration:
     """All-zero couplings on the box (the free operator's configuration)."""
-    sites = lattice_sites(box)
-    return Configuration(box, sites, np.zeros(len(sites)))
+    return Configuration(box, np.zeros(len(lattice_sites(box))))
 
 
 def cosine_potential(amplitude: float, period: int, offset: float, shift: float, points):

@@ -5,8 +5,8 @@ rejected by name.  Every section is a frozen dataclass: the kind's params
 (``Kind.params`` in ``runner.KINDS``), :class:`ModelSection` and
 :class:`RunSection`.  Each field's annotation is a checked type from the
 vocabulary below, and a field without a default is required.
-``validate_config`` builds every section, so each value is checked before
-any output exists.  Physics parameters default only where the model does: a
+``runner.validate_config`` builds every section, so each value is checked
+before any output exists.  Physics parameters default only where the model does: a
 Bernoulli ``q`` of 0.5, a profile ``u_plus`` and ``delta_plus`` of 1.0 (and
 ``u_minus``, ``delta_minus`` equal to them) and a grid ``boundary`` of
 ``"dirichlet"``.  The params defaults are the dataclasses' own.
@@ -20,7 +20,6 @@ import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache, partial
-from pathlib import Path
 from typing import Annotated, Callable, Optional, get_origin, get_type_hints
 
 from ..discretize import GridSpec, PeriodicField, cosine_potential, periodic_ground_energy
@@ -56,7 +55,7 @@ def listed(entry: Callable, length: Optional[int] = None):
 def tagged(kinds: dict):
     """An object ``{"kind": name, ...}``, built as ``kinds[name]`` from its other keys."""
     def checked(value, where: str):
-        kind = _object(value, where).get("kind")
+        kind = mapping(value, where).get("kind")
         if not isinstance(kind, str) or kind not in kinds:
             raise ValidationError(f"unknown kind {kind!r} in {where}")
         return build_params(kinds[kind], {k: v for k, v in value.items() if k != "kind"}, where)
@@ -71,7 +70,7 @@ real = check(_is_real, "a finite number", float)
 positive = check(lambda v: _is_real(v) and v > 0.0, "positive", float)
 count = check(lambda v: type(v) is int and v >= 1, "an integer >= 1")
 text = check(lambda v: isinstance(v, str), "a string")
-_object = check(lambda v: isinstance(v, dict), "an object")
+mapping = check(lambda v: isinstance(v, dict), "an object")
 _ordered = check(lambda v: v[0] <= v[1], "ordered, lo <= hi")
 
 Real = Annotated[float, real]
@@ -111,7 +110,7 @@ def _checks(cls) -> dict:
 def build_params(cls, spec, where: str):
     """``cls`` from a config object, each value checked by its field's type."""
     checks = _checks(cls)
-    for key in _object(spec, where):
+    for key in mapping(spec, where):
         if key not in checks:
             raise ValidationError(f"unknown key {key!r} in {where}")
     for f in fields(cls):
@@ -162,7 +161,7 @@ _V_PER = {"zero": Zero, "cosine": Cosine}
 def v_per_spec(spec, where: str = "v_per"):
     """The checked :class:`Zero` or :class:`Cosine` of a ``v_per`` spec (kind
     ``zero`` by default); builds no field, so it never runs ``auto_shift``'s solve."""
-    return tagged(_V_PER)({"kind": "zero", **_object(spec, where)}, where)
+    return tagged(_V_PER)({"kind": "zero", **mapping(spec, where)}, where)
 
 
 @dataclass(frozen=True)
@@ -232,29 +231,3 @@ class ExperimentConfig:
     @property
     def workers(self) -> int:
         return self.run.workers
-
-
-def validate_config(raw: dict) -> ExperimentConfig:
-    from .runner import KINDS  # the runner imports this module's field types
-
-    for key in _object(raw, "config"):
-        if key not in ("experiment", "model", "params", "run"):
-            raise ValidationError(f"unknown key {key!r} in config")
-    kind = raw.get("experiment")
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise ValidationError(f"unknown experiment kind {kind!r}; "
-                              f"expected one of {tuple(KINDS)}")
-    entry, model = KINDS[kind], raw.get("model", {})
-    model = build_params(ModelSection, model, "model") if entry.needs_model or model else None
-    params = build_params(entry.params, raw.get("params", {}), "params")
-    run = build_params(RunSection, raw.get("run", {}), "run")
-    return ExperimentConfig(kind, model, params, run, raw=raw)
-
-
-def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw)

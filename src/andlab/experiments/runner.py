@@ -14,6 +14,7 @@ The CLI reads the same registry.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import astuple, dataclass
@@ -33,9 +34,9 @@ from ..msa import (PAIR_CAP, MsaParams, goodness_trial, initial_scale_trial,
                    initial_scale_values, ladder_row)
 from ..observables import dichotomy_trial, dynamical_trial
 from ..qucp import periodic_projection_gap, qucp_trial
-from .config import (Count, ExperimentConfig, Flag, Interval, Positive, Real, Reals, Scales,
-                     Unit, build_params, check, listed, optional, real, tagged, v_per_spec,
-                     validate_config)
+from .config import (Count, ExperimentConfig, Flag, Interval, ModelSection, Positive, Real, Reals,
+                     RunSection, Scales, Unit, build_params, check, listed, mapping, optional,
+                     real, tagged, v_per_spec)
 from .emit import emit_plotdata, file_digest, write_csv, write_json
 
 D = 1  # CLI experiments run the 1-d desk bench; the library API is d-general
@@ -359,6 +360,30 @@ KINDS = {
     "qucp": Kind(QucpParams, _run_qucp),
     "periodic-gap": Kind(PeriodicGapParams, _run_periodic_gap, needs_model=False),
 }
+
+
+def validate_config(raw: dict) -> ExperimentConfig:
+    for key in mapping(raw, "config"):
+        if key not in ("experiment", "model", "params", "run"):
+            raise ValidationError(f"unknown key {key!r} in config")
+    kind = raw.get("experiment")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValidationError(f"unknown experiment kind {kind!r}; "
+                              f"expected one of {tuple(KINDS)}")
+    entry, model = KINDS[kind], raw.get("model", {})
+    model = build_params(ModelSection, model, "model") if entry.needs_model or model else None
+    params = build_params(entry.params, raw.get("params", {}), "params")
+    run = build_params(RunSection, raw.get("run", {}), "run")
+    return ExperimentConfig(kind, model, params, run, raw=raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    text = Path(path).read_text()
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    return validate_config(raw)
 
 
 # ---------------------------------------------------------------------------

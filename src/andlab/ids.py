@@ -62,7 +62,7 @@ def checked_energy_grid(spec) -> np.ndarray:
     else:
         raise ValidationError(f"energy_grid must be a list or an object, got {spec!r}")
     if energies.size == 0 or not np.all(np.isfinite(energies)) \
-            or np.any(np.diff(energies) <= 0.0):
+            or np.any(energies[1:] <= energies[:-1]):
         raise ValidationError(f"energy_grid must be non-empty, finite and strictly "
                               f"increasing, got {energies.tolist()}")
     return energies
@@ -74,6 +74,8 @@ def ids_curve(energy_grid, counts, volume: float) -> IdsCurve:
     sample deviation."""
     counts = np.asarray(counts, dtype=float)
     n_samples = len(counts)
+    if n_samples == 0:
+        raise ValidationError("need at least one trial")
     values = counts.mean(axis=0) / volume
     stderr = counts.std(axis=0, ddof=1) / math.sqrt(n_samples) / volume \
         if n_samples > 1 else np.zeros_like(values)

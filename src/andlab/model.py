@@ -1,8 +1,10 @@
 """Probabilistic model: single-site laws, site profiles, boxes, configurations.
 
 The random couplings live on the integer lattice points strictly inside an
-open box.  All sampling is reproducible through counter-based streams keyed
-by ``(root_seed, trial, site index)``, see :mod:`andlab.rng`.
+open box, one per site in ``lattice_sites`` order; ``lattice_index`` gives a
+site's place in that order.  All sampling is reproducible through
+counter-based streams keyed by ``(root_seed, trial, site index)``, see
+:mod:`andlab.rng`.
 """
 
 from __future__ import annotations
@@ -327,19 +329,34 @@ def open_integer_range(lo: float, hi: float) -> tuple:
     return int(np.floor(lo)) + 1, int(np.ceil(hi)) - 1
 
 
+def _lattice_shape(box: BoxSpec) -> tuple:
+    """First lattice coordinate and number of lattice sites along each axis."""
+    half = box.side / 2.0
+    first, last = np.array([open_integer_range(c - half, c + half) for c in box.center]).T
+    return first, np.maximum(last - first + 1, 0)
+
+
 def lattice_sites(box: BoxSpec) -> np.ndarray:
     """Integer points strictly inside the open box, lexicographic order.
 
     Returns an ``(m, d)`` integer array; ``m`` may be zero.
     """
-    axes = []
-    for c in box.center:
-        first, last = open_integer_range(c - box.side / 2.0, c + box.side / 2.0)
-        axes.append(np.arange(first, last + 1, dtype=np.int64))
-    if any(len(a) == 0 for a in axes):
-        return np.empty((0, box.dimension), dtype=np.int64)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    first, shape = _lattice_shape(box)
+    return np.stack(np.unravel_index(np.arange(np.prod(shape)), shape), axis=1) + first
+
+
+def lattice_index(box: BoxSpec, sites) -> np.ndarray:
+    """Place of each integer site ``(s, d)`` in ``lattice_sites(box)``; refuses
+    a site outside the box or with other than d coordinates."""
+    sites = np.asarray(sites)
+    sites = sites.reshape(0, box.dimension) if sites.shape == (0,) else sites
+    if sites.ndim != 2 or sites.shape[1] != box.dimension:
+        raise ValidationError(f"sites need {box.dimension} coordinates, got shape {sites.shape}")
+    first, shape = _lattice_shape(box)
+    try:
+        return np.ravel_multi_index(tuple((sites - first).T), shape)
+    except ValueError:
+        raise ValidationError(f"a site lies outside the box {box}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -350,45 +367,40 @@ def lattice_sites(box: BoxSpec) -> np.ndarray:
 class Configuration:
     """One realization of the couplings on a box, with optional free sites.
 
-    ``sites``/``values`` carry omega on the non-free lattice sites;
-    ``free_sites``/``free_values`` carry the adjustable couplings t_S
-    (``free_values`` may be None while the assignment is left open).
+    ``values`` holds omega, one coupling per site of ``sites``, the box's
+    ``lattice_sites``.  ``free_values``, the couplings t_S at ``free_sites``,
+    replace omega's there (None while the assignment is left open).
     """
 
     region: BoxSpec
-    sites: np.ndarray          # (m, d) int lattice sites carrying omega
-    values: np.ndarray         # (m,) floats in [0,1]
+    values: np.ndarray         # (m,) floats in [0,1], m = len(lattice_sites(region))
     free_sites: Optional[np.ndarray] = None    # (s, d) int
     free_values: Optional[np.ndarray] = None   # (s,) floats in [0,1] or None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if values.shape != (int(np.prod(_lattice_shape(self.region)[1])),):
+            raise ValidationError(f"expected one value per lattice site of {self.region}, "
+                                  f"got shape {values.shape}")
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValidationError("configuration values must lie in [0,1]")
+        object.__setattr__(self, "values", values)
         if self.free_values is not None:
             fv = np.asarray(self.free_values, dtype=float)
             if np.any(fv < 0.0) or np.any(fv > 1.0):
                 raise ValidationError("free-site values must lie in [0,1]")
-        # a site listed twice would carry two couplings, a potential past u_+
-        sites = np.asarray(self.sites)
-        every = sites if self.free_sites is None else np.concatenate([sites, self.free_sites])
-        if len(every):
-            half = self.region.side / 2.0
-            axes = [open_integer_range(c - half, c + half) for c in self.region.center]
-            try:  # the flat index of each site in the box's lattice
-                index = np.ravel_multi_index(tuple((every - [lo for lo, _ in axes]).T),
-                                             [hi - lo + 1 for lo, hi in axes])
-            except ValueError:
-                raise ValidationError(f"a site lies outside the box {self.region}") from None
-            count = np.bincount(index)
-            if count.max() > 1:
-                free_count = np.bincount(index[len(sites):], minlength=len(count))
-                for kind, counted in (("repeated free site", free_count),
-                                      ("repeated omega site", count - free_count),
-                                      ("free site in the omega domain", count)):
-                    hit = np.flatnonzero(counted[index] > 1)
-                    if len(hit):
-                        raise ValidationError(f"{kind} {tuple(every[hit[0]].tolist())}")
+        if self.free_sites is not None:
+            # a site listed twice would carry two couplings, a potential past u_+
+            index, count = np.unique(lattice_index(self.region, self.free_sites),
+                                     return_counts=True)
+            if np.any(count > 1):
+                site = self.sites[index[count > 1][0]]
+                raise ValidationError(f"repeated free site {tuple(site.tolist())}")
+
+    @property
+    def sites(self) -> np.ndarray:
+        """The box's lattice sites, one per entry of ``values``."""
+        return lattice_sites(self.region)
 
     def with_free_values(self, t: np.ndarray) -> "Configuration":
         """Same configuration with the free couplings set to ``t``."""
@@ -397,17 +409,17 @@ class Configuration:
         t = np.asarray(t, dtype=float)
         if t.shape != (len(self.free_sites),):
             raise ValidationError(f"expected {len(self.free_sites)} free values, got {t.shape}")
-        return Configuration(self.region, self.sites, self.values, self.free_sites, t)
+        return Configuration(self.region, self.values, self.free_sites, t)
 
-    def all_sites_and_values(self) -> tuple:
-        """Concatenated (sites, values) over omega and assigned free sites."""
+    def couplings(self) -> np.ndarray:
+        """One coupling per lattice site: omega, with t_S written at the free sites."""
         if self.free_sites is None or len(self.free_sites) == 0:
-            return self.sites, self.values
+            return self.values
         if self.free_values is None:
             raise ValidationError("free sites present but no t_S assigned")
-        sites = np.vstack([self.sites, self.free_sites])
-        values = np.concatenate([self.values, self.free_values])
-        return sites, values
+        couplings = self.values.copy()
+        couplings[lattice_index(self.region, self.free_sites)] = self.free_values
+        return couplings
 
 
 def sample_configuration(
@@ -419,41 +431,15 @@ def sample_configuration(
 ) -> Configuration:
     """Draw an i.i.d. configuration on the lattice sites of ``box``.
 
-    Free sites (a subset of the lattice sites) are excluded from the omega
-    domain and left unassigned.  The draw at a site depends only on
-    ``(root_seed, trial, site index)`` where the index refers to the
-    lexicographic ordering of the full site list, so adding or removing free
-    sites does not reshuffle the remaining draws.
+    Free sites (lattice sites of the box) are left unassigned, on top of the
+    draws.  The draw at a site depends only on ``(root_seed, trial, site
+    index)``, the index being the site's place in ``lattice_sites(box)``, so
+    free sites do not change any draw.
     """
-    dist.validate()
-    all_sites = lattice_sites(box)
-    n = len(all_sites)
-
-    def uniform_at_level(level):
-        return site_uniforms(root_seed, trial, n, level)
-
-    values = dist.sample(uniform_at_level)
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise ValidationError("distribution produced values outside [0,1]")
-
+    n = int(np.prod(_lattice_shape(box)[1]))
+    values = dist.sample(lambda level: site_uniforms(root_seed, trial, n, level))
     if free_sites is not None:
-        fs = np.asarray(free_sites, dtype=np.int64)
-        fs = fs.reshape(0, box.dimension) if fs.size == 0 else np.atleast_2d(fs)
-        site_set = {tuple(s) for s in all_sites}
-        for s in fs:
-            if tuple(s) not in site_set:
-                raise ValidationError(f"free site {tuple(s)} not a lattice site of the box")
-        free_set = {tuple(s) for s in fs}
-        keep = np.array([tuple(s) not in free_set for s in all_sites], dtype=bool)
-        omega_sites, omega_values = all_sites[keep], values[keep]
-    else:
-        fs = None
-        omega_sites, omega_values = all_sites, values
-
-    return Configuration(
-        region=box,
-        sites=omega_sites,
-        values=omega_values,
-        free_sites=fs,
-        free_values=None,
-    )
+        free_sites = np.asarray(free_sites, dtype=np.int64)
+        free_sites = free_sites.reshape(0, box.dimension) if free_sites.size == 0 \
+            else np.atleast_2d(free_sites)
+    return Configuration(box, values, free_sites)

@@ -21,7 +21,7 @@ import numpy as np
 from .covering import standard_covering_box
 from .discretize import Ensemble
 from .errors import ScaleError, ValidationError
-from .model import BoxSpec, Configuration, lattice_sites
+from .model import BoxSpec, Configuration, lattice_index, lattice_sites
 from .rng import derive_key, uniforms
 from .spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
@@ -339,7 +339,7 @@ def check_goodness(
         if fac.resolvent_norm > weg_threshold:
             weg_pass = False
         if nodes is None:  # every t_S shares the grid
-            nodes = _unit_box_nodes(H.grid.points(), centers)
+            nodes = _unit_box_nodes(H.grid.points(), box)
         pairs = fac.pair_norms(nodes, first, second, bound)
         measured = pairs.measured                     # NaN: pair not probed
         indeterminate |= pairs.indeterminate
@@ -365,24 +365,22 @@ def check_goodness(
         fallbacks=fallbacks)
 
 
-def _unit_box_nodes(points: np.ndarray, centers: np.ndarray) -> list:
+def _unit_box_nodes(points: np.ndarray, box: BoxSpec) -> list:
     """Sorted indices of the points inside the open unit box around each
-    center, for ``centers`` the lattice sites of a box (``lattice_sites``: a
-    full tensor grid of integer points in C order).
+    lattice site of ``box``, in ``lattice_sites`` order.
 
-    A point lies in the open unit box of an integer center c exactly when
-    every coordinate rounds to c's and stays within 1/2 of it, so one
-    ``rint`` pass assigns every point to its center, if any."""
-    if not len(centers):
+    A point lies in the open unit box of an integer site exactly when every
+    coordinate rounds to the site's and stays within 1/2 of it, so one
+    ``rint`` pass assigns every point to its site, if any."""
+    sites = lattice_sites(box)
+    if not len(sites):
         return []
     nearest = np.rint(points)
-    offset = centers.min(axis=0)
-    shape = tuple((centers.max(axis=0) - offset + 1).astype(np.intp))
-    cell = (nearest - offset).astype(np.intp)
-    inside = np.all((np.abs(points - nearest) < 0.5) & (cell >= 0) & (cell < shape), axis=1)
-    owner = np.ravel_multi_index(tuple(cell[inside].T), shape)
+    inside = np.all((np.abs(points - nearest) < 0.5) & (nearest >= sites[0])
+                    & (nearest <= sites[-1]), axis=1)
+    owner = lattice_index(box, nearest[inside].astype(np.int64))
     order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=len(centers))
+    counts = np.bincount(owner, minlength=len(sites))
     return np.split(np.flatnonzero(inside)[order], np.cumsum(counts)[:-1])
 
 
@@ -416,22 +414,16 @@ def check_pgood(ensemble: Ensemble, config: Configuration, energy: float, m: flo
 
 
 def restrict_configuration(config: Configuration, sub_box: BoxSpec) -> Configuration:
-    """Restriction of a configuration to a sub-box (assigned free sites fold in)."""
-    sites, values = [], []
-    src_sites, src_vals = config.sites, config.values
-    inside = sub_box.contains(src_sites.astype(float)) if len(src_sites) else \
-        np.zeros(0, dtype=bool)
-    sites.append(src_sites[inside])
-    values.append(src_vals[inside])
-    if config.free_sites is not None and len(config.free_sites):
-        fin = sub_box.contains(config.free_sites.astype(float))
-        if fin.any():
-            if config.free_values is None:
-                raise ValidationError(
-                    "free sites inside the sub-box but no t_S assigned")
-            sites.append(config.free_sites[fin])
-            values.append(config.free_values[fin])
-    return Configuration(sub_box, np.vstack(sites), np.concatenate(values))
+    """Restriction of a configuration to a sub-box of its region: assigned free
+    sites inside fold in, unassigned ones must lie outside and are dropped."""
+    index = lattice_index(config.region, lattice_sites(sub_box))
+    values = config.values
+    if config.free_sites is not None and \
+            np.isin(lattice_index(config.region, config.free_sites), index).any():
+        if config.free_values is None:
+            raise ValidationError("free sites inside the sub-box but no t_S assigned")
+        values = config.couplings()
+    return Configuration(sub_box, values[index])
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +462,8 @@ def ladder_row(scale: float, dimension: int, p: float, energy: float, m: float,
                successes: int, n_samples: int) -> LadderRow:
     """One ladder row from ``successes`` of ``n_samples`` trials at side
     ``scale``: the Wilson interval, the 1 - L^(-pd) target and the verdict."""
-    phat = successes / n_samples
     low, high = wilson_interval(successes, n_samples)
+    phat = successes / n_samples
     target = 1.0 - scale ** (-p * dimension)
     return LadderRow(scale, energy, m, n_samples, successes, phat, low, high, target,
                      verdict=(low >= target) or (phat >= target))

@@ -16,8 +16,7 @@ import scipy.linalg as la
 from andlab.covering import box_covering_structure, standard_covering_annulus
 from andlab.discretize import (Ensemble, GridSpec, PeriodicField, assemble_hamiltonian,
                                empty_configuration, unit_box_mask)
-from andlab.experiments.config import load_config
-from andlab.experiments.runner import run_experiment
+from andlab.experiments import load_config, run_experiment
 from andlab.hs import (GaussianBump, QuadratureSpec, QuasiAnalyticExtension,
                        hs_reconstruct)
 from andlab.ids import free_ids_weyl, ids_counts, ids_curve
@@ -346,7 +345,7 @@ def test_criterion_06_derivative_sandwich():
                 continue
             bumped = cfg.values.copy()
             bumped[zeta] += dt
-            cfg2 = Configuration(cfg.region, cfg.sites, bumped)
+            cfg2 = Configuration(cfg.region, bumped)
             vals2 = la.eigvalsh(assemble(box, n=4, config=cfg2).matrix.toarray())
             if np.any(vals2 < vals - 1e-12):       # monotonicity
                 failures += 1
@@ -541,7 +540,7 @@ def test_criterion_12_qucp():
     # kappa-hat on the shipped 1-d benchmark
     box = make_box(1, 40.0)
     sites = lattice_sites(box)
-    cfg = Configuration(box, sites, np.zeros(len(sites)))
+    cfg = Configuration(box, np.zeros(len(sites)))
     v_per = PeriodicField(lambda p: 1.0 + np.cos(
         2.0 * np.pi * np.atleast_2d(p)[:, 0]), 1)
     H = assemble_hamiltonian(box, GridSpec(8), SiteProfile(), cfg, v_per)

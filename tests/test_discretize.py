@@ -49,7 +49,7 @@ class TestAssembly:
     def test_zero_coupling_equals_free(self):
         box = make_box(1, 6.0)
         sites = lattice_sites(box)
-        cfg = Configuration(box, sites, np.zeros(len(sites)))
+        cfg = Configuration(box, np.zeros(len(sites)))
         H0 = assemble(box, n=4)
         H1 = assemble(box, n=4, config=cfg)
         assert (H0.matrix != H1.matrix).nnz == 0
@@ -61,10 +61,7 @@ class TestAssembly:
         free = sites[:2]
         cfg = sample_configuration(Bernoulli(0.5), box, free, 12, 0)
         cfg_assigned = cfg.with_free_values(np.ones(2))
-        merged_sites = np.vstack([cfg.sites, free])
-        merged_vals = np.concatenate([cfg.values, np.ones(2)])
-        order = np.lexsort(merged_sites.T[::-1])
-        direct = Configuration(box, merged_sites[order], merged_vals[order])
+        direct = Configuration(box, np.concatenate([np.ones(2), cfg.values[2:]]))
         A = assemble(box, n=4, config=cfg_assigned)
         B = assemble(box, n=4, config=direct)
         assert np.allclose(A.matrix.toarray(), B.matrix.toarray())
@@ -144,7 +141,7 @@ class TestEigenvalueMonotonicity:
     def test_monotone_in_single_site_increment(self):
         H, cfg = _random_H(seed=21)
         vals = la.eigvalsh(H.matrix.toarray())
-        bumped = Configuration(cfg.region, cfg.sites,
+        bumped = Configuration(cfg.region,
                                np.minimum(cfg.values + 0.3 * (np.arange(len(cfg.values)) == 2), 1.0))
         vals2 = la.eigvalsh(assemble(cfg.region, n=4, config=bumped).matrix.toarray())
         assert np.all(vals2 >= vals - 1e-12)
@@ -170,7 +167,7 @@ class TestEigenvalueMonotonicity:
                     continue
                 bump = cfg.values.copy()
                 bump[zeta] += eps
-                cfg2 = Configuration(cfg.region, cfg.sites, bump)
+                cfg2 = Configuration(cfg.region, bump)
                 vals2 = la.eigvalsh(assemble(cfg.region, n=4, config=cfg2).matrix.toarray())
                 slope = (vals2[k] - vals[k]) / eps
                 psi = vecs[:, k] / (np.sqrt(w) * np.linalg.norm(vecs[:, k]))
@@ -310,7 +307,7 @@ class TestLoopFreeAssembly:
         prof = PROFILES[profile]
         sites = lattice_sites(box)
         values = np.resize(np.asarray(couplings), len(sites))
-        cfg = Configuration(box, sites, values)
+        cfg = Configuration(box, values)
         grid = Grid(box, GridSpec(n, boundary))
         periodic = boundary == "periodic"
 

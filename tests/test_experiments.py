@@ -17,9 +17,8 @@ from andlab.cli import build_parser, main as cli_main
 from andlab.discretize import Ensemble, GridSpec, assemble_hamiltonian
 from andlab.errors import GeometryError, SolverError, ValidationError
 from andlab.experiments import config as config_module
-from andlab.experiments.config import (build_distribution, build_grid,
-                                       build_profile, build_v_per, load_config,
-                                       validate_config)
+from andlab.experiments import load_config, validate_config
+from andlab.experiments.config import build_distribution, build_grid, build_profile, build_v_per
 from andlab.experiments.emit import emit_plotdata, write_csv
 from andlab.experiments import runner
 from andlab.experiments.runner import KINDS, run_experiment

@@ -51,6 +51,10 @@ class TestIdsEstimate:
                           16.0) for _ in range(2))
         assert np.array_equal(a.values, b.values)
 
+    def test_zero_trials_refused(self):
+        with pytest.raises(ValidationError, match="at least one trial"):
+            ids_curve(np.array([0.5]), [], 10.0)
+
     def test_2d_matches_1d_free_structure(self):
         # tensor structure sanity: the 2-d free IDS at E is bounded by the
         # Weyl value with the usual finite-size deficit
@@ -62,7 +66,8 @@ class TestEnergyGrid:
     # on the model of configs/ids.json, a running maximum over [1.5, 0.1, 0.6]
     # would read N(0.1) = 0.319, the value at 1.5, where the sorted grid reads 0.0069
     @pytest.mark.parametrize("grid", [[1.5, 0.1, 0.6], [0.1, 0.6, 0.6, 1.5],
-                                      {"start": 1.5, "stop": 0.1, "num": 4}])
+                                      {"start": 1.5, "stop": 0.1, "num": 4},
+                                      [1.7976931348623157e308, -9.9792015476736e291]])
     def test_unsorted_or_repeated_grid_refused(self, grid):
         with pytest.raises(ValidationError, match="strictly increasing"):
             checked_energy_grid(grid)
@@ -84,6 +89,9 @@ class TestEnergyGrid:
             np.linspace(0.1, 1.5, 8).tolist()
         assert checked_energy_grid({"start": 0.1, "stop": 0.1, "num": 1}).tolist() == [0.1]
         assert checked_energy_grid([0, 0.5, np.float64(2)]).tolist() == [0.0, 0.5, 2.0]
+        # finite extremes, whose difference overflows
+        extremes = [-1.7976931348623157e308, 1.7976931348623157e308]
+        assert checked_energy_grid(extremes).tolist() == extremes
 
     @settings(max_examples=40, deadline=None)
     @given(grid=st.lists(st.floats(-1.0, 6.0), min_size=1, max_size=12, unique=True)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from andlab.errors import ValidationError
 from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Configuration, Mixture,
-                          SiteProfile, Uniform01, lattice_sites, open_integer_range,
-                          sample_configuration)
+                          SiteProfile, Uniform01, lattice_index, lattice_sites,
+                          open_integer_range, sample_configuration)
 
 # interval endpoints: integers, half-integers and arbitrary floats
 endpoints = st.one_of(st.integers(-40, 40).map(float),
@@ -162,14 +162,16 @@ class TestSampling:
         box = BoxSpec(1, (0.0,), 10.0)
         free = np.array([[0], [2]])
         cfg = sample_configuration(Uniform01(), box, free, 5, 0)
-        omega_sites = {tuple(s) for s in cfg.sites}
-        assert (0,) not in omega_sites and (2,) not in omega_sites
-        assert len(cfg.sites) + 2 == len(lattice_sites(box))
-        # draws at the remaining sites are unchanged by removing free sites
+        # the draws are those without free sites, at every site
         base = sample_configuration(Uniform01(), box, None, 5, 0)
-        base_map = {tuple(s): v for s, v in zip(base.sites, base.values)}
-        for s, v in zip(cfg.sites, cfg.values):
-            assert base_map[tuple(s)] == v
+        assert np.array_equal(cfg.sites, lattice_sites(box))
+        assert np.array_equal(cfg.values, base.values)
+        # t_S replaces omega at the free sites, and only there
+        t = np.array([0.25, 0.75])
+        couplings = cfg.with_free_values(t).couplings()
+        at = [lattice_sites(box).ravel().tolist().index(s) for s in (0, 2)]
+        assert couplings[at].tolist() == t.tolist()
+        assert np.array_equal(np.delete(couplings, at), np.delete(base.values, at))
 
     def test_free_site_must_be_lattice_site(self):
         box = BoxSpec(1, (0.0,), 10.0)
@@ -192,24 +194,39 @@ class TestSampling:
             sample_configuration(Bernoulli(0.5), box, [[0], [0]], 1, 0)
         sites = lattice_sites(box)
         with pytest.raises(ValidationError, match="repeated free site"):
-            Configuration(box, sites[1:], np.zeros(len(sites) - 1), sites[[0, 0]])
-
-    def test_repeated_omega_site_rejected(self):
-        # assembled, the repeated site would carry a potential of 2.0, past u_+ = 1
-        box = BoxSpec(1, (0.0,), 6.0)
-        sites = lattice_sites(box)
-        with pytest.raises(ValidationError, match="repeated omega site"):
-            Configuration(box, np.vstack([sites, sites[:1]]), np.ones(len(sites) + 1))
-        with pytest.raises(ValidationError, match="free site in the omega domain"):
-            Configuration(box, sites, np.ones(len(sites)), sites[[2]])
+            Configuration(box, np.zeros(len(sites)), sites[[0, 0]])
 
     def test_site_outside_the_box_rejected(self):
-        # the site at 3 is not strictly inside (-3, 3); the refusal also keeps
-        # the duplicate count's table within the box
+        # the site at 3 is not strictly inside (-3, 3)
         box = BoxSpec(1, (0.0,), 6.0)
         with pytest.raises(ValidationError, match="outside the box"):
-            Configuration(box, np.array([[0], [3]]), np.ones(2))
+            Configuration(box, np.ones(5), np.array([[0], [3]]))
 
+    def test_one_value_per_lattice_site(self):
+        box = BoxSpec(1, (0.0,), 6.0)
+        for n in (4, 6):
+            with pytest.raises(ValidationError, match="one value per lattice site"):
+                Configuration(box, np.zeros(n))
+
+
+class TestLatticeIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), data=st.data())
+    def test_index_is_lattice_order(self, d, data):
+        center = tuple(data.draw(st.floats(-3.0, 3.0), label=f"c{a}") for a in range(d))
+        box = BoxSpec(d, center, data.draw(st.floats(1.1, 6.5), label="side"))
+        sites = lattice_sites(box)
+        assert np.array_equal(lattice_index(box, sites), np.arange(len(sites)))
+        if len(sites):
+            axis = data.draw(st.integers(0, d - 1), label="axis")
+            step = np.zeros(d, dtype=np.int64)
+            step[axis] = data.draw(st.sampled_from([-1, 1]), label="direction")
+            edge = sites[0] if step[axis] < 0 else sites[-1]
+            with pytest.raises(ValidationError, match="outside the box"):
+                lattice_index(box, [edge + step])
+            for wrong in (sites[:1, :-1], np.hstack([sites, sites[:, :1]])):
+                with pytest.raises(ValidationError, match="coordinates"):
+                    lattice_index(box, wrong)
 
 class TestSiteProfile:
     def test_defaults_collapse_to_indicator(self):

@@ -331,15 +331,45 @@ class TestUnitBoxNodes:
             for n in (2, 3, 4):
                 box = BoxSpec(d, (offset,) * d, L)
                 points = Grid(box, GridSpec(n, boundary)).points()
-                centers = lattice_sites(box).astype(float)
-                nodes = _unit_box_nodes(points, centers)
+                nodes = _unit_box_nodes(points, box)
                 scan = [np.flatnonzero(BoxSpec(d, tuple(c), 1.0).contains(points))
-                        for c in centers]
+                        for c in lattice_sites(box).astype(float)]
                 assert len(nodes) == len(scan) > 0
                 assert all(np.array_equal(a, b) for a, b in zip(nodes, scan))
 
     def test_no_centers(self):
-        assert _unit_box_nodes(np.zeros((5, 1)), np.zeros((0, 1))) == []
+        # (0, 1) holds no integer
+        assert _unit_box_nodes(np.zeros((5, 1)), BoxSpec(1, (0.5,), 1.0)) == []
+
+
+class TestRestrictConfiguration:
+    box, sub_box = make_box(1, 12.0), make_box(1, 6.0)      # sites -5..5 and -2..2
+
+    def _draw(self, free):
+        return sample_configuration(Uniform01(), self.box, free, 4, 0)
+
+    def test_assigned_free_sites_inside_fold_in(self):
+        cfg = self._draw([[-4], [1], [2]]).with_free_values(np.array([0.1, 0.2, 0.3]))
+        sub = restrict_configuration(cfg, self.sub_box)
+        assert sub.region == self.sub_box and sub.free_sites is None
+        assert np.array_equal(sub.sites, lattice_sites(self.sub_box))
+        expected = self._draw(None).values[3:8].copy()
+        expected[[3, 4]] = [0.2, 0.3]
+        assert sub.values.tolist() == expected.tolist()
+
+    def test_unassigned_free_site_inside_refused(self):
+        with pytest.raises(ValidationError, match="no t_S assigned"):
+            restrict_configuration(self._draw([[-4], [1]]), self.sub_box)
+
+    def test_unassigned_free_sites_outside_dropped(self):
+        sub = restrict_configuration(self._draw([[-4], [4]]), self.sub_box)
+        assert sub.free_sites is None
+        assert sub.values.tolist() == self._draw(None).values[3:8].tolist()
+
+    def test_sub_box_past_the_region_refused(self):
+        # the sub-box's site 6 lies outside the region (-6, 6)
+        with pytest.raises(ValidationError, match="outside the box"):
+            restrict_configuration(self._draw(None), BoxSpec(1, (5.0,), 4.0))
 
 
 class TestGoodnessProbability:
@@ -369,6 +399,10 @@ class TestGoodnessProbability:
                                for t in range(8)), 8) for _ in range(2))
         assert (a.good_count, a.p_hat) == (b.good_count, b.p_hat)
 
+    def test_zero_trials_refused(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            ladder_row(10.0, 1, 0.35, -0.5, 0.4, 0, 0)
+
     def test_wilson_halfwidth_bound(self):
         lo, hi = wilson_interval(7, 10)
         assert 0.0 <= lo <= 0.7 <= hi <= 1.0
@@ -377,7 +411,7 @@ class TestGoodnessProbability:
 
 def _ones_config(box):
     sites = lattice_sites(box)
-    return Configuration(box, sites, np.ones(len(sites)))
+    return Configuration(box, np.ones(len(sites)))
 
 
 class TestReducedSpectrum:

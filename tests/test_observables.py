@@ -123,7 +123,7 @@ class TestLocalizationCenter:
         sites = lattice_sites(box)
         vals = np.ones(len(sites))
         vals[sites[:, 0] == 4] = 0.0
-        cfg = Configuration(box, sites, vals)
+        cfg = Configuration(box, vals)
         H = assemble(box, n=4, config=cfg)
         res = eigs_window(H, (0.0, 0.9))
         lc = localization_center(H.grid, res.vectors[:, 0])
@@ -201,7 +201,7 @@ class TestDichotomy:
         sites = lattice_sites(box)
         vals = np.ones(len(sites))
         vals[sites[:, 0] == 0] = 0.0
-        cfg = Configuration(box, sites, vals)
+        cfg = Configuration(box, vals)
         deep = SiteProfile(u_plus=4.0, delta_plus=1.0)
         L, nu = 10.0, 1.0
         H = assemble(box, n=4, config=cfg, profile=deep)

@@ -137,7 +137,7 @@ class TestQucpVerify:
         # 1D Dirichlet ground state with V_per = cos: kappa-hat <= 4/3 + 0.3
         box = make_box(1, 40.0)
         sites = lattice_sites(box)
-        cfg = Configuration(box, sites, np.zeros(len(sites)))
+        cfg = Configuration(box, np.zeros(len(sites)))
         v_per = PeriodicField(lambda pts: 1.0 + np.cos(
             2.0 * np.pi * np.atleast_2d(pts)[:, 0]), 1)
         H = assemble_hamiltonian(box, GridSpec(8), SiteProfile(), cfg, v_per)

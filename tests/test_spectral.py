@@ -332,8 +332,8 @@ class TestLowestEigenvalue:
     def test_monotone_in_couplings(self):
         box = make_box(1, 10.0)
         sites = lattice_sites(box)
-        ones = Configuration(box, sites, np.ones(len(sites)))
-        zero = Configuration(box, sites, np.zeros(len(sites)))
+        ones = Configuration(box, np.ones(len(sites)))
+        zero = Configuration(box, np.zeros(len(sites)))
         assert lowest_eigenvalue(assemble(box, config=ones)) >= \
             lowest_eigenvalue(assemble(box, config=zero))
 

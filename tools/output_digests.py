@@ -35,8 +35,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from andlab.experiments.config import load_config  # noqa: E402
-from andlab.experiments.runner import run_experiment  # noqa: E402
+from andlab.experiments import load_config, run_experiment  # noqa: E402
 
 
 def main(argv=None) -> int:
