@@ -4,16 +4,21 @@ The covering lattice spacing is ``alpha * ell`` with ``alpha`` rational, kept
 as an exact ``Fraction`` so the set identities (coverage, boundary capture,
 separation, counts) are exact statements about rational arithmetic.  Coverings
 keep no exact center tuples: the exact structure is ``alpha``, ``spacing`` and
-the per-axis steps (:func:`box_covering_structure`), and centers are floats.
+the per-axis steps (:func:`box_covering_structure`), and centers are floats
+computed from integer step vectors k, per axis or per annulus offset.
 
 For a box of side L, ``alpha`` ranges over ``[3/5, 4/5] inter {(L-l)/(2 l n)}``
 and the standard covering takes the maximal such alpha.  For an annulus the
 candidate set is ``{(L2-L1-2 l)/(2 l n)}``, which makes the outermost covering
 boxes flush with both annulus faces.
+
+Free-site abundance (:func:`is_abundant`) counts the sites in every distinct
+sub-box of side L/5 at once, from one summed-area table over the box's lattice.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .model import AnnulusSpec, BoxSpec, lattice_index, lattice_sites, open_integer_range
+from .model import AnnulusSpec, BoxSpec, _lattice_shape, lattice_index
 from .rng import derive_key, uniforms
 
 _THREE_FIFTHS = Fraction(3, 5)
@@ -145,7 +150,7 @@ def standard_covering_box(box: BoxSpec, ell, alpha: Optional[Fraction] = None,
     if (2 * n + 1) ** box.dimension > max_centers:
         raise GeometryError(f"covering would have more than {max_centers} centers")
     axes = [[float(_frac(c) + spacing * k) for k in range(-n, n + 1)] for c in box.center]
-    centers = np.array(list(itertools.product(*axes)), dtype=float)
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dimension)
     return Covering(box, float(ell), a, centers, steps_per_axis=n)
 
 
@@ -154,11 +159,18 @@ def annulus_offsets(L1: Fraction, ell: Fraction, dimension: int) -> list:
     +-(L1+l)/2 in at least one coordinate."""
     inner = (Fraction(0), L1 / 2, -L1 / 2)
     full = inner + ((L1 + ell) / 2, -(L1 + ell) / 2)
-    out = []
-    for combo in itertools.product(full, repeat=dimension):
-        if any(c not in inner for c in combo):
-            out.append(combo)
-    return out
+    return [u for u in itertools.product(full, repeat=dimension) if any(c not in inner for c in u)]
+
+
+def _axis_steps(v: Fraction, spacing: Fraction, outer_half: Fraction, sep: Fraction) -> tuple:
+    """For an offset coordinate ``v``: the first step k with ``|v + spacing*k| <=
+    outer_half``, which of those steps separate the box from the inner box,
+    and the integer part and residue of ``v / spacing``."""
+    k_lo = _ceil_div((-outer_half - v) / spacing)
+    ks = np.arange(k_lo, _floor_div((outer_half - v) / spacing) + 1)
+    separated = (ks >= _ceil_div((sep - v) / spacing)) | (ks <= _floor_div((-sep - v) / spacing))
+    whole = _floor_div(v / spacing)
+    return k_lo, separated, whole, v / spacing - whole
 
 
 def standard_covering_annulus(annulus: AnnulusSpec, ell,
@@ -166,11 +178,13 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
                               max_centers: int = 2_000_000) -> Covering:
     """Standard suitable ell-covering of an open annulus.
 
-    Requires ``ell < (L2-L1)/7``.  Centers come from the offset set plus the
-    alpha-lattice, filtered to boxes contained in the annulus.  All inclusion
-    and separation thresholds are computed exactly per axis (integer bounds on
-    the lattice index), so flush boxes are classified correctly; duplicate
-    centers across offsets are detected by the exact lattice-collision test.
+    Requires ``ell < (L2-L1)/7``.  Centers are ``x0 + u + spacing * k`` over the
+    offsets u and integer vectors k, kept when the box lies in the annulus; the
+    admissible k and the separation from the inner box are exact integer
+    bounds per axis, so flush boxes are classified correctly.  Two offsets
+    share centers only when their residues ``u / spacing mod 1`` agree; a
+    repeated center, found by its integer vector ``k + floor(u / spacing)``,
+    is kept where it first appears.
     """
     L1, L2, l = _frac(annulus.inner_side), _frac(annulus.outer_side), _frac(ell)
     if not l < (L2 - L1) / 7:
@@ -178,65 +192,27 @@ def standard_covering_annulus(annulus: AnnulusSpec, ell,
             f"need ell < (L2-L1)/7, got ell={float(l)}, L2-L1={float(L2 - L1)}")
     _, a = _choose_alpha(L2 - L1 - 2 * l, l, alpha)
     spacing = a * l
-    d = annulus.dimension
-    x0 = [_frac(c) for c in annulus.center]
     outer_half = (L2 - l) / 2      # |center coord| <= outer_half keeps box in outer box
     sep = (L1 + l) / 2             # |center coord| >= sep separates box from inner box
-
-    offsets = annulus_offsets(L1, l, d)
-    # offsets u, u' produce coinciding lattices iff (u - u')/spacing is an
-    # integer vector; random geometry essentially never collides
-    collides = False
-    for i, u in enumerate(offsets):
-        for v in offsets[:i]:
-            if all(((u[ax] - v[ax]) / spacing).denominator == 1 for ax in range(d)):
-                collides = True
-                break
-        if collides:
-            break
-
-    blocks = []
-    exact_rows = [] if collides else None
-    total = 0
+    offsets = annulus_offsets(L1, l, annulus.dimension)
+    axis = {v: _axis_steps(v, spacing, outer_half, sep) for v in set(itertools.chain(*offsets))}
+    x0 = np.asarray(annulus.center, dtype=float)
+    blocks, lattice_steps, lattices, total = [], [], {}, 0
     for u in offsets:
-        ranges, seps = [], []
-        for i in range(d):
-            k_lo = _ceil_div((-outer_half - u[i]) / spacing)
-            k_hi = _floor_div((outer_half - u[i]) / spacing)
-            if k_hi < k_lo:
-                ranges = []
-                break
-            # exact integer thresholds for the separation condition
-            k_sep_hi = _ceil_div((sep - u[i]) / spacing)
-            k_sep_lo = _floor_div((-sep - u[i]) / spacing)
-            ks = np.arange(k_lo, k_hi + 1)
-            ranges.append(ks)
-            seps.append((ks >= k_sep_hi) | (ks <= k_sep_lo))
-        if not ranges:
-            continue
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        sep_mesh = np.meshgrid(*seps, indexing="ij")
-        admissible = np.zeros(mesh[0].shape, dtype=bool)
-        for s in sep_mesh:
-            admissible |= s
-        ks = np.stack([m[admissible] for m in mesh], axis=1)
+        k_lo, separated, whole, residue = zip(*(axis[v] for v in u))
+        admissible = functools.reduce(np.logical_or,
+                                      np.meshgrid(*separated, indexing="ij", sparse=True))
+        ks = np.argwhere(admissible) + k_lo
         total += len(ks)
         if total > max_centers:
             raise GeometryError(f"covering would exceed {max_centers} centers")
-        block = np.asarray([float(v) for v in u])[None, :] \
-            + float(spacing) * ks.astype(float) \
-            + np.asarray([float(v) for v in x0])[None, :]
-        blocks.append(block)
-        if exact_rows is not None:
-            for row in ks:
-                exact_rows.append(tuple(x0[i] + u[i] + spacing * int(row[i])
-                                        for i in range(d)))
-    centers = np.vstack(blocks) if blocks else np.empty((0, d))
-    if collides:
-        # rare structured geometry: merge exact duplicates
-        order = sorted(set(exact_rows))
-        centers = np.array([[float(v) for v in row] for row in order],
-                           dtype=float).reshape(len(order), d)
+        blocks.append(np.asarray([float(v) for v in u]) + float(spacing) * ks + x0)
+        lattice_steps.append((lattices.setdefault(residue, len(lattices)), ks, whole))
+    centers = np.vstack(blocks)
+    if len(lattices) < len(offsets):
+        keys = np.vstack([np.column_stack([np.full(len(ks), lattice), ks + whole])
+                          for lattice, ks, whole in lattice_steps])
+        centers = centers[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
     return Covering(annulus, float(ell), a, centers)
 
 
@@ -270,59 +246,38 @@ def covering_instance(dims: tuple, n_boxes: int, root_seed: int, index: int) -> 
 # ---------------------------------------------------------------------------
 
 def is_abundant(sites: np.ndarray, box: BoxSpec, varsigma_prime: float) -> bool:
-    """Whether every sub-box of side L/5 holds at least L^((1-s')d) sites.
+    """Whether every sub-box of side w = L/5 holds at least L^((1-s')d) sites.
 
-    Sub-box centers are scanned on a unit-spaced lattice (plus the extreme
-    positions); since the sites are integer points, the count over an open
-    window changes only when a window face crosses an integer, so unit spacing
-    together with both extreme positions visits every distinct window.
+    The sites are integer points and a sub-box is open, so along each axis the
+    run of integers inside it changes only where a face crosses an integer.
+    Per axis the sub-box centers are taken at the crossings, midway between
+    consecutive ones and at both extremes, which meets every distinct run;
+    every product of the distinct runs is then counted at once from one
+    summed-area table.
     """
-    sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
-    d = box.dimension
-    L = float(box.side)
-    threshold = L ** ((1.0 - varsigma_prime) * d)
-    if len(sites) == 0:
-        return threshold <= 0.0
-    occupied = lattice_index(box, sites)  # refuses a site that is not a lattice site
-
-    w = L / 5.0
-    # summed-area table over the box's lattice
-    full = lattice_sites(box)
-    mins, shape = full[0], tuple(full[-1] - full[0] + 1)
-    sat = np.isin(np.arange(len(full)), occupied).reshape(shape)
+    d, L = box.dimension, float(box.side)
+    first, shape = _lattice_shape(box)
+    table = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    table[lattice_index(box, np.atleast_2d(sites))] = 1  # refuses a non-lattice site
+    table = np.pad(table.reshape(shape), [(1, 0)] * d)
     for axis in range(d):
-        sat = np.cumsum(sat, axis=axis)
-    padded = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)
-    padded[tuple(slice(1, None) for _ in range(d))] = sat
-
-    def window_count(a, b):
-        # inclusive integer box [a, b] per axis, clipped to the table
-        a = np.maximum(np.asarray(a) - mins, 0)
-        b = np.minimum(np.asarray(b) - mins, np.asarray(shape) - 1)
-        if np.any(b < a):
-            return 0
-        total = 0
-        for corner in itertools.product((0, 1), repeat=d):
-            idx = tuple((b[i] + 1) if corner[i] else a[i] for i in range(d))
-            total += ((-1) ** (d - sum(corner))) * int(padded[idx])
-        return total
-
-    # candidate window centers per axis: unit steps plus the right extreme
-    reach = (L - w) / 2.0
-    axis_intervals = []
-    for i in range(d):
-        c0 = box.center[i]
-        cs = list(np.arange(c0 - reach, c0 + reach + 1e-12, 1.0))
-        if not cs or abs(cs[-1] - (c0 + reach)) > 1e-12:
-            cs.append(c0 + reach)
-        intervals = set()
-        for c in cs:
-            intervals.add(open_integer_range(c - w / 2.0, c + w / 2.0))
-        axis_intervals.append(sorted(intervals))
-
-    for combo in itertools.product(*axis_intervals):
-        a = [c[0] for c in combo]
-        b = [c[1] for c in combo]
-        if window_count(a, b) < threshold:
-            return False
-    return True
+        table = np.cumsum(table, axis=axis)
+    w = L / 5.0
+    reach, half = (L - w) / 2.0, w / 2.0
+    starts, ends = [], []      # per axis: table indices that bound each distinct run
+    for c0, f, n in zip(box.center, first, shape):
+        lo, hi = c0 - reach, c0 + reach
+        faces = np.arange(np.floor(lo - half), np.ceil(hi + half) + 1.0)
+        crossings = np.concatenate([faces - half, faces + half])
+        points = np.unique(np.concatenate(
+            [[lo, hi], crossings[(crossings >= lo) & (crossings <= hi)]]))
+        centers = np.concatenate([points, (points[1:] + points[:-1]) / 2.0])
+        bounds = np.stack([np.floor(centers - half) + 1.0, np.ceil(centers + half)], axis=1)
+        runs = np.unique(bounds, axis=0).astype(np.int64) - f   # first site, one past the last
+        starts.append(np.clip(runs[:, 0], 0, n))
+        ends.append(np.clip(runs[:, 1], starts[-1], n))
+    counts = 0
+    for corner in itertools.product((0, 1), repeat=d):
+        index = np.ix_(*[e if c else s for c, s, e in zip(corner, starts, ends)])
+        counts = counts + (-1) ** (d - sum(corner)) * table[index]
+    return bool(counts.min() >= L ** ((1.0 - varsigma_prime) * d))

@@ -56,7 +56,10 @@ def checked_energy_grid(spec) -> np.ndarray:
         num = spec["num"]
         if isinstance(num, bool) or not isinstance(num, numbers.Integral) or num < 1:
             raise ValidationError(f"energy_grid num must be an integer >= 1, got {num!r}")
-        energies = np.linspace(_number(spec["start"]), _number(spec["stop"]), int(num))
+        start, stop = _number(spec["start"]), _number(spec["stop"])
+        if not math.isfinite(stop - start):   # linspace would overflow
+            raise ValidationError(f"energy_grid stop - start must be finite: {start!r} to {stop!r}")
+        energies = np.linspace(start, stop, int(num))
     elif isinstance(spec, (list, tuple, np.ndarray)):
         energies = np.array([_number(v) for v in spec], dtype=float)
     else:

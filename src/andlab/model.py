@@ -346,15 +346,17 @@ def lattice_sites(box: BoxSpec) -> np.ndarray:
 
 
 def lattice_index(box: BoxSpec, sites) -> np.ndarray:
-    """Place of each integer site ``(s, d)`` in ``lattice_sites(box)``; refuses
-    a site outside the box or with other than d coordinates."""
+    """Place of each integer site ``(s, d)`` in ``lattice_sites(box)``; refuses a site
+    outside the box, with other than d coordinates, or of a non-integer dtype (bool too)."""
     sites = np.asarray(sites)
     sites = sites.reshape(0, box.dimension) if sites.shape == (0,) else sites
     if sites.ndim != 2 or sites.shape[1] != box.dimension:
         raise ValidationError(f"sites need {box.dimension} coordinates, got shape {sites.shape}")
+    if sites.size and not np.issubdtype(sites.dtype, np.integer):
+        raise ValidationError(f"sites must be integers, got dtype {sites.dtype}")
     first, shape = _lattice_shape(box)
     try:
-        return np.ravel_multi_index(tuple((sites - first).T), shape)
+        return np.ravel_multi_index(tuple((sites.astype(np.int64) - first).T), shape)
     except ValueError:
         raise ValidationError(f"a site lies outside the box {box}") from None
 
@@ -439,7 +441,7 @@ def sample_configuration(
     n = int(np.prod(_lattice_shape(box)[1]))
     values = dist.sample(lambda level: site_uniforms(root_seed, trial, n, level))
     if free_sites is not None:
-        free_sites = np.asarray(free_sites, dtype=np.int64)
+        free_sites = np.asarray(free_sites)
         free_sites = free_sites.reshape(0, box.dimension) if free_sites.size == 0 \
             else np.atleast_2d(free_sites)
     return Configuration(box, values, free_sites)

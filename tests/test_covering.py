@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,69 @@ class TestAnnulusCovering:
             assert len(cov) <= (10.0 * L2 / ell) ** d
 
 
+def _exact_annulus_centers(annulus, ell, alpha):
+    """Every center x0 + u + spacing*k (u an offset, k an integer vector) whose
+    side-ell box lies in the annulus, from a brute force over a cube of k in
+    exact rational arithmetic.  Returns the set of centers in units of 1/D,
+    as integer tuples, the number of (u, k) pairs that hit one, and D."""
+    d, l = annulus.dimension, Fraction(ell)
+    L1, L2 = Fraction(annulus.inner_side), Fraction(annulus.outer_side)
+    x0 = [Fraction(c) for c in annulus.center]
+    spacing = alpha * l
+    offsets = annulus_offsets(L1, l, d)
+    D = math.lcm(*(q.denominator for q in [spacing, l / 2, L1 / 2, L2 / 2, *x0]
+                   + [v for u in offsets for v in u]))
+    reach = math.ceil((L2 + L1 + l) / (2 * spacing))   # |u_i + spacing*k_i| <= L2/2
+    ks = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d)), dtype=np.int64)
+    hits = []
+    for u in offsets:
+        rel = np.array([int(v * D) for v in u]) + int(spacing * D) * ks   # (center - x0) * D
+        inside = np.all(np.abs(rel) + int(l * D / 2) <= int(L2 * D / 2), axis=1) \
+            & np.any(np.abs(rel) - int(l * D / 2) >= int(L1 * D / 2), axis=1)
+        hits.append(rel[inside] + np.array([int(c * D) for c in x0]))
+    hits = np.vstack(hits)
+    return {tuple(row) for row in hits.tolist()}, len(hits), D
+
+
+class TestSharedLattices:
+    # offsets u, u' whose difference is a whole number of spacings put their
+    # centers on one lattice: (3.5, 0) and (3.5, 3) below differ by 4 spacings
+    @pytest.mark.parametrize("annulus, ell", [
+        (AnnulusSpec(2, (0.0, 0.0), 6.0, 14.0), 1.0),
+        (AnnulusSpec(2, (0.5, 0.5), 6.0, 14.0), 1.0),
+        (AnnulusSpec(2, (0.0, 0.5), 6.0, 21.0), 1.5),
+        (AnnulusSpec(3, (0.0, 0.0, 0.0), 4.0, 12.0), 1.0),
+        (AnnulusSpec(3, (0.5, 0.0, 0.5), 6.0, 14.0), 1.0)])
+    def test_against_exact_brute_force(self, annulus, ell):
+        cov = standard_covering_annulus(annulus, ell)
+        exact, hits, D = _exact_annulus_centers(annulus, ell, cov.alpha)
+        assert hits > len(exact)             # some center is reached from two offsets
+        assert len(cov) == len(exact)
+        assert len(np.unique(cov.centers, axis=0)) == len(cov)
+        scaled = np.rint(cov.centers * D).astype(np.int64)
+        assert np.abs(scaled - cov.centers * D).max() < 1e-6
+        assert {tuple(row) for row in scaled.tolist()} == exact
+
+
+def _exact_fewest(sites, box):
+    """Fewest sites in a sub-box of side w = L/5, scanning in exact rational
+    arithmetic the sub-box centers where a face meets an integer, midway
+    between consecutive ones and at both extremes."""
+    L = Fraction(box.side)
+    w = L / 5
+    reach = (L - w) / 2
+    inside = []      # per axis: which sites each distinct run of integers holds
+    for axis, c0 in enumerate(box.center):
+        lo, hi = Fraction(c0) - reach, Fraction(c0) + reach
+        crossings = {n + sign * w / 2 for n in range(math.floor(lo - w), math.ceil(hi + w) + 1)
+                     for sign in (-1, 1)}
+        points = sorted({lo, hi} | {c for c in crossings if lo <= c <= hi})
+        centers = points + [(p + q) / 2 for p, q in zip(points, points[1:])]
+        runs = {(math.floor(c - w / 2) + 1, math.ceil(c + w / 2) - 1) for c in centers}
+        inside.append([(sites[:, axis] >= a) & (sites[:, axis] <= b) for a, b in runs])
+    return min(int(np.logical_and.reduce(combo).sum()) for combo in itertools.product(*inside))
+
+
 class TestAbundance:
     def test_empty_set(self):
         box = BoxSpec(1, (0.0,), 50.0)
@@ -188,6 +252,33 @@ class TestAbundance:
         # threshold 20^{(1-0.5)*2} = 20; a 4x4 window holds up to 16 < 20
         assert not is_abundant(sites, box, 0.0)   # threshold 400 huge
         assert is_abundant(sites, box, 0.9)       # threshold 20^0.2 ~ 1.8
+
+    def test_sub_box_between_unit_steps(self):
+        # w = 2.5: the sub-box (-5.75, -3.25), centred at -4.5 between the unit
+        # steps from the extreme -5, holds only -5 and -4, under 12.5^0.4 ~ 2.75
+        box = BoxSpec(1, (0.0,), 12.5)
+        assert not is_abundant(lattice_sites(box), box, 0.6)
+        assert is_abundant(lattice_sites(box), box, 0.8)         # threshold ~ 1.66
+        # in 2-d the 2 x 2 sub-box there holds 4 sites, under 12.5^0.8 ~ 7.54
+        box = BoxSpec(2, (0.0, 0.0), 12.5)
+        assert not is_abundant(lattice_sites(box), box, 0.6)
+
+    def test_rejects_non_integer_sites(self):
+        box = BoxSpec(1, (0.0,), 10.0)
+        with pytest.raises(ValidationError, match="must be integers"):
+            is_abundant(lattice_sites(box).astype(float), box, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 2), side=st.floats(5.0, 20.0), data=st.data(),
+           keep=st.floats(0.6, 1.0), seed=st.integers(0, 2**16),
+           varsigma=st.floats(0.5, 1.0))
+    def test_against_exact_scan(self, d, side, data, keep, seed, varsigma):
+        center = tuple(data.draw(st.floats(-2.0, 2.0), label=f"c{a}") for a in range(d))
+        box = BoxSpec(d, center, side)
+        sites = lattice_sites(box)
+        sites = sites[np.random.default_rng(seed).random(len(sites)) < keep]
+        fewest = _exact_fewest(sites, box)
+        assert is_abundant(sites, box, varsigma) == (fewest >= side ** ((1.0 - varsigma) * d))
 
     def test_rejects_non_lattice_sites(self):
         box = BoxSpec(1, (0.0,), 10.0)

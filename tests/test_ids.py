@@ -84,6 +84,14 @@ class TestEnergyGrid:
         with pytest.raises(ValidationError, match="energy_grid"):
             checked_energy_grid(grid)
 
+    @pytest.mark.parametrize("grid", [
+        {"start": -1.7976931348623157e308, "stop": 1.7976931348623157e308, "num": 3},
+        {"start": float("-inf"), "stop": 1.0, "num": 3}])
+    def test_object_grid_span_must_be_finite(self, grid):
+        # np.linspace would overflow on stop - start
+        with pytest.raises(ValidationError, match="stop - start must be finite"):
+            checked_energy_grid(grid)
+
     def test_accepted_grids(self):
         assert checked_energy_grid({"start": 0.1, "stop": 1.5, "num": 8}).tolist() == \
             np.linspace(0.1, 1.5, 8).tolist()

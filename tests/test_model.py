@@ -202,6 +202,15 @@ class TestSampling:
         with pytest.raises(ValidationError, match="outside the box"):
             Configuration(box, np.ones(5), np.array([[0], [3]]))
 
+    def test_non_integer_free_site_refused(self):
+        # the site 0.7 lies between lattice sites; it is not truncated to 0
+        with pytest.raises(ValidationError, match="must be integers"):
+            sample_configuration(Bernoulli(0.5), BoxSpec(1, (0.0,), 6.0), [[0.7]], 1, 0)
+
+    def test_non_integer_configuration_site_refused(self):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Configuration(BoxSpec(1, (0.0,), 6.0), np.zeros(5), np.array([[0.5]]))
+
     def test_one_value_per_lattice_site(self):
         box = BoxSpec(1, (0.0,), 6.0)
         for n in (4, 6):
@@ -227,6 +236,15 @@ class TestLatticeIndex:
             for wrong in (sites[:1, :-1], np.hstack([sites, sites[:, :1]])):
                 with pytest.raises(ValidationError, match="coordinates"):
                     lattice_index(box, wrong)
+
+    def test_non_integer_dtype_refused(self):
+        # a float or bool array is refused even when its values are lattice sites
+        box = BoxSpec(2, (0.0, 0.0), 6.0)
+        for sites in (np.array([[0.0, 1.0]]), np.array([[True, False]])):
+            with pytest.raises(ValidationError, match="must be integers"):
+                lattice_index(box, sites)
+        assert lattice_index(box, np.array([[0, 1]], dtype=np.int32)).tolist() == [13]
+
 
 class TestSiteProfile:
     def test_defaults_collapse_to_indicator(self):
