@@ -1,14 +1,14 @@
 """Eigenvalue counts and windows, resolvent block norms, unitary evolution.
 
-Structure decides first, then size.  A 1-d Dirichlet Hamiltonian is
-tridiagonal (``is_tridiagonal``), and its windows and smallest eigenvalue go
-straight to LAPACK's tridiagonal routines at every n: ``stebz`` bisection and
-``stein`` inverse iteration.  That is what dense ``dsyevr`` runs for a value
-range after reducing the matrix to tridiagonal form, and on an input that is
-already tridiagonal that reduction is exact, so the results are bitwise those
-of the dense solve, without its n x n copy or its O(n^3) Householder pass.
-Its whole spectrum (``full_spectrum``) is one tridiagonal ``sterf`` call, and
-every other H takes a dense ``eigvalsh`` for it.
+Structure decides first, then size.  Every LAPACK eigen-selection (all
+eigenvalues, a value range or an index range) is one ``_lapack`` call.  A 1-d
+Dirichlet Hamiltonian is tridiagonal (``is_tridiagonal``), and there it takes
+LAPACK's tridiagonal routines at every n: for a range, ``stebz`` bisection and
+``stein`` inverse iteration.  That is what dense ``dsyevr`` runs for a range
+after reducing the matrix to tridiagonal form, and on an input that is already
+tridiagonal that reduction is exact, so the results are bitwise those of the
+dense solve, without its n x n copy or its O(n^3) Householder pass.  Every
+other H takes dense ``eigh``.
 
 ``eigenvalue_count`` reads #{eigenvalues < E} from the inertia of ``H - E``
 (Sylvester's law): the negative pivots of an unpivoted ``L D L^T``.  On a
@@ -16,11 +16,13 @@ tridiagonal H those pivots are the Sturm sequence of ``H - E``, which
 ``stebz`` counts in O(n), so the count is the same inertia with no
 factorization.  Every other H takes a sparse LU for it (a dense
 Bunch-Kaufman factor when that LU is singular or pivots off the diagonal at E
-and one ulp below), and its windows are
-count-first: a window above the dense size is one shift-invert Lanczos
-(ARPACK) call for exactly its counted pairs, shifted just below the window so
-that a truncated window keeps its lowest pairs.  ``_dense`` alone chooses
-LAPACK or ARPACK.
+and one ulp below).  Windows are count-first on every structure: the count
+of ``[lo, hi]`` alone decides truncation, and a truncated LAPACK window is
+solved by index for exactly its counted pairs.  A window above the dense size
+is one shift-invert Lanczos (ARPACK) call, shifted just below the window and
+asked for its counted pairs plus those between the shift and the window,
+which it drops, so a truncated window keeps its lowest pairs.  ``_dense``
+alone chooses LAPACK or ARPACK.
 Solves that return eigenvectors stay dense up to n = 3000: LAPACK resolves
 eigenvector tails (dichotomy masses down to 1e-33) far below ARPACK's floor of
 about 1e-14.  Eigenvalue-only solves switch at the measured crossover, n = 300.
@@ -77,6 +79,18 @@ def is_tridiagonal(H: HamiltonianMatrix) -> bool:
 def _dense(n: int, vectors: bool) -> bool:
     """The size decision: dense LAPACK (True) or ARPACK shift-invert."""
     return n <= (DENSE_MAX_VECTORS if vectors else DENSE_MAX_VALUES)
+
+
+def _lapack(H: HamiltonianMatrix, vectors: bool, select: str = "a", bounds=None):
+    """Ascending eigenvalues, or (values, vectors): all (``select="a"``), in
+    ``(bounds[0], bounds[1]]`` ("v") or of indices ``bounds`` ("i"), from
+    ``eigh_tridiagonal`` on a tridiagonal H and dense ``eigh`` otherwise."""
+    if is_tridiagonal(H):
+        return la.eigh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1),
+                                   eigvals_only=not vectors, select=select, select_range=bounds)
+    return la.eigh(H.matrix.toarray(), eigvals_only=not vectors,
+                   subset_by_value=bounds if select == "v" else None,
+                   subset_by_index=bounds if select == "i" else None)
 
 
 def _start_vector(n: int, tag: int) -> np.ndarray:
@@ -186,24 +200,42 @@ class EigenWindowResult:
 
 def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6) -> EigenWindowResult:
     """All eigenpairs with energy in the closed bounded ``interval``; beyond
-    ``max_count`` of them, the lowest ``max_count``, flagged truncated."""
+    ``max_count`` of them, the lowest ``max_count``, flagged truncated.
+
+    The inertia count of ``[lo, hi]`` alone decides truncation; it is taken
+    when the window may hold more than ``max_count`` pairs, and always before
+    ARPACK.  LAPACK solves an uncapped window by value and a truncated one by
+    index for its counted pairs.  ARPACK, shifted to sigma just below ``lo``,
+    is asked for the counted pairs plus those in ``[sigma, lo)``, counted at
+    sigma, and drops the latter."""
     lo, hi = float(interval[0]), float(interval[1])
     if not np.isfinite([lo, hi]).all() or hi < lo:
         raise ValidationError(f"window must be a bounded interval, got {interval}")
     if max_count < 1:
         raise ValidationError(f"max_count must be at least 1, got {max_count}")
-    if is_tridiagonal(H):
-        solver = "tridiagonal"
-        vals, vecs, truncated = _tridiagonal_window(H, lo, hi, max_count)
-    elif _dense(H.size, vectors=True):
-        solver = "dense"
-        vals, vecs = la.eigh(H.matrix.toarray(),
-                             subset_by_value=(np.nextafter(lo, -np.inf), hi))
-        truncated = len(vals) > max_count
-        vals, vecs = vals[:max_count], vecs[:, :max_count]
+    n = H.size
+    solver = ("tridiagonal" if is_tridiagonal(H) else
+              "dense" if _dense(n, vectors=True) else "arpack")
+    below, upto = 0, n                    # uncounted: at most every pair
+    if solver == "arpack" or max_count < n:
+        below, upto = eigenvalue_count(H, [lo, np.nextafter(hi, np.inf)]).tolist()
+    truncated = upto - below > max_count
+    if solver != "arpack":
+        vals, vecs = (_lapack(H, True, "i", (below, below + max_count - 1)) if truncated else
+                      _lapack(H, True, "v", (np.nextafter(lo, -np.inf), hi)))
+    elif upto == below:
+        vals, vecs = np.zeros(0), np.zeros((n, 0))
     else:
-        solver = "arpack"
-        vals, vecs, truncated = _sparse_window(H, lo, hi, max_count)
+        sigma = lo - 1e-8 * (abs(lo) + H.norm_bound())
+        k = min(upto - below, max_count) + below - int(eigenvalue_count(H, [sigma])[0])
+        if k >= n - 1:
+            raise SolverError(f"window needs {k} of {n} eigenpairs; ARPACK needs k < n - 1")
+        vals, vecs = _shift_invert(H, k, sigma, vectors=True)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    if solver == "arpack" or truncated:
+        keep = (vals >= lo) & (vals <= hi)  # ARPACK's pairs below lo; a count tied at an edge
+        vals, vecs = vals[keep], vecs[:, keep]
     w = H.grid.weight()
     if vecs.size:
         vecs = vecs / (np.sqrt(w) * np.linalg.norm(vecs, axis=0))
@@ -218,41 +250,6 @@ def eigs_window(H: HamiltonianMatrix, interval, max_count: int = 10**6) -> Eigen
     return EigenWindowResult((lo, hi), vals, vecs, residuals, truncated, defect, solver)
 
 
-def _tridiagonal_window(H: HamiltonianMatrix, lo: float, hi: float, max_count: int):
-    """``stebz``/``stein`` on the diagonals.  A window that may hold more than
-    ``max_count`` pairs is counted first and then solved by index for its
-    lowest ``max_count``, never in full."""
-    d, e = H.matrix.diagonal(), H.matrix.diagonal(1)
-    if max_count < H.size:
-        below, upto = eigenvalue_count(H, [lo, np.nextafter(hi, np.inf)])
-        if upto - below > max_count:
-            vals, vecs = la.eigh_tridiagonal(d, e, select="i",
-                                             select_range=(below, below + max_count - 1))
-            keep = (vals >= lo) & (vals <= hi)  # a count tied at an edge
-            return vals[keep], vecs[:, keep], True
-    vals, vecs = la.eigh_tridiagonal(d, e, select="v",
-                                     select_range=(np.nextafter(lo, -np.inf), hi))
-    return vals, vecs, False
-
-
-def _sparse_window(H: HamiltonianMatrix, lo: float, hi: float, max_count: int):
-    """The lowest ``max_count`` pairs in ``[lo, hi]``: ``which="LA"`` on
-    ``1/(lambda - sigma)`` returns the pairs nearest above sigma.  Pairs in
-    ``[sigma, lo)`` are counted, requested and dropped."""
-    n = H.size
-    sigma = lo - 1e-8 * (abs(lo) + H.norm_bound())
-    below, upto = eigenvalue_count(H, [sigma, np.nextafter(hi, np.inf)])
-    k = min(int(upto - below), max_count)
-    if k == 0:
-        return np.zeros(0), np.zeros((n, 0)), upto - below > max_count
-    if k >= n - 1:
-        raise SolverError(f"window holds {k} of {n} eigenvalues; ARPACK needs k < n - 1")
-    vals, vecs = _shift_invert(H, k, sigma, vectors=True)
-    order = np.argsort(vals)
-    keep = order[(vals[order] >= lo) & (vals[order] <= hi)]
-    return vals[keep], vecs[:, keep], upto - below > max_count
-
-
 def _shift_invert(H: HamiltonianMatrix, k: int, sigma: float, vectors: bool):
     """The k eigenvalues nearest above ``sigma`` (with vectors if asked)."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -265,22 +262,16 @@ def _shift_invert(H: HamiltonianMatrix, k: int, sigma: float, vectors: bool):
 
 
 def lowest_eigenvalue(H: HamiltonianMatrix) -> float:
-    """Smallest eigenvalue."""
-    if is_tridiagonal(H):
-        return float(la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1),
-                                             select="i", select_range=(0, 0))[0])
-    if _dense(H.size, vectors=False):
-        return float(la.eigh(H.matrix.toarray(), eigvals_only=True,
-                             subset_by_index=(0, 0))[0])
+    """Smallest eigenvalue: LAPACK by index, or above ``DENSE_MAX_VALUES``
+    nodes of a non-tridiagonal H, ARPACK shifted below its Gershgorin bound."""
+    if is_tridiagonal(H) or _dense(H.size, vectors=False):
+        return float(_lapack(H, False, "i", (0, 0))[0])
     return float(_shift_invert(H, 1, _gershgorin_lower(H.matrix) - 1.0, vectors=False)[0])
 
 
 def full_spectrum(H: HamiltonianMatrix) -> np.ndarray:
-    """All eigenvalues in ascending order: LAPACK's tridiagonal ``sterf`` on
-    a tridiagonal H, dense ``eigvalsh`` otherwise."""
-    if is_tridiagonal(H):
-        return la.eigvalsh_tridiagonal(H.matrix.diagonal(), H.matrix.diagonal(1))
-    return la.eigvalsh(H.matrix.toarray())
+    """All eigenvalues in ascending order, from one ``_lapack`` call."""
+    return _lapack(H, False)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +337,8 @@ class ResolventFactorization:
     def _tridiagonal_gap(self) -> tuple:
         """|R|, the gap dist(E, spectrum) and no solves: the eigenvalues on
         either side of E, found by index after the Sturm count at E."""
-        d, e = self.H.matrix.diagonal(), self.H.matrix.diagonal(1)
         below = int(eigenvalue_count(self.H, [self.energy])[0])
-        near = la.eigvalsh_tridiagonal(d, e, select="i",
-                                       select_range=(max(below - 1, 0), min(below, self.n - 1)))
+        near = _lapack(self.H, False, "i", (max(below - 1, 0), min(below, self.n - 1)))
         gap = float(np.min(np.abs(near - self.energy)))
         return (1.0 / gap if gap > 0.0 else np.inf), gap, 0
 

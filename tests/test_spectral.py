@@ -13,7 +13,7 @@ from andlab.model import (Bernoulli, Configuration, Uniform01, lattice_sites,
                           sample_configuration)
 from andlab.msa import check_goodness
 from andlab.spectral import (ResolventFactorization, eigenvalue_count, eigs_window,
-                             evolve, lowest_eigenvalue)
+                             evolve, full_spectrum, lowest_eigenvalue)
 
 from conftest import assemble, ensemble, make_box, random_hamiltonian
 from test_discretize import free_dirichlet_eigenvalues
@@ -102,6 +102,51 @@ class TestEigsWindow:
         overlap = H.grid.weight() * np.abs(sparse.vectors.T @ dense.vectors)
         assert np.allclose(overlap, np.eye(len(dense.energies)), atol=1e-6)
         assert np.all(sparse.residuals <= 1e-8)
+
+    def test_sparse_truncation_counts_the_window_not_the_shift(self, monkeypatch):
+        # eigenvalue 5 lies between ARPACK's shift and the window, which holds
+        # eigenvalues 6 to 9: it takes none of the four slots
+        H = periodic_hamiltonian(12.0, seed=3)
+        vals = la.eigvalsh(H.matrix.toarray())
+        window = (vals[5] + 1e-10, 0.5 * (vals[9] + vals[10]))
+        dense = eigs_window(H, window, max_count=4)
+        monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
+        sparse = eigs_window(H, window, max_count=4)
+        assert (dense.solver, sparse.solver) == ("dense", "arpack")
+        assert len(sparse.energies) == len(dense.energies) == 4
+        assert not sparse.truncated and not dense.truncated
+        assert np.allclose(sparse.energies, dense.energies, rtol=0.0, atol=1e-9)
+
+    def test_lapack_selections_are_the_scipy_calls_bitwise(self):
+        # the output digests of 1-d runs rest on every selection being exactly
+        # one scipy call, with its select value and bounds
+        H, _ = random_hamiltonian(1, 30.0, 4, Uniform01(), seed=5)
+        d, e = H.matrix.diagonal(), H.matrix.diagonal(1)
+        assert np.array_equal(full_spectrum(H), la.eigvalsh_tridiagonal(d, e))
+        assert lowest_eigenvalue(H) == \
+            la.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
+        lo, hi = 0.4, 1.2
+        window = eigs_window(H, (lo, hi))
+        assert len(window.energies) and not window.truncated
+        assert np.array_equal(window.energies, la.eigh_tridiagonal(
+            d, e, select="v", select_range=(np.nextafter(lo, -np.inf), hi))[0])
+        capped = eigs_window(H, (-1.0, 6.0), max_count=4)
+        below = int(eigenvalue_count(H, [-1.0])[0])
+        assert capped.truncated and np.array_equal(capped.energies, la.eigh_tridiagonal(
+            d, e, select="i", select_range=(below, below + 3))[0])
+        E = 0.5 * sum(full_spectrum(H)[7:9])
+        near = la.eigvalsh_tridiagonal(d, e, select="i", select_range=(7, 8))
+        assert ResolventFactorization(H, E).gap == np.min(np.abs(near - E))
+        # every other H: dense LAPACK
+        H = periodic_hamiltonian(30.0, seed=5)
+        A = H.matrix.toarray()
+        assert not spectral.is_tridiagonal(H) and H.size <= spectral.DENSE_MAX_VALUES
+        assert np.array_equal(full_spectrum(H), la.eigvalsh(A))
+        assert lowest_eigenvalue(H) == la.eigvalsh(A, subset_by_index=(0, 0))[0]
+        window = eigs_window(H, (lo, hi))
+        assert len(window.energies) and window.solver == "dense"
+        assert np.array_equal(window.energies,
+                              la.eigh(A, subset_by_value=(np.nextafter(lo, -np.inf), hi))[0])
 
     def test_sparse_window_beyond_arpack_raises(self, monkeypatch):
         H = periodic_hamiltonian(3.0, seed=0)
