@@ -152,26 +152,22 @@ def bloch_blocks(cell: HamiltonianMatrix, periods: int):
     psi(x + q e_a) = e^{i theta_a} psi(x), theta_a = 2 pi k_a / periods:
     each axis's wrap-around coupling from its last node to its first carries
     the phase e^{i theta_a}, and the reverse coupling its conjugate.
-    Yields the dense Hermitian blocks in C order of k; the first, k = 0, is
-    the cell itself.
+    Yields the dense Hermitian blocks as stacks of shape ``(periods, n, n)``,
+    one per (k_1, ..., k_{d-1}) in C order, over k_d = 0, ..., periods - 1:
+    one stack in 1-d.  Block k = 0 is the cell's matrix, bit for bit.
     """
-    grid = cell.grid
-    phases = np.exp(2j * np.pi * np.arange(periods) / periods)
-    base = np.diag(cell.potential)
-    forward = []
-    for a, m in enumerate(grid.shape):
-        left = np.eye(int(np.prod(grid.shape[:a], dtype=int)))
-        right = np.eye(int(np.prod(grid.shape[a + 1:], dtype=int)))
-        closed = _laplacian_1d(m, grid.h, True).toarray()
-        wrap = closed - _laplacian_1d(m, grid.h, False).toarray()
-        # I (x) T (x) I on the C-order raveled cell
-        base = base + np.kron(left, np.kron(closed - wrap, right))
-        forward.append(np.kron(left, np.kron(np.tril(wrap), right)))
-    for k in np.ndindex(*([periods] * len(grid.shape))):
-        block = base.astype(complex)
-        for F, ka in zip(forward, k):
-            block += phases[ka] * F + np.conj(phases[ka]) * F.T
-        yield block
+    phases = np.exp(2j * np.pi * np.arange(periods) / periods)[:, None, None]
+    nodes = np.arange(cell.size).reshape(cell.grid.shape)
+    forward = []   # each axis's coupling from its last node layer to its first
+    for a in range(nodes.ndim):
+        F = np.zeros((cell.size, cell.size))
+        F[np.take(nodes, -1, a).ravel(), np.take(nodes, 0, a).ravel()] = -1.0 / cell.grid.h**2
+        forward.append(F)
+    base = cell.matrix.toarray() - sum(F + F.T for F in forward)
+    *outer, last = forward
+    for k in np.ndindex(*([periods] * len(outer))):
+        block = base + sum(phases[ka] * F + np.conj(phases[ka]) * F.T for F, ka in zip(outer, k))
+        yield block + phases * last + np.conj(phases) * last.T
 
 
 class HamiltonianMatrix:

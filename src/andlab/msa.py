@@ -306,7 +306,10 @@ def check_goodness(
     factor = 2.0 if variant == "jgood" else 1.0
     box = config.region
     L = box.side
-    weg_threshold = factor * math.exp(L ** (1.0 - varsigma))
+    try:
+        weg_threshold = factor * math.exp(L ** (1.0 - varsigma))
+    except OverflowError:   # beyond float range: every finite |R| passes
+        weg_threshold = math.inf
 
     centers, first, second, distance = _box_pairs(box, pair_cap, policy.seed)
     # math.exp on the few distinct distances keeps each bound the scalar formula's
@@ -346,8 +349,9 @@ def check_goodness(
         if pairs.fallback is not None:
             fallbacks.append((label, pairs.fallback))
         sel = np.flatnonzero(~np.isnan(measured))
-        ratio = np.divide(measured[sel], bound[sel], out=np.full(len(sel), np.inf),
-                          where=bound[sel] > 0)
+        # an underflowed bound: ratio 0 if the norm underflowed too, else inf
+        ratio = np.divide(measured[sel], bound[sel], where=bound[sel] > 0,
+                          out=np.where(measured[sel] > 0, np.inf, 0.0))
         top = np.argmax(ratio) if len(sel) else None    # the first maximum
         if top is not None and ratio[top] > worst_ratio:
             worst_ratio, k = ratio[top], sel[top]

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as la
 
 from .discretize import (Ensemble, GridSpec, HamiltonianMatrix, PeriodicField,
                          assemble_hamiltonian, bloch_blocks, empty_configuration)
@@ -368,10 +367,11 @@ def periodic_projection_gap(
     ``P`` is the spectral projection of the periodic-box operator onto the
     window.  Requires periodic boundary and a box side that is a multiple of
     the potential period q.  P W_delta P is the direct sum of its
-    compressions to the Floquet-Bloch blocks of
-    :func:`~andlab.discretize.bloch_blocks`, so ``count`` sums over the
-    blocks and ``gap`` is their minimum, exactly.  An eigenvalue counts as
-    inside when ``lo - tol <= lambda <= hi + tol`` with ``tol = 1e-12 *
+    compressions to the Floquet-Bloch blocks, so ``count`` sums over the
+    blocks and ``gap`` is their minimum, exactly.  Each stack of
+    :func:`~andlab.discretize.bloch_blocks` takes one batched ``eigh``, and
+    only blocks that hold window modes are compressed.  An eigenvalue counts
+    as inside when ``lo - tol <= lambda <= hi + tol`` with ``tol = 1e-12 *
     norm_bound`` of the one-period operator, so a mode on a window edge (the
     free operator's zero mode at lo = 0) counts whatever the sign of its
     roundoff.
@@ -393,15 +393,15 @@ def periodic_projection_gap(
     tol = 1e-12 * cell.norm_bound()
     w_diag = periodized_ball_indicator(cell.grid.points(), q, delta)
     count, gap = 0, math.inf
-    for block in bloch_blocks(cell, int(round(ratio))):
-        vals, vecs = la.eigh(block)
+    for stack in bloch_blocks(cell, int(round(ratio))):
+        vals, vecs = np.linalg.eigh(stack)
         inside = (vals >= lo - tol) & (vals <= hi + tol)
-        if inside.any():
+        count += int(inside.sum())
+        for b in np.flatnonzero(inside.any(axis=1)):
             # columns of vecs are plain-l2 orthonormal, so the h^d weights
             # cancel in the compression matrix <phi_i, W phi_j>_h
-            U = vecs[:, inside]
-            count += int(inside.sum())
-            gap = min(gap, float(la.eigvalsh(U.conj().T @ (w_diag[:, None] * U))[0]))
+            U = vecs[b][:, inside[b]]
+            gap = min(gap, float(np.linalg.eigvalsh(U.conj().T @ (w_diag[:, None] * U))[0]))
     if count == 0:
         return PeriodicGapResult(None, (lo, hi), delta, 0, True)
     return PeriodicGapResult(gap, (lo, hi), delta, count, False)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -6,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from andlab.discretize import (GridSpec, PeriodicField, _laplacian, _site_potential, annulus_shell_mask,
-                               assemble_hamiltonian, empty_configuration,
+                               assemble_hamiltonian, bloch_blocks, cosine_potential,
+                               empty_configuration,
                                region_mask, unit_box_mask, Grid)
 from andlab.errors import GridError, ValidationError
 from andlab.model import (Bernoulli, BoxSpec, Configuration, SiteProfile,
@@ -386,3 +389,28 @@ class TestLaplacianCache:
         for arr in (lap.data, lap.indices, lap.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
+
+
+class TestBlochBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2]), periods=st.integers(1, 6), data=st.data())
+    def test_stacks_hold_the_box_spectrum(self, d, periods, data):
+        # cells of 2-4 nodes per axis: the two-node ring is q = 1 at h = 1/2
+        q = data.draw(st.sampled_from([None, 1, 2]), label="cosine period")
+        period = q or 1
+        n = data.draw(st.integers(2, 4 // period), label="points_per_unit")
+        v_per = None if q is None else PeriodicField(
+            partial(cosine_potential, 0.5, q, 0.5, 0.0), q)
+        side = float(period * periods)
+        # the box's first period, as periodic_projection_gap takes it
+        cell_box = BoxSpec(d, tuple([(period - side) / 2.0] * d), float(period))
+        cell = assemble_hamiltonian(cell_box, GridSpec(n, "periodic"), SiteProfile(),
+                                    empty_configuration(cell_box), v_per)
+        stacks = list(bloch_blocks(cell, periods))
+        assert len(stacks) == periods ** (d - 1)
+        assert all(s.shape == (periods, cell.size, cell.size) for s in stacks)
+        assert np.array_equal(stacks[0][0], cell.matrix.toarray())
+        H = assemble(make_box(d, side), n=n, boundary="periodic", v_per=v_per)
+        union = np.sort(np.linalg.eigvalsh(np.concatenate(stacks)).ravel())
+        np.testing.assert_allclose(union, la.eigvalsh(H.matrix.toarray()),
+                                   rtol=0.0, atol=1e-12 * H.norm_bound())

@@ -23,8 +23,9 @@ from andlab.experiments.emit import emit_plotdata, write_csv
 from andlab.experiments import runner
 from andlab.experiments.runner import KINDS, run_experiment
 from andlab.model import Bernoulli, BoxSpec, SiteProfile, sample_configuration
-from andlab.msa import initial_scale_values
-from andlab.spectral import lowest_eigenvalue
+from andlab.ids import ids_counts
+from andlab.msa import initial_scale_trial, initial_scale_values
+from andlab.spectral import eigenvalue_count, lowest_eigenvalue
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -304,6 +305,43 @@ class TestModelFacts:
     def test_auto_shift_needs_the_box(self):
         with pytest.raises(ValidationError, match="points_per_unit"):
             build_v_per({"kind": "cosine", "period": 2, "auto_shift": True})
+
+
+def _shipped_and_benchmark(kind: str) -> list:
+    """Paths of every ``kind`` config in ``configs/`` and ``perfbench/configs/*/``,
+    relative to the checkout."""
+    root = CONFIG_DIR.parent
+    paths = sorted(root.glob("configs/*.json")) + sorted(root.glob("perfbench/configs/*/*.json"))
+    return [str(p.relative_to(root)) for p in paths
+            if json.loads(p.read_text())["experiment"] == kind]
+
+
+class TestCountPrecondition:
+    """Counting can replace full spectra and lambda_min on every shipped and
+    benchmark ``ids`` and ``initial-scale`` trial, each at its own seed."""
+
+    @pytest.mark.parametrize("path", _shipped_and_benchmark("ids"))
+    def test_ids_counts_are_strict_counts_one_ulp_up(self, path):
+        cfg = load_config(CONFIG_DIR.parent / path)
+        ensemble, box = runner._ensemble(cfg), runner._box(cfg.params.L)
+        grid = cfg.params.energy_grid
+        above = np.nextafter(grid, np.inf)
+        for t in range(cfg.n_samples):
+            counts = eigenvalue_count(ensemble.hamiltonian(box, t), above)
+            assert counts.tolist() == ids_counts(ensemble, box, grid, t).tolist()
+
+    @pytest.mark.parametrize("path", _shipped_and_benchmark("initial-scale"))
+    def test_initial_scale_verdict_is_one_count(self, path):
+        cfg = load_config(CONFIG_DIR.parent / path)
+        ensemble = runner._ensemble(cfg)
+        for L in cfg.params.scales:
+            E_L, _, _ = cfg.params.scale(ensemble, L)
+            threshold, box = cfg.params.energy_factor * E_L, runner._box(L)
+            for t in range(cfg.n_samples):
+                H = ensemble.hamiltonian(box, t)
+                verdict = initial_scale_trial(ensemble, box, threshold, t)
+                assert (eigenvalue_count(H, [threshold])[0] == 0) == verdict
+                assert abs(lowest_eigenvalue(H) - threshold) > 1e-9 * max(1.0, abs(threshold))
 
 
 def _qucp_records(tmp_path, name: str) -> list:

@@ -146,6 +146,26 @@ class TestGoodness:
         rep = check_goodness(ensemble(), empty_configuration(box), lam, 0.5, 0.1)
         assert not rep.weg_pass and not rep.is_good
 
+    def test_wegner_threshold_beyond_float_range(self):
+        # 2000^0.9 = 935 > log(DBL_MAX) = 709.78: exp overflows
+        box = make_box(1, 2000.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, 3, 0)
+        rep = check_goodness(ensemble(), cfg, -0.5, 0.4, 0.1)
+        assert rep.weg_threshold == math.inf
+        assert rep.weg_pass and rep.is_good
+
+    def test_underflowed_bound_and_norm_rank_below_every_pair(self):
+        # exp(-9 d) underflows beyond d = 82.8, and the resolvent at E = -400
+        # (decay rate about 13 per unit) underflows sooner: such pairs read
+        # 0 against 0 and must not be reported as the worst pair
+        box = make_box(1, 100.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, 3, 0)
+        assert math.exp(-9.0 * 97) == 0.0
+        rep = check_goodness(ensemble(), cfg, -400.0, 9.0, 0.5)
+        assert rep.decay_pass and rep.is_good
+        wp = rep.worst_pair
+        assert wp.bound > 0.0 and 0.0 < wp.measured <= wp.bound
+
     def test_empty_free_site_policy_identity(self):
         box = make_box(1, 12.0)
         cfg = sample_configuration(Bernoulli(0.5), box, None, 3, 0)
