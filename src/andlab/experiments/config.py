@@ -7,9 +7,8 @@ rejected by name.  Every section is a frozen dataclass: the kind's params
 vocabulary below, and a field without a default is required.
 ``runner.validate_config`` builds every section, so each value is checked
 before any output exists.  Physics parameters default only where the model does: a
-Bernoulli ``q`` of 0.5, a profile ``u_plus`` and ``delta_plus`` of 1.0 (and
-``u_minus``, ``delta_minus`` equal to them) and a grid ``boundary`` of
-``"dirichlet"``.  The params defaults are the dataclasses' own.
+Bernoulli ``q`` of 0.5, a profile ``u_plus`` and ``delta_plus`` of 1.0 and a grid
+``boundary`` of ``"dirichlet"``.  The params defaults are the dataclasses' own.
 """
 
 from __future__ import annotations
@@ -91,11 +90,12 @@ def _component(value, where: str) -> tuple:  # [weight, distribution spec]
 
 
 # checks of the plain annotations of library classes (MsaParams, the model's
-# laws, SiteProfile, GridSpec); a field with none, a profile's callable
-# shape, is no config key
+# laws, SiteProfile, GridSpec); a field with none is no config key: a profile's
+# callable shape and the lower sandwich u_minus, delta_minus that only a shape reads
 _PLAIN = {int: count, float: real, Optional[float]: optional(real), str: text,
           (Atoms, "points"): listed(listed(real, 2)),     # [value, weight] pairs
-          (Mixture, "components"): listed(_component)}      # [weight, law] pairs
+          (Mixture, "components"): listed(_component),      # [weight, law] pairs
+          (SiteProfile, "u_minus"): None, (SiteProfile, "delta_minus"): None}
 
 
 @lru_cache(maxsize=None)

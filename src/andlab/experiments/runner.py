@@ -371,7 +371,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ValidationError(f"unknown experiment kind {kind!r}; "
                               f"expected one of {tuple(KINDS)}")
     entry, model = KINDS[kind], raw.get("model", {})
-    model = build_params(ModelSection, model, "model") if entry.needs_model or model else None
+    if not entry.needs_model and model:
+        raise ValidationError(f"experiment {kind!r} takes no model, but its model sets "
+                              f"{sorted(mapping(model, 'model'))}")
+    model = build_params(ModelSection, model, "model") if entry.needs_model else None
     params = build_params(entry.params, raw.get("params", {}), "params")
     run = build_params(RunSection, raw.get("run", {}), "run")
     return ExperimentConfig(kind, model, params, run, raw=raw)

@@ -26,23 +26,29 @@ from .errors import ValidationError
 # fixed cutoff bump xi
 # ---------------------------------------------------------------------------
 
+def _glue(x):
+    """``f(x) = exp(-1/x)`` for x > 0, else 0, and ``f'(x) = f(x) / x^2``
+    (f underflows to 0 below x = 1e-3, so that floor keeps 1/x finite)."""
+    f = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+    return f, f / np.maximum(x, 1e-3) / np.maximum(x, 1e-3)
+
+
 def _smoothstep(x):
-    """C^inf transition: 0 for x<=0, 1 for x>=1 (exp(-1/x) glue)."""
+    """C^inf transition S = f(x) / (f(x) + f(1-x)): 0 for x<=0, 1 for x>=1,
+    and its derivative S' = (f'(x) f(1-x) + f(x) f'(1-x)) / (f(x) + f(1-x))^2."""
     x = np.asarray(x, dtype=float)
-    fx = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-    f1 = np.where(1.0 - x > 0.0, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-    return fx / (fx + f1)
+    (fx, dfx), (f1, df1) = _glue(x), _glue(1.0 - x)
+    return fx / (fx + f1), (dfx * f1 + fx * df1) / (fx + f1) ** 2
 
 
 def xi_cutoff(s):
     """Smooth even bump: 1 on [-1,1], 0 outside [-2,2]."""
-    return 1.0 - _smoothstep(np.abs(np.asarray(s, dtype=float)) - 1.0)
+    return 1.0 - _smoothstep(np.abs(np.asarray(s, dtype=float)) - 1.0)[0]
 
 
-def xi_cutoff_prime(s, step: float = 1e-6):
-    """Derivative of the bump (central difference; the bump is fixed)."""
-    s = np.asarray(s, dtype=float)
-    return (xi_cutoff(s + step) - xi_cutoff(s - step)) / (2.0 * step)
+def xi_cutoff_prime(s):
+    """Derivative of the bump, from the smoothstep's analytic derivative."""
+    return -np.sign(s) * _smoothstep(np.abs(s) - 1.0)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Probabilistic model: single-site laws, site profiles, boxes, configurations.
 
-The random couplings live on the integer lattice points strictly inside an
-open box, one per site in ``lattice_sites`` order; ``lattice_index`` gives a
-site's place in that order.  All sampling is reproducible through
+A single-site law states its support only through the hull ``support()``,
+and every region (a box, an annulus, a Euclidean ball) checks its centre
+against its dimension in ``_region_center``.  The random couplings live on
+the integer lattice points strictly inside an open box, one per site in
+``lattice_sites`` order; ``lattice_index`` gives a site's place in that
+order.  All sampling is reproducible through
 counter-based streams keyed by ``(root_seed, trial, site index)``, see
 :mod:`andlab.rng`.
 """
@@ -28,9 +31,10 @@ class SingleSiteDistribution:
     """Common law of the site couplings; support contained in [0,1].
 
     Concrete laws: :class:`Bernoulli`, :class:`Uniform01`, :class:`Atoms`,
-    :class:`Mixture`.  ``point_mass`` is the law's support point when it has
-    only one, else None; such degenerate laws are allowed (test fixtures) but
-    carry ``is_degenerate`` as a warning.
+    :class:`Mixture`.  Each states only the hull ``support() -> (lo, hi)`` of
+    its closed support, which holds lo and hi; every support predicate reads
+    it.  ``point_mass`` is the support point when lo == hi, else None; such
+    degenerate laws are allowed (test fixtures) but carry ``is_degenerate``.
     """
 
     def validate(self) -> None:
@@ -43,9 +47,14 @@ class SingleSiteDistribution:
     def mean(self) -> float:
         raise NotImplementedError
 
+    def support(self) -> tuple:
+        """``(lo, hi)``: the least and greatest points of the support."""
+        raise NotImplementedError
+
     @property
     def point_mass(self) -> Optional[float]:
-        raise NotImplementedError
+        lo, hi = self.support()
+        return float(lo) if lo == hi else None
 
     @property
     def is_degenerate(self) -> bool:
@@ -54,7 +63,7 @@ class SingleSiteDistribution:
     @property
     def normalized_support(self) -> bool:
         """Whether {0,1} is contained in the support (normalized-model check)."""
-        return False
+        return self.support() == (0.0, 1.0)
 
     def sample(self, uniform_at_level) -> np.ndarray:
         """Draw one value per site given ``uniform_at_level(level) -> array``."""
@@ -82,13 +91,8 @@ class Bernoulli(SingleSiteDistribution):
     def mean(self):
         return self.q
 
-    @property
-    def point_mass(self):
-        return float(self.q) if self.q in (0.0, 1.0) else None
-
-    @property
-    def normalized_support(self):
-        return 0.0 < self.q < 1.0
+    def support(self):
+        return (0.0 if self.q < 1.0 else 1.0, 1.0 if self.q > 0.0 else 0.0)
 
     def sample(self, uniform_at_level):
         return (uniform_at_level(0) < self.q).astype(np.float64)
@@ -105,13 +109,8 @@ class Uniform01(SingleSiteDistribution):
     def mean(self):
         return 0.5
 
-    @property
-    def point_mass(self):
-        return None
-
-    @property
-    def normalized_support(self):
-        return True
+    def support(self):
+        return 0.0, 1.0
 
     def sample(self, uniform_at_level):
         return uniform_at_level(0)
@@ -149,17 +148,10 @@ class Atoms(SingleSiteDistribution):
         values, weights = self._arrays()
         return float(values @ weights)
 
-    @property
-    def point_mass(self):
-        values, weights = self._arrays()
-        live = np.unique(values[weights > 0.0])
-        return float(live[0]) if len(live) == 1 else None
-
-    @property
-    def normalized_support(self):
+    def support(self):
         values, weights = self._arrays()
         live = values[weights > 0.0]
-        return bool(np.any(live == 0.0) and np.any(live == 1.0))
+        return float(live[0]), float(live[-1])
 
     def sample(self, uniform_at_level):
         values, weights = self._arrays()
@@ -192,17 +184,9 @@ class Mixture(SingleSiteDistribution):
     def mean(self):
         return float(sum(w * comp.mean() for w, comp in self.components))
 
-    @property
-    def point_mass(self):
-        # one support point iff every live component is the same point mass
-        points = {comp.point_mass for w, comp in self.components if w > 0.0}
-        return points.pop() if len(points) == 1 else None
-
-    @property
-    def normalized_support(self):
-        lo = any(comp.cdf(0.0) > 0.0 for w, comp in self.components if w > 0.0)
-        hi = any(comp.cdf(1.0 - 1e-15) < 1.0 for w, comp in self.components if w > 0.0)
-        return lo and hi
+    def support(self):
+        lows, highs = zip(*(comp.support() for w, comp in self.components if w > 0.0))
+        return min(lows), max(highs)
 
     def sample(self, uniform_at_level):
         weights = np.array([w for w, _ in self.components], dtype=float)
@@ -276,6 +260,16 @@ class SiteProfile:
 # regions
 # ---------------------------------------------------------------------------
 
+def _region_center(region) -> None:
+    """Check a region's ``center`` against its ``dimension``; store it as floats."""
+    if region.dimension < 1:
+        raise ValidationError("dimension must be >= 1")
+    c = tuple(float(v) for v in np.atleast_1d(region.center))
+    if len(c) != region.dimension:
+        raise ValidationError(f"center has {len(c)} coordinates, dimension is {region.dimension}")
+    object.__setattr__(region, "center", c)
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Open box of side L centered at x0 (sup-norm, strict inequalities)."""
@@ -285,14 +279,9 @@ class BoxSpec:
     side: float
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValidationError("dimension must be >= 1")
+        _region_center(self)
         if self.side <= 0.0:
             raise ValidationError("box side must be positive")
-        c = tuple(float(v) for v in np.atleast_1d(self.center))
-        if len(c) != self.dimension:
-            raise ValidationError(f"center has {len(c)} coordinates, dimension is {self.dimension}")
-        object.__setattr__(self, "center", c)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -309,14 +298,11 @@ class AnnulusSpec:
     outer_side: float
 
     def __post_init__(self):
+        _region_center(self)
         if not (0.0 < self.inner_side < self.outer_side):
             raise ValidationError(
                 f"need 0 < L1 < L2, got L1={self.inner_side}, L2={self.outer_side}"
             )
-        c = tuple(float(v) for v in np.atleast_1d(self.center))
-        if len(c) != self.dimension:
-            raise ValidationError(f"center has {len(c)} coordinates, dimension is {self.dimension}")
-        object.__setattr__(self, "center", c)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -23,7 +23,7 @@ from .discretize import Ensemble
 from .errors import ScaleError, ValidationError
 from .model import BoxSpec, Configuration, lattice_index, lattice_sites
 from .rng import derive_key, uniforms
-from .spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
+from .spectral import ResolventFactorization, bound_ratio, eigs_window, lowest_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +296,11 @@ def check_goodness(
     Every pair norm of an assembly comes from
     :meth:`~andlab.spectral.ResolventFactorization.pair_norms`.  On a 1-d
     Dirichlet box that is O(n + pairs), from the semiseparable generators of
-    the resolvent, and the pair with the largest ratio to its bound is
-    measured again by one direct solve, whose value the report keeps; in
-    d >= 2 or on a periodic box it is one solve per source.  ``fallbacks``
-    lists each assembly whose 1-d norms took the per-source path, and why.
+    the resolvent, and the pair of largest ratio to its bound (``worst_pair``)
+    is measured again by one direct solve, whose value and pair the report
+    keeps; in d >= 2 or on a periodic box it is one solve per source.
+    ``fallbacks`` lists each assembly whose 1-d norms took the per-source
+    path, and why.
     """
     if variant not in ("good", "jgood"):
         raise ValidationError(f"unknown variant {variant!r}")
@@ -348,16 +349,13 @@ def check_goodness(
         indeterminate |= pairs.indeterminate
         if pairs.fallback is not None:
             fallbacks.append((label, pairs.fallback))
-        sel = np.flatnonzero(~np.isnan(measured))
-        # an underflowed bound: ratio 0 if the norm underflowed too, else inf
-        ratio = np.divide(measured[sel], bound[sel], where=bound[sel] > 0,
-                          out=np.where(measured[sel] > 0, np.inf, 0.0))
-        top = np.argmax(ratio) if len(sel) else None    # the first maximum
-        if top is not None and ratio[top] > worst_ratio:
-            worst_ratio, k = ratio[top], sel[top]
-            worst = PairResult(tuple(centers[first[k]]), tuple(centers[second[k]]),
-                               float(distance[k]), float(measured[k]), float(bound[k]))
-        if np.any(measured[sel] > bound[sel]):
+        k = pairs.worst
+        ratio = -np.inf if k is None else bound_ratio(measured[k], bound[k])
+        if ratio > worst_ratio:
+            worst_ratio, worst = ratio, PairResult(
+                tuple(centers[first[k]]), tuple(centers[second[k]]), float(distance[k]),
+                float(measured[k]), float(bound[k]))
+        if np.any(measured > bound):                  # NaN compares False
             decay_pass = False
 
     return GoodnessReport(

@@ -1,8 +1,8 @@
 """Carleman weight, unique-continuation verification, periodic projection gap.
 
 All geometry in this module is Euclidean (balls, Euclidean distances); the
-rest of the package works in sup-norm.  Every region object carries a norm
-tag so the two never silently mix.
+rest of the package works in sup-norm.  ``euclidean_diameter`` and
+``euclidean_distance`` measure a ball or a box in the Euclidean norm.
 
 The radial Carleman weight is ``w(x) = phi(|x|)`` with
 
@@ -40,14 +40,14 @@ import numpy as np
 from .discretize import (Ensemble, GridSpec, HamiltonianMatrix, PeriodicField,
                          assemble_hamiltonian, bloch_blocks, empty_configuration)
 from .errors import GeometryError, ValidationError
-from .model import BoxSpec, SiteProfile
+from .model import BoxSpec, SiteProfile, _region_center
 from .spectral import eigs_window
 
 _EULER_GAMMA = 0.5772156649015328606
 
 
 # ---------------------------------------------------------------------------
-# Euclidean regions (norm tag: "euclidean")
+# Euclidean regions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -57,30 +57,20 @@ class BallSpec:
     dimension: int
     center: tuple
     radius: float
-    norm_tag: str = "euclidean"
 
     def __post_init__(self):
+        _region_center(self)
         if self.radius <= 0.0:
             raise ValidationError("ball radius must be positive")
-        object.__setattr__(self, "center",
-                           tuple(float(v) for v in np.atleast_1d(self.center)))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.linalg.norm(points - np.asarray(self.center), axis=1) < self.radius
 
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    def distance_to(self, x) -> float:
-        return max(0.0, float(np.linalg.norm(np.asarray(x, float)
-                                             - np.asarray(self.center))) - self.radius)
-
 
 def euclidean_diameter(region) -> float:
     if isinstance(region, BallSpec):
-        return region.diameter
+        return 2.0 * region.radius
     if isinstance(region, BoxSpec):
         return region.side * math.sqrt(region.dimension)
     raise ValidationError(f"unsupported region type {type(region).__name__}")
@@ -90,7 +80,7 @@ def euclidean_distance(region, x) -> float:
     """Euclidean distance from a point to a region."""
     x = np.asarray(x, dtype=float)
     if isinstance(region, BallSpec):
-        return region.distance_to(x)
+        return max(0.0, float(np.linalg.norm(x - np.asarray(region.center))) - region.radius)
     if isinstance(region, BoxSpec):
         gap = np.maximum(np.abs(x - np.asarray(region.center)) - region.side / 2.0, 0.0)
         return float(np.linalg.norm(gap))

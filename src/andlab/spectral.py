@@ -37,9 +37,9 @@ every structure.  A goodness check's pair norms all come from ``pair_norms``.
 On a tridiagonal H the inverse is semiseparable,
 ``G_ij = u_min(i,j) v_max(i,j)``, so every pair costs one exponential after
 one O(n) pass of Schur-complement recurrences (``_semiseparable_logs``, in
-logarithms); the pair nearest its bound is then measured by one
-``block_norms`` solve, which must agree to ``CERTIFY_RTOL`` and whose value is
-kept.  Otherwise, and when the recurrences or that check fail, each source
+logarithms); the pair nearest its bound (``worst_pair``) is then measured by
+one ``block_norms`` solve, which must agree to ``CERTIFY_RTOL`` and whose
+value is kept.  Otherwise, and when the recurrences or that check fail, each source
 takes one ``block_norms`` solve.  The whole-box norm
 1/dist(E, spectrum) comes from the two eigenvalues next to E on a tridiagonal
 H (a Sturm count and ``stebz`` by index), and from one Lanczos call over the
@@ -387,20 +387,21 @@ class ResolventFactorization:
                    bound: np.ndarray) -> "PairNorms":
         """``|chi_{second[k]} R chi_{first[k]}|`` for each pair k of the sorted
         node index arrays ``nodes``; a pair with an empty node set is not
-        probed (NaN).  ``first`` must be nondecreasing.
+        probed (NaN).  ``first`` must be nondecreasing.  ``worst`` is the pair
+        that ``worst_pair`` ranks first against ``bound``.
 
         A tridiagonal H takes every norm from the semiseparable generators of
-        R (``_semiseparable_logs``), and the pair with the largest ratio to
-        ``bound`` is measured again by ``block_norms``, whose value is kept.
-        A zero or non-finite Schur complement, node sets that interleave, a
-        non-finite solve or a disagreement above ``CERTIFY_RTOL`` sends the
-        pairs to the per-source path, and ``fallback`` says why.  Every other H
-        takes that path: one ``block_norms`` solve per source with nodes."""
+        R (``_semiseparable_logs``) and measures ``worst`` again by
+        ``block_norms``, whose value is kept: the pair named is the pair
+        certified.  A zero or non-finite Schur complement, node sets that
+        interleave, a non-finite solve or a disagreement above ``CERTIFY_RTOL``
+        sends the pairs to the per-source path, and ``fallback`` says why.
+        Every other H takes that path: one ``block_norms`` solve per source."""
         reason = None
         if is_tridiagonal(self.H):
-            measured, reason = self._semiseparable_pairs(nodes, first, second, bound)
+            measured, top, reason = self._semiseparable_pairs(nodes, first, second, bound)
             if reason is None:
-                return PairNorms(measured, False, None)
+                return PairNorms(measured, False, None, top)
         measured = np.full(len(first), np.nan)
         indeterminate = False
         occupied = np.array([len(k) > 0 for k in nodes], dtype=bool)
@@ -412,23 +413,24 @@ class ResolventFactorization:
                 measured[sel] = self.block_norms(nodes[a], [nodes[b] for b in second[sel]])
             except FloatingPointError:
                 indeterminate = True
-        return PairNorms(measured, indeterminate, reason)
+        return PairNorms(measured, indeterminate, reason, worst_pair(measured, bound))
 
     def _semiseparable_pairs(self, nodes: list, first: np.ndarray, second: np.ndarray,
                              bound: np.ndarray) -> tuple:
-        """``(measured, None)`` from the generators and one certifying solve,
-        or ``(None, reason)``.  The block of R from an earlier unit box e to a
-        later one l is ``v_l u_e^T``, so its norm is ``|u_e| |v_l|``: one
-        log-sum-exp per box and one exponential per pair."""
+        """``(measured, worst, None)`` from the generators and one certifying
+        solve of the pair ``worst``, or ``(None, None, reason)``.  The block of
+        R from an earlier unit box e to a later one l is ``v_l u_e^T``, so its
+        norm is ``|u_e| |v_l|``: one log-sum-exp per box and one exponential
+        per pair."""
         measured = np.full(len(first), np.nan)
         sizes = np.fromiter(map(len, nodes), dtype=np.intp, count=len(nodes))
         pairs = np.flatnonzero((sizes[first] > 0) & (sizes[second] > 0))
         if not len(pairs):
-            return measured, None
+            return measured, None, None
         logs = _semiseparable_logs(self.H.matrix.diagonal() - self.energy,
                                    self.H.matrix.diagonal(1))
         if logs is None:
-            return None, "zero or non-finite Schur complement"
+            return None, None, "zero or non-finite Schur complement"
         boxes = np.flatnonzero(sizes)
         lo, hi = np.zeros(len(nodes), dtype=np.intp), np.zeros(len(nodes), dtype=np.intp)
         lo[boxes] = [nodes[b][0] for b in boxes]
@@ -436,22 +438,20 @@ class ResolventFactorization:
         x, y = first[pairs], second[pairs]
         ahead = hi[x] < lo[y]
         if not np.all(ahead | (hi[y] < lo[x])):
-            return None, "interleaved node sets"
+            return None, None, "interleaved node sets"
         flat = np.concatenate([nodes[b] for b in boxes])
         log_u, log_v = np.zeros(len(nodes)), np.zeros(len(nodes))
         log_u[boxes], log_v[boxes] = (_log_block_norms(g[flat], sizes[boxes]) for g in logs)
         measured[pairs] = np.exp(np.where(ahead, log_u[x] + log_v[y], log_u[y] + log_v[x]))
-        ratio = np.divide(measured[pairs], bound[pairs], out=np.full(len(pairs), np.inf),
-                          where=bound[pairs] > 0)
-        top = pairs[np.argmax(ratio)]
+        top = worst_pair(measured, bound)
         try:
             direct = float(self.block_norms(nodes[first[top]], [nodes[second[top]]])[0])
         except FloatingPointError:
-            return None, "non-finite certifying solve"
+            return None, None, "non-finite certifying solve"
         if not abs(direct - measured[top]) <= CERTIFY_RTOL * direct:
-            return None, f"certifying solve differs by {abs(direct - measured[top]):.3e}"
+            return None, None, f"certifying solve differs by {abs(direct - measured[top]):.3e}"
         measured[top] = direct
-        return measured, None
+        return measured, top, None
 
 
 @dataclass
@@ -461,6 +461,22 @@ class PairNorms:
     measured: np.ndarray          # NaN where a pair was not probed
     indeterminate: bool           # a solve was non-finite
     fallback: Optional[str]       # why a tridiagonal H took the per-source path
+    worst: Optional[int]          # the pair ranked first, None when none was probed
+
+
+def bound_ratio(measured, bound):
+    """``measured / bound``, the rank of a goodness pair.  A bound that
+    underflowed to 0 gives ratio 0 against a norm that underflowed too, and
+    inf against any other."""
+    return np.divide(measured, bound, where=bound > 0,
+                     out=np.where(measured > 0, np.inf, 0.0))
+
+
+def worst_pair(measured: np.ndarray, bound: np.ndarray) -> Optional[int]:
+    """The probed pair (``measured`` not NaN) of largest ``bound_ratio``, the
+    first on ties; None when no pair was probed."""
+    probed = np.flatnonzero(~np.isnan(measured))
+    return probed[np.argmax(bound_ratio(measured[probed], bound[probed]))] if len(probed) else None
 
 
 def _semiseparable_logs(a: np.ndarray, b: np.ndarray):

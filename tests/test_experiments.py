@@ -483,6 +483,16 @@ def _model_with(section, key):
     return make
 
 
+def _model_for_kind_without_one(config):
+    # a kind that reads no model refuses a model section it would ignore
+    def make():
+        raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        raw["model"] = {"grid": {"points_per_unit": 4}}
+        return raw, "takes no model"
+    make.__name__ = f"{config}_with_a_model"
+    return make
+
+
 def goodness_ladder_with_bad_rule_key():
     raw = json.loads((CONFIG_DIR / "goodness_ladder.json").read_text())
     raw["params"]["energy_rule"]["energi"] = -0.5
@@ -664,6 +674,11 @@ def run_not_an_object():
                                       _model_with("profile", "u_plsu"),
                                       _model_with("grid", "points_per_unti"),
                                       _model_with("v_per", "amplitdue"),
+                                      _model_with("profile", "u_minus"),
+                                      _model_with("profile", "delta_minus"),
+                                      _model_for_kind_without_one("constants"),
+                                      _model_for_kind_without_one("covering_suite"),
+                                      _model_for_kind_without_one("periodic_gap"),
                                       v_per_with_dimension,
                                       _initial_scale_with("delta_plus"),
                                       _initial_scale_with("q"),
@@ -938,6 +953,14 @@ class TestRegistry:
             validate_config(raw)
 
 
+@pytest.mark.parametrize("kind", sorted(k for k, entry in KINDS.items() if not entry.needs_model))
+def test_kind_without_a_model_takes_an_empty_or_absent_one(kind):
+    raw = json.loads(CONFIG_FOR_KIND[kind].read_text())
+    assert raw["model"] == {} and validate_config(raw).model is None
+    del raw["model"]
+    assert validate_config(raw).model is None
+
+
 def _fields(cls) -> set:
     """The config keys of a dataclass: the fields that ``build_params`` checks."""
     return set(config_module._checks(cls))
@@ -983,7 +1006,6 @@ def _keys_set_by(raw: dict) -> set:
 # fixes; a key that restates the model belongs to the model instead.
 UNSET_INPUTS = {
     "run": {"out"},                                  # the CLI's --out sets it too
-    "profile": {"u_minus", "delta_minus"},           # the lower bound u >= u_minus 1_{delta_minus}
     "distribution.atoms": {"kind", "points"},
     "distribution.mixture": {"kind", "components"},
     "v_per.zero": {"kind"},

@@ -5,7 +5,7 @@ import pytest
 
 from andlab.errors import ValidationError
 from andlab.hs import (GaussianBump, QuadratureSpec, QuasiAnalyticExtension,
-                       hnorm, hs_moment, hs_reconstruct, xi_cutoff)
+                       hnorm, hs_moment, hs_reconstruct, xi_cutoff, xi_cutoff_prime)
 
 
 class TestCutoff:
@@ -20,6 +20,22 @@ class TestCutoff:
         s = np.linspace(1.0, 2.0, 100)
         vals = xi_cutoff(s)
         assert np.all(np.diff(vals) <= 1e-12)
+
+    def test_derivative_against_mpmath(self):
+        import mpmath
+
+        def glue(x):
+            return mpmath.exp(-1 / x) if x > 0 else mpmath.mpf(0)
+
+        def bump(s):
+            x = abs(s) - 1
+            return 1 - glue(x) / (glue(x) + glue(1 - x))
+
+        # both transitions, their ends, the plateau and the zero tail
+        s = np.concatenate([np.linspace(-2.5, 2.5, 201), [1.0005, 1.01, 1.99, -1.999]])
+        with mpmath.workdps(40):
+            oracle = np.array([float(mpmath.diff(bump, mpmath.mpf(v))) for v in s])
+        assert np.max(np.abs(xi_cutoff_prime(s) - oracle)) <= 1e-12
 
 
 class TestGaussianDerivatives:

@@ -11,6 +11,7 @@ from andlab.errors import ValidationError
 from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Configuration, Mixture,
                           SiteProfile, Uniform01, lattice_index, lattice_sites,
                           open_integer_range, sample_configuration)
+from andlab.qucp import BallSpec
 
 # interval endpoints: integers, half-integers and arbitrary floats
 endpoints = st.one_of(st.integers(-40, 40).map(float),
@@ -131,6 +132,25 @@ class TestDistributions:
         assert Bernoulli(0.5).normalized_support
         assert Atoms(((0.0, 0.5), (1.0, 0.5))).normalized_support
         assert not Atoms(((0.2, 0.5), (0.9, 0.5))).normalized_support
+
+    @pytest.mark.parametrize("dist", [
+        Uniform01(),
+        Mixture(((1.0, Uniform01()),)),
+        Mixture(((1.0, Mixture(((1.0, Uniform01()),))),)),
+        Mixture(((0.5, Bernoulli(0.0)), (0.5, Atoms(((0.5, 0.5), (1.0, 0.5)))))),
+    ])
+    def test_mixture_support_reaches_both_ends(self, dist):
+        # a uniform component holds 0 and 1 in its closed support
+        assert dist.support() == (0.0, 1.0) and dist.normalized_support
+
+    def test_support_of_a_live_component_only(self):
+        dist = Mixture(((0.0, Uniform01()), (1.0, Atoms(((0.25, 0.5), (0.75, 0.5))))))
+        assert dist.support() == (0.25, 0.75) and not dist.normalized_support
+
+    @pytest.mark.parametrize("law", [Bernoulli, Uniform01, Atoms, Mixture])
+    def test_each_law_states_its_support_only(self, law):
+        for name in ("point_mass", "is_degenerate", "normalized_support"):
+            assert name not in vars(law)
 
 
 class TestSampling:
@@ -276,3 +296,16 @@ class TestRegions:
     def test_annulus_validation(self):
         with pytest.raises(ValidationError):
             AnnulusSpec(1, (0.0,), 4.0, 3.0)
+
+    def test_annulus_needs_a_dimension(self):
+        with pytest.raises(ValidationError, match="dimension must be >= 1"):
+            AnnulusSpec(0, (), 1.0, 2.0)
+
+    @pytest.mark.parametrize("region, size", [(BoxSpec, (1.0,)), (AnnulusSpec, (1.0, 2.0)),
+                                              (BallSpec, (1.0,))])
+    def test_one_center_check_for_every_region(self, region, size):
+        with pytest.raises(ValidationError, match="center has 1 coordinates, dimension is 2"):
+            region(2, (0.0,), *size)
+        with pytest.raises(ValidationError, match="dimension must be >= 1"):
+            region(0, (), *size)
+        assert region(2, np.array([1, 2]), *size).center == (1.0, 2.0)

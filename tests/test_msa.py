@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from andlab import msa, spectral
-from andlab.discretize import Ensemble, Grid, GridSpec, empty_configuration
+from andlab.discretize import Ensemble, Grid, GridSpec, empty_configuration, unit_box_mask
 from andlab.errors import ScaleError, ValidationError
 from andlab.model import (Atoms, Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
@@ -165,6 +165,24 @@ class TestGoodness:
         assert rep.decay_pass and rep.is_good
         wp = rep.worst_pair
         assert wp.bound > 0.0 and 0.0 < wp.measured <= wp.bound
+
+    def test_reported_pair_is_the_certified_pair(self, monkeypatch):
+        # pairs whose bound exp(-9 d) underflowed read 0 against 0: the pair
+        # the semiseparable path certifies must be the pair the report names
+        box = make_box(1, 100.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, None, 3, 0)
+        solved = []
+        block_norms = ResolventFactorization.block_norms
+        monkeypatch.setattr(ResolventFactorization, "block_norms", lambda self, source, targets:
+                            solved.append((source, targets)) or block_norms(self, source, targets))
+        rep = check_goodness(ensemble(), cfg, -400.0, 9.0, 0.5)
+        assert rep.fallbacks == []
+        [(source, [target])] = solved
+        wp, grid = rep.worst_pair, ensemble().assemble(cfg).grid
+        assert np.array_equal(source, np.flatnonzero(unit_box_mask(grid, wp.x)))
+        assert np.array_equal(target, np.flatnonzero(unit_box_mask(grid, wp.y)))
+        fac = ResolventFactorization(ensemble().assemble(cfg), -400.0)
+        assert wp.measured == pytest.approx(block_norms(fac, source, [target])[0], rel=1e-12)
 
     def test_empty_free_site_policy_identity(self):
         box = make_box(1, 12.0)

@@ -232,5 +232,8 @@ class TestEuclideanGeometry:
         assert euclidean_distance(box, (4.0, 0.0)) == pytest.approx(3.0)
         assert euclidean_distance(box, (0.5, 0.5)) == 0.0
 
-    def test_ball_norm_tag(self):
-        assert BallSpec(1, (0.0,), 1.0).norm_tag == "euclidean"
+    @pytest.mark.parametrize("make", [lambda: BallSpec(2, (0.0,), 1.0),
+                                      lambda: BallSpec(0, (), 1.0)])
+    def test_ball_center_must_match_its_dimension(self, make):
+        with pytest.raises(ValidationError):
+            make()

@@ -13,7 +13,7 @@ from andlab.model import (Bernoulli, Configuration, Uniform01, lattice_sites,
                           sample_configuration)
 from andlab.msa import check_goodness
 from andlab.spectral import (ResolventFactorization, eigenvalue_count, eigs_window,
-                             evolve, full_spectrum, lowest_eigenvalue)
+                             evolve, full_spectrum, lowest_eigenvalue, worst_pair)
 
 from conftest import assemble, ensemble, make_box, random_hamiltonian
 from test_discretize import free_dirichlet_eigenvalues
@@ -745,6 +745,16 @@ class TestSemiseparableNorms:
         assert norms.measured[top] == direct
         dense = _dense_pair_norms(H, -0.5, nodes, first[probed], second[probed])
         assert norms.measured[probed] == pytest.approx(dense, rel=1e-10)
+        assert norms.worst == top
+
+    def test_worst_pair_ranking(self):
+        nan = np.nan
+        # an underflowed bound ranks 0 against a norm that underflowed too,
+        # inf against any other; a pair not probed is skipped
+        assert worst_pair(np.array([0.0, 1e-6, nan]), np.array([0.0, 1e-4, 0.0])) == 1
+        assert worst_pair(np.array([0.0, 1e-6, 1e-300]), np.array([0.0, 1e-4, 0.0])) == 2
+        assert worst_pair(np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0, 2.0])) == 0  # first
+        assert worst_pair(np.array([nan, nan]), np.array([1.0, 1.0])) is None
 
 
 class TestWeylCounting:
