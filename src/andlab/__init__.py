@@ -4,11 +4,11 @@ Subpackages and modules:
 
 - ``model``        single-site distributions, site profiles, boxes, configurations
 - ``discretize``   grids and sparse finite-volume Hamiltonians
-- ``spectral``     eigensolvers, resolvent block-norm probes, time evolution
+- ``spectral``     eigensolvers, resolvent block-norm probes
 - ``hs``           quasi-analytic extensions and functional-calculus reconstruction
 - ``covering``     suitable coverings of boxes and annuli, free-site abundance
 - ``percolation``  site-percolation graph on covering centers, bad clusters
-- ``msa``          good-box verdicts, scale ladders, parameter bookkeeping
+- ``msa``          good-box verdicts, goodness ladders, parameter bookkeeping
 - ``observables``  eigenfunction concentration, localization diagnostics
 - ``ids``          integrated density of states and its modulus of continuity
 - ``qucp``         Carleman weights, unique-continuation checks, periodic gaps

@@ -253,7 +253,8 @@ def is_abundant(sites: np.ndarray, box: BoxSpec, varsigma_prime: float) -> bool:
     Per axis the sub-box centers are taken at the crossings, midway between
     consecutive ones and at both extremes, which meets every distinct run;
     every product of the distinct runs is then counted at once from one
-    summed-area table.
+    summed-area table.  This is the abundance of free sites that the
+    multiscale analysis with free sites needs with high probability.
     """
     d, L = box.dimension, float(box.side)
     first, shape = _lattice_shape(box)

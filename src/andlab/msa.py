@@ -1,12 +1,12 @@
-"""Good-box verdicts, initial-scale formulas, scale ladders, MSA bookkeeping.
+"""Good-box verdicts, initial-scale formulas, goodness ladders, MSA bookkeeping.
 
 A box of side L is good at energy E with rate m and exponent varsigma when
 the finite-volume resolvent satisfies ``|R(E)| <= exp(L^(1-varsigma))`` and
 ``|chi_x R(E) chi_y| <= exp(-m |x-y|)`` for all unit-box pairs at sup-distance
-at least ``L/100``, uniformly over the free-site couplings.  The uncountable
-supremum over ``t_S in [0,1]^S`` is approximated by a recorded sampling policy
-(all-zeros, all-ones, random corners, interior draws); no finite reduction is
-claimed for resolvent norms.
+at least ``L/100``, uniformly over the free-site couplings ``t_S in [0,1]^S``.
+The supremum of ``|R(E)|`` is exact (``check_goodness``); that of the pair
+norms is approximated by a recorded sampling policy (all-zeros, all-ones,
+random corners, interior draws).
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import standard_covering_box
 from .discretize import Ensemble
 from .errors import ScaleError, ValidationError
 from .model import BoxSpec, Configuration, lattice_index, lattice_sites
 from .rng import derive_key, uniforms
-from .spectral import ResolventFactorization, bound_ratio, eigs_window, lowest_eigenvalue
+from .spectral import (ResolventFactorization, bound_ratio, eigenvalue_count, eigs_window,
+                       lowest_eigenvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +131,6 @@ class MsaParams:
         return dict(asdict(self), feasible=self.feasible)
 
 
-def minimal_n1(p: float, rho1: float, varsigma_prime: float) -> Optional[int]:
-    """Smallest n1 <= 200 with p < rho1 (1 - varsigma') / 2 - rho1^n1, if any."""
-    margin = 0.5 * rho1 * (1.0 - varsigma_prime) - p
-    if margin <= 0.0:
-        return None
-    for n1 in range(1, 201):
-        if rho1 ** n1 < margin:
-            return n1
-    return None
-
-
 def initial_scale_values(L: float, p: float, d: int, eps: float = 1.0,
                          delta_plus: float = 1.0, q: int = 1) -> tuple:
     """Initial-scale energy and rate: E_L = ((p+1) d log(L+d_+ +q~))^(-(2+eps)/d)/2,
@@ -153,29 +142,6 @@ def initial_scale_values(L: float, p: float, d: int, eps: float = 1.0,
     q_tilde = max(q, 2)
     E_L = 0.5 * ((p + 1.0) * d * math.log(L + delta_plus + q_tilde)) ** (-(2.0 + eps) / d)
     return E_L, 0.5 * math.sqrt(E_L)
-
-
-def scale_ladder(L0: float, rho1: float, count: int, budget: float = 1e4,
-                 mode: str = "auto") -> list:
-    """Scale ladder starting at L0.
-
-    Paper mode grows L -> L^(1/rho1); the desk-scale geometric ladder
-    L_k = ceil(L0 2^k) replaces it (mode="auto") once the power ladder
-    exceeds ``budget``.
-    """
-    if mode not in ("auto", "paper", "geometric"):
-        raise ValidationError(f"unknown ladder mode {mode!r}")
-    out = [float(L0)]
-    for k in range(1, count):
-        if mode == "geometric":
-            out.append(float(math.ceil(L0 * 2.0 ** k)))
-            continue
-        nxt = out[-1] ** (1.0 / rho1)
-        if mode == "auto" and nxt > budget:
-            out.append(float(math.ceil(out[-1] * 2.0)))
-        else:
-            out.append(nxt)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +192,11 @@ class GoodnessReport:
     n_free_sites: int
     weg_pass: bool
     weg_threshold: float
-    weg_norms: list                    # (policy label, measured |R|) per t_S
+    weg_norms: list                    # (policy label, measured |R|) per t_S, then any crossing
     decay_pass: bool
     worst_pair: Optional[PairResult]
     policy_record: list
     indeterminate: bool = False
-    subreports: list = field(default_factory=list)  # pgood only
     fallbacks: list = field(default_factory=list)   # (label, reason): per-source pair norms
 
     @property
@@ -301,6 +266,11 @@ def check_goodness(
     keeps; in d >= 2 or on a periodic box it is one solve per source.
     ``fallbacks`` lists each assembly whose 1-d norms took the per-source
     path, and why.
+
+    The Wegner half is exact: u >= 0 makes each eigenvalue nondecreasing in
+    every t_zeta, so if the counts N(E) at all-zeros and all-ones differ some
+    t_S puts an eigenvalue on E (``("crossing", inf)`` joins ``weg_norms``),
+    and if they agree sup |R| is max(|R(0)|, |R(1)|), which those two record.
     """
     if variant not in ("good", "jgood"):
         raise ValidationError(f"unknown variant {variant!r}")
@@ -330,6 +300,7 @@ def check_goodness(
     worst: Optional[PairResult] = None
     worst_ratio = -np.inf
     nodes = None
+    counts = []                                       # N(E) at all-zeros, all-ones
 
     for label, cfg in configs:
         H = ensemble.assemble(cfg)
@@ -342,6 +313,8 @@ def check_goodness(
         weg_norms.append((label, fac.resolvent_norm))
         if fac.resolvent_norm > weg_threshold:
             weg_pass = False
+        if label in ("zeros", "ones"):
+            counts.append(int(eigenvalue_count(H, [energy])[0]))
         if nodes is None:  # every t_S shares the grid
             nodes = _unit_box_nodes(H.grid.points(), box)
         pairs = fac.pair_norms(nodes, first, second, bound)
@@ -357,6 +330,9 @@ def check_goodness(
                 float(measured[k]), float(bound[k]))
         if np.any(measured > bound):                  # NaN compares False
             decay_pass = False
+    if len(set(counts)) > 1:                          # an eigenvalue crosses E
+        weg_norms.append(("crossing", math.inf))
+        weg_pass = False
 
     return GoodnessReport(
         box=box, energy=energy, m=m, varsigma=varsigma, variant=variant,
@@ -384,35 +360,6 @@ def _unit_box_nodes(points: np.ndarray, box: BoxSpec) -> list:
     order = np.argsort(owner, kind="stable")
     counts = np.bincount(owner, minlength=len(sites))
     return np.split(np.flatnonzero(inside)[order], np.cumsum(counts)[:-1])
-
-
-def check_pgood(ensemble: Ensemble, config: Configuration, energy: float, m: float,
-                varsigma: float, eta: float, pair_cap: int = PAIR_CAP) -> GoodnessReport:
-    """pgood: every box of the standard ell-covering of ``config.region``,
-    ell = L^(1/(1+eta)), must be good (no free sites) on the restricted
-    configuration."""
-    box = config.region
-    L = box.side
-    ell = L ** (1.0 / (1.0 + eta))
-    # snap to the grid so sub-boxes assemble exactly
-    n = ensemble.grid.points_per_unit
-    ell = max(math.floor(ell * n), 2) / n
-    covering = standard_covering_box(box, ell)
-    subreports = []
-    all_good = True
-    for center in covering.centers:
-        sub_box = BoxSpec(box.dimension, tuple(center), ell)
-        sub_cfg = restrict_configuration(config, sub_box)
-        rep = check_goodness(ensemble, sub_cfg, energy, m, varsigma, pair_cap=pair_cap)
-        subreports.append(rep)
-        if not rep.is_good:
-            all_good = False
-    head = GoodnessReport(
-        box=box, energy=energy, m=m, varsigma=varsigma, variant="good",
-        n_free_sites=0, weg_pass=all_good, weg_threshold=math.nan, weg_norms=[],
-        decay_pass=all_good, worst_pair=None,
-        policy_record=[f"pgood ell={ell}"], subreports=subreports)
-    return head
 
 
 def restrict_configuration(config: Configuration, sub_box: BoxSpec) -> Configuration:
@@ -495,6 +442,7 @@ def reduced_spectrum(ensemble: Ensemble, config: Configuration, interval: tuple,
     distance to the window spectrum of every nested box of side ``L^(rho^n)``,
     n = 1..n1, is at most ``2 exp(-m_hat L_n)``.  Nested sides snap to the
     mesh; a nested side below three cells raises :class:`ScaleError`.
+    Acceptance criterion 08 checks it against the spectra of the nested boxes.
     """
     box = config.region
     L = box.side

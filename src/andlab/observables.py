@@ -32,11 +32,6 @@ from .spectral import eigs_window
 MASS_FLOOR = 1e-14
 
 
-def default_nu(d: int) -> float:
-    """Smallest half-integer exceeding d/2."""
-    return (d + 1) / 2.0
-
-
 def bracket_weights(grid: Grid, x, nu: float) -> np.ndarray:
     """<p - x>^nu over grid nodes (sup-norm bracket)."""
     pts = grid.points()
@@ -62,7 +57,8 @@ def w_profile(grid: Grid, energy: float, psi: np.ndarray, x, nu: float,
               outer_factor: Optional[float] = None) -> WProfile:
     """Evaluate W_x (and W_{x,L} when a scale is given) for one eigenpair.
 
-    ``psi`` must be normalized in the h^d-weighted norm.
+    ``psi`` must be normalized in the h^d-weighted norm.  Acceptance
+    criterion 07 checks these values against its own computation.
     """
     x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
     w_x, w_xl = _w_values(grid, psi, _w_arrays(grid, x, nu, annulus_scale))
@@ -90,7 +86,8 @@ def _w_values(grid: Grid, psi: np.ndarray, arrays: tuple) -> tuple:
 
 
 def w_caps(nu: float, annulus_scale: Optional[float] = None) -> tuple:
-    """A priori caps: W_x <= (5/4)^(nu/2); W_{x,L} <= 2^(nu/2) L^nu."""
+    """A priori caps, checked by acceptance criterion 07: W_x <= (5/4)^(nu/2);
+    W_{x,L} <= 2^(nu/2) L^nu."""
     cap_x = (5.0 / 4.0) ** (nu / 2.0)
     cap_xl = None if annulus_scale is None else 2.0 ** (nu / 2.0) * annulus_scale**nu
     return cap_x, cap_xl
@@ -168,7 +165,8 @@ class LocalizationCenter:
 
 def localization_center(grid: Grid, psi: np.ndarray) -> LocalizationCenter:
     """Lexicographically least integer maximizer of the unit-box mass, with a
-    least-squares exponential decay fit around it."""
+    least-squares exponential decay fit around it: the exponential decay of an
+    eigenfunction about a centre that Anderson localization asserts."""
     candidates = lattice_sites(grid.box)
     if len(candidates) == 0:
         raise GeometryError("box holds no integer lattice points")
@@ -264,7 +262,8 @@ def fermi_kernel_decay(H: HamiltonianMatrix, energy: float, x0,
     """Trace norms ``|chi_y P^(E) chi_{x0}|_1`` over unit target boxes.
 
     ``P^(E)`` is the Fermi projection onto energies at most E; the fitted
-    rate is against ``|x0 - y|^vartheta`` (stretched exponential).
+    rate is against ``|x0 - y|^vartheta`` (stretched exponential), the decay
+    of Fermi projections that the localization theorem asserts.
     """
     x0 = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
     lo = -H.norm_bound() - 1.0

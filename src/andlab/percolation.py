@@ -13,10 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Iterable, Set, Tuple
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -39,6 +36,7 @@ class PercolationGraph:
             raise ValidationError("seed set must fit inside the window")
 
     def vertices(self) -> Iterable[Vertex]:
+        """Every window vertex: the oracle's domain in acceptance criterion 09."""
         r = range(-self.window_steps, self.window_steps + 1)
         return itertools.product(r, repeat=self.dimension)
 
@@ -65,15 +63,13 @@ class PercolationGraph:
             if self.in_window(nb):
                 yield nb
 
-    def position(self, k: Vertex) -> np.ndarray:
-        return np.asarray(self.origin) + self.spacing * np.asarray(k, dtype=float)
-
 
 def bad_cluster(graph: PercolationGraph) -> Set[Vertex]:
     """Connected bad component(s) containing the seed set (BFS).
 
     Seeds count as bad regardless of labels; with all labels good the result
-    is exactly the seed set.
+    is exactly the seed set.  Acceptance criterion 09 checks it against a
+    union-find oracle.
     """
     cluster: Set[Vertex] = set()
     queue = deque()
@@ -88,14 +84,3 @@ def bad_cluster(graph: PercolationGraph) -> Set[Vertex]:
             cluster.add(nb)
             queue.append(nb)
     return cluster
-
-
-def graph_for_core(dimension: int, origin, ell: float, alpha: Fraction,
-                   core_side: float, window_side: float) -> PercolationGraph:
-    """Window/seed steps for a core box of side ``core_side + ell`` inside a
-    window box of side ``window_side`` (strict containment of centers)."""
-    spacing = float(alpha) * ell
-    seed_steps = int(np.floor((core_side + ell) / 2.0 / spacing - 1e-12))
-    window_steps = int(np.floor(window_side / 2.0 / spacing - 1e-12))
-    return PercolationGraph(dimension, tuple(np.atleast_1d(origin)), spacing,
-                            window_steps, seed_steps)

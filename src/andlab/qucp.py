@@ -115,7 +115,8 @@ def carleman_exponent_integral(s: float) -> float:
 
 
 def carleman_constant() -> float:
-    """C1 = exp(int_0^1 (1 - e^{-t})/t dt), between e^(3/4) and e."""
+    """C1 = exp(int_0^1 (1 - e^{-t})/t dt), between e^(3/4) and e: the constant of
+    the weight sandwich |x|/(C1 rho) <= phi(|x|/rho) <= |x|/rho of criterion 12."""
     return math.exp(carleman_exponent_integral(1.0))
 
 
@@ -124,26 +125,6 @@ def carleman_phi(s) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.array([v * math.exp(-carleman_exponent_integral(v)) for v in s])
     return out
-
-
-@dataclass(frozen=True)
-class CarlemanWeight:
-    """Scaled radial weight w_rho(x) = phi(|x| / rho) with its constant C1."""
-
-    rho: float
-
-    def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValidationError("rho must be positive")
-
-    def __call__(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        radii = np.linalg.norm(points, axis=1)
-        return carleman_phi(radii / self.rho)
-
-    @property
-    def constant(self) -> float:
-        return carleman_constant()
 
 
 @dataclass(frozen=True)
@@ -187,7 +168,8 @@ def carleman_ratio(sample: RadialBump, alpha: float, rho: float, d: int,
 
     ratio = alpha^3 int w_rho^(-1-2a) f^2 / (rho^4 int w_rho^(2-2a) (Lap f)^2);
     the inequality asserts ratio <= C3 for alpha above the (fitted) threshold.
-    Radial integrals use the surface-measure factor r^(d-1).
+    Radial integrals use the surface-measure factor r^(d-1).  This Carleman
+    estimate is what quantitative unique continuation rests on.
     """
     lo, hi = sample.r0 - sample.width, sample.r0 + sample.width
     if lo <= 0.0 or hi >= rho:

@@ -1,4 +1,4 @@
-"""Eigenvalue counts and windows, resolvent block norms, unitary evolution.
+"""Eigenvalue counts and windows, resolvent block norms.
 
 Structure decides first, then size.  Every LAPACK eigen-selection (all
 eigenvalues, a value range or an index range) is one ``_lapack`` call.  A 1-d
@@ -521,28 +521,3 @@ def _log_block_norms(logs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     peak = np.maximum.reduceat(logs, starts)
     return peak + 0.5 * np.log(np.add.reduceat(np.exp(2.0 * (logs - np.repeat(peak, sizes))),
                                                starts))
-
-
-# ---------------------------------------------------------------------------
-# time evolution
-# ---------------------------------------------------------------------------
-
-def evolve(H: HamiltonianMatrix, psi0: np.ndarray, t: float,
-           window: Optional[tuple] = None):
-    """Evolve ``psi0`` to ``exp(-itH) psi0`` through an eigendecomposition.
-
-    With ``window`` given only the spectral window is used; the h^d norm of
-    the projection deficit is returned alongside.  Returns ``(psi_t, deficit)``.
-    """
-    w = H.grid.weight()
-    nrm = np.sqrt(w) * np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValidationError("psi0 must be normalized in the h^d-weighted norm")
-    bound = H.norm_bound() + 1.0
-    result = eigs_window(H, (-bound, bound) if window is None else window)
-    vals = result.energies
-    vecs = result.vectors * np.sqrt(w)  # back to plain l2-orthonormal columns
-    coeff = vecs.T @ psi0
-    psi_t = vecs @ (np.exp(-1j * t * vals) * coeff)
-    deficit = np.sqrt(w) * np.linalg.norm(psi0 - vecs @ coeff)
-    return psi_t, float(deficit)

@@ -25,6 +25,7 @@ from andlab.model import (AnnulusSpec, Atoms, Bernoulli, BoxSpec, Configuration,
                           sample_configuration)
 from andlab.msa import (GAMMA_CRITICAL, MsaParams, initial_scale_values,
                         n_hat, reduced_spectrum, restrict_configuration)
+from andlab.observables import w_caps, w_profile
 from andlab.percolation import bad_cluster
 from andlab.qucp import (carleman_constant, carleman_phi,
                          periodic_projection_gap, periodized_ball_indicator,
@@ -370,7 +371,9 @@ def test_criterion_07_w_functionals():
     nus = (0.8, 1.0, 1.5)
     L_ann = 4.0
     rel = 1e-10
+    lib_rel = 1e-12
     failures = 0
+    lib_mismatches = 0
     pairs_checked = 0
     for seed in range(50):
         box = make_box(1, 12.0)
@@ -397,6 +400,14 @@ def test_criterion_07_w_functionals():
             cap_xl = 2.0 ** (nu / 2.0) * L_ann**nu
             failures += int(np.any(wx > cap_x * (1 + rel)))
             failures += int(np.any(wxl > cap_xl * (1 + rel)))
+            # the library's W-functionals and caps reproduce the inline values
+            profiles = [w_profile(H.grid, vals[k], vecs[:, k], (x,), nu, annulus_scale=L_ann)
+                        for k in range(len(vals))]
+            for lib, inline in ((np.array([p.w_x for p in profiles]), wx),
+                                (np.array([p.w_x_L for p in profiles]), wxl),
+                                (np.array(w_caps(nu, L_ann)), np.array([cap_x, cap_xl]))):
+                lib_mismatches += int(np.count_nonzero(np.abs(lib - inline)
+                                                       > lib_rel * np.abs(inline)))
             failures += int(np.any(wx < prev_wx * (1 - rel)))    # nu-monotone
             failures += int(np.any(wxl < prev_wxl * (1 - rel)))
             prev_wx, prev_wxl = wx, wxl
@@ -410,8 +421,9 @@ def test_criterion_07_w_functionals():
                 bound = 2.0 ** (nu / 2.0) * bracket * wxl
                 failures += int(np.any(wy > bound * (1 + rel)))
                 pairs_checked += len(vals)
-    report(7, "W caps and chain inequality", failures == 0,
-           f"50 instances, {pairs_checked} chain checks, {failures} violations")
+    report(7, "W caps and chain inequality", failures == 0 and lib_mismatches == 0,
+           f"50 instances, {pairs_checked} chain checks, {failures} violations, "
+           f"{lib_mismatches} w_profile/w_caps mismatches")
 
 
 # ---------------------------------------------------------------------------

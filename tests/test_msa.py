@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from andlab import msa, spectral
 from andlab.discretize import Ensemble, Grid, GridSpec, empty_configuration, unit_box_mask
@@ -9,10 +11,9 @@ from andlab.errors import ScaleError, ValidationError
 from andlab.model import (Atoms, Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
 from andlab.msa import (PAIR_CAP, FreeSitePolicy, GAMMA_CRITICAL, MsaParams, _candidate_pairs,
-                        _unit_box_nodes, check_goodness, check_pgood,
-                        goodness_trial, initial_scale_values, ladder_row, minimal_n1,
-                        n_hat, reduced_spectrum,
-                        restrict_configuration, scale_ladder, wilson_interval)
+                        _unit_box_nodes, check_goodness, goodness_trial, initial_scale_values,
+                        ladder_row, n_hat, reduced_spectrum, restrict_configuration,
+                        wilson_interval)
 from andlab.rng import derive_key, uniforms
 from andlab.spectral import ResolventFactorization, eigs_window, lowest_eigenvalue
 
@@ -44,7 +45,6 @@ class TestConstants:
                       rho1=0.745, n1=13)
         assert P.verdicts["rhos_lower"] and P.verdicts["rhos_upper"]
         assert P.verdicts["rhos_p"]
-        assert minimal_n1(0.35, 0.745, 0.001) == 13
 
     def test_gamma_window(self):
         assert MsaParams(d=1, p=0.35, gamma=4 / 3).verdicts["gamma_window_nonempty"]
@@ -55,14 +55,6 @@ class TestConstants:
         P = MsaParams(d=1, p=0.35, rho1=0.5, n1=2)  # rho1 below 1/(1+p)
         assert not P.verdicts["rhos_lower"]
         assert not P.feasible
-
-    def test_scale_ladders(self):
-        paper = scale_ladder(10.0, 0.745, 3, budget=1e9, mode="paper")
-        assert paper[1] == pytest.approx(10.0 ** (1 / 0.745))
-        geom = scale_ladder(10.0, 0.745, 3, mode="geometric")
-        assert geom == [10.0, 20.0, 40.0]
-        auto = scale_ladder(10.0, 0.3, 3, budget=50.0, mode="auto")
-        assert auto[2] <= 2 * auto[1]  # fell back to geometric growth
 
     def test_L_plus_minus(self):
         P = MsaParams(d=1, p=0.35, L_ref=500.0)
@@ -225,13 +217,6 @@ class TestGoodness:
             jrep = check_goodness(ensemble(), cfg, -0.3 + shift, m, 0.1, variant="jgood")
             assert jrep.is_good
 
-    def test_pgood_covers_subboxes(self):
-        # desk scale: eta must be large enough that ell = L^(1/(1+eta)) <= L/6
-        box = make_box(1, 18.0)
-        rep = check_pgood(ensemble(), empty_configuration(box), -1.0, 0.5, 0.1, eta=1.8)
-        assert rep.subreports and rep.is_good
-        assert all(sub.is_good for sub in rep.subreports)
-
 
 def _reference_candidate_pairs(centers, min_dist, pair_cap, seed):
     """The per-row loop and per-pair distance list the broadcast replaced."""
@@ -252,6 +237,61 @@ def _reference_candidate_pairs(centers, min_dist, pair_cap, seed):
             break
         keep.add(int(idx))
     return [pairs[i] for i in sorted(keep)]
+
+
+class TestWegnerCrossing:
+    @pytest.mark.parametrize("energy", [5.10, 5.52, 5.99, 6.49])
+    def test_crossing_is_not_good(self, energy):
+        # N(E) falls by one from all-zeros to all-ones: some t_S puts an
+        # eigenvalue on E, while every sampled |R| stays far below threshold
+        box = BoxSpec(1, (0.0,), 30.0)
+        cfg = sample_configuration(Bernoulli(0.5), box, np.array([[-10], [-5], [0], [5], [10]]),
+                                   0, 0)
+        rep = check_goodness(ensemble(), cfg, energy, 0.4, 0.1)
+        assert max(v for _, v in rep.weg_norms[:-1]) < 1e3 < rep.weg_threshold
+        assert rep.weg_norms[-1] == ("crossing", math.inf)
+        assert not rep.weg_pass and not rep.is_good
+
+    def test_no_free_sites_no_count(self, monkeypatch):
+        def count(*args):
+            raise AssertionError("counted without free sites")
+        monkeypatch.setattr(msa, "eigenvalue_count", count)
+        rep = check_goodness(ensemble(), empty_configuration(make_box(1, 12.0)), 5.1, 0.4, 0.1)
+        assert [label for label, _ in rep.weg_norms] == ["no-free-sites"]
+
+    @settings(max_examples=30, deadline=None)
+    @example(case="2d", seed=222, n_free=1, k=0, f=0.03125, t=[0.0, 0.0, 0.0])  # |R| = 1810
+    @given(case=st.sampled_from(["dirichlet", "periodic", "2d"]), seed=st.integers(0, 10**6),
+           n_free=st.integers(1, 3), k=st.integers(0, 6), f=st.floats(0.0, 1.0),
+           t=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_endpoints_decide_the_supremum(self, case, seed, n_free, k, f, t):
+        # E runs from lambda_k(all-zeros) past lambda_k(all-ones), so that
+        # both verdicts occur; dense counts decide which applies
+        d = 2 if case == "2d" else 1
+        box = make_box(d, 4.0 if d == 2 else 8.0)
+        ens = Ensemble(Bernoulli(0.5), GridSpec(2, "periodic" if case == "periodic" else
+                                                "dirichlet"), SiteProfile(), root_seed=seed)
+        sites = lattice_sites(box)
+        pick = uniforms(derive_key(seed, 1), np.arange(len(sites), dtype=np.uint64))
+        cfg = sample_configuration(Bernoulli(0.5), box, sites[np.argsort(pick)[:n_free]], seed, 0)
+        spectra = [np.linalg.eigvalsh(ens.assemble(cfg.with_free_values(np.full(n_free, v)))
+                                      .matrix.toarray()) for v in (0.0, 1.0)]
+        energy = spectra[0][k] + f * (spectra[1][k] - spectra[0][k] + 0.5)
+        scale = 1.0 + np.max(np.abs(spectra))
+        assume(all(np.min(np.abs(vals - energy)) > 1e-8 * scale for vals in spectra))
+        rep = check_goodness(ens, cfg, energy, 0.4, 0.1, FreeSitePolicy(corners=2, draws=2))
+        crossing = np.count_nonzero(spectra[0] < energy) != np.count_nonzero(spectra[1] < energy)
+        assert (rep.weg_norms[-1] == ("crossing", math.inf)) == crossing
+        if crossing:
+            assert not rep.weg_pass
+            return
+        # in distances 1/|R| to the spectrum, to 1e-12 of its scale: an
+        # eigenvalue is no more accurate than that, so near E neither is |R|
+        gap = min(np.min(np.abs(vals - energy)) for vals in spectra)
+        assert all(1.0 / v >= gap - 1e-12 * scale for _, v in rep.weg_norms)
+        vals = np.linalg.eigvalsh(ens.assemble(cfg.with_free_values(np.array(t[:n_free])))
+                                  .matrix.toarray())
+        assert np.min(np.abs(vals - energy)) >= gap - 1e-12 * scale
 
 
 class TestCandidatePairs:

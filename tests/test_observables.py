@@ -14,8 +14,7 @@ from andlab.discretize import unit_box_mask
 from andlab.errors import GeometryError, ValidationError
 from andlab.model import (Bernoulli, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
-from andlab.observables import (bracket_weights, default_nu,
-                                dichotomy_check, dynamical_moment,
+from andlab.observables import (bracket_weights, dichotomy_check, dynamical_moment,
                                 fermi_kernel_decay, localization_center, w_caps,
                                 w_profile)
 from andlab.spectral import eigs_window
@@ -66,7 +65,7 @@ class TestWProfile:
         assert prof.w_x_L == 0.0
 
     def test_caps_and_chain_random_eigenpairs(self):
-        nu = default_nu(1)
+        nu = 1.0
         for seed in range(5):
             H, _ = random_hamiltonian(1, 16.0, 4, Uniform01(), seed=70 + seed)
             res = eigs_window(H, (0.0, 2.0))
@@ -279,6 +278,39 @@ class TestDynamicalMoment:
         assert dm.window_count == k and len(dm.samples) == len(expected)
         for (t, tn), (t_ref, tn_ref) in zip(dm.samples, expected):
             assert t == t_ref and tn == pytest.approx(tn_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["two-site", "dirichlet", "periodic", "2d"])
+    def test_whole_spectrum_matches_expm(self, case):
+        # with P(I) = 1 the samples are trace norms of W_b exp(-itH) chi_{x0},
+        # here from scipy.linalg.expm rather than from an eigendecomposition
+        if case == "two-site":
+            # H = [[a, b], [b, a]]:
+            # exp(-itH) = e^{-iat} [[cos(bt), -i sin(bt)], [-i sin(bt), cos(bt)]]
+            H, x0 = assemble(make_box(1, 1.5), n=2), (0.3,)   # mask: the node at 0.25
+            a, b = H.matrix.toarray()[0]
+            t = 0.37
+            closed = np.exp(-1j * a * t) * np.array([[np.cos(b * t), -1j * np.sin(b * t)],
+                                                     [-1j * np.sin(b * t), np.cos(b * t)]])
+            assert np.allclose(la.expm(-1j * t * H.matrix.toarray()), closed, atol=1e-12)
+        elif case == "periodic":
+            box = make_box(1, 8.0)
+            H = assemble(box, n=4, boundary="periodic",
+                         config=sample_configuration(Uniform01(), box, None, 3, 0))
+            x0 = (1.0,)
+        else:
+            d = 2 if case == "2d" else 1
+            H, _ = random_hamiltonian(d, 8.0 if d == 1 else 4.0, 4, Uniform01(), seed=12)
+            x0 = (1.0,) * d
+        t_grid = (0.0, 0.37, 2.7)
+        bound = H.norm_bound() + 1.0
+        dm = dynamical_moment(H, (-bound, bound), 1.0, x0, t_grid=t_grid)
+        assert dm.window_count == H.size
+        A = H.matrix.toarray()
+        mask = unit_box_mask(H.grid, np.array(x0))
+        weight = bracket_weights(H.grid, x0, H.grid.box.dimension)
+        for (t, tn), t_ref in zip(dm.samples, t_grid):
+            block = weight[:, None] * la.expm(-1j * t_ref * A)[:, mask]
+            assert t == t_ref and tn == pytest.approx(np.sum(la.svdvals(block)), rel=1e-10)
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         config = ROOT / "perfbench" / "configs" / "spectra" / "dynamical.json"

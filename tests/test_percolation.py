@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from andlab.errors import ValidationError
-from andlab.percolation import PercolationGraph, bad_cluster, graph_for_core
+from andlab.percolation import PercolationGraph, bad_cluster
 from andlab.rng import derive_key, uniforms
 
 
@@ -75,13 +75,3 @@ class TestBadCluster:
                     if not g.is_seed(k) and not g.labels.get(k, False))
         g.labels[flip] = True
         assert base.issubset(bad_cluster(g))
-
-    def test_positions_and_core_helper(self):
-        from fractions import Fraction
-
-        g = graph_for_core(2, (1.0, -1.0), 3.0, Fraction(2, 3), 10.0, 30.0)
-        assert g.spacing == pytest.approx(2.0)
-        # seed centers sit strictly inside the enlarged core box
-        for s in g.seeds():
-            assert np.max(np.abs(g.position(s) - np.array([1.0, -1.0]))) < 13.0 / 2
-        assert np.allclose(g.position((1, 1)), [3.0, 1.0])

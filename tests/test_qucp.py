@@ -8,7 +8,7 @@ from andlab.discretize import GridSpec, PeriodicField, assemble_hamiltonian
 from andlab.errors import GeometryError, ValidationError
 from andlab.model import BoxSpec, Configuration, SiteProfile, Uniform01, \
     lattice_sites, sample_configuration
-from andlab.qucp import (BallSpec, CarlemanWeight, RadialBump, carleman_constant,
+from andlab.qucp import (BallSpec, RadialBump, carleman_constant,
                          carleman_exponent_integral, carleman_phi, carleman_ratio,
                          euclidean_diameter, euclidean_distance,
                          periodic_projection_gap, periodized_ball_indicator,
@@ -52,12 +52,12 @@ class TestCarlemanWeight:
         c1 = carleman_constant()
         pts = rng.uniform(-rho / math.sqrt(3), rho / math.sqrt(3), size=(1000, 3))
         r = np.linalg.norm(pts, axis=1)
-        w = CarlemanWeight(rho)(pts)
+        w = carleman_phi(r / rho)
         assert np.all(w >= r / (c1 * rho) - 1e-12)
         assert np.all(w <= r / rho + 1e-12)
 
     def test_origin(self):
-        assert CarlemanWeight(1.0)(np.zeros((1, 2)))[0] == 0.0
+        assert carleman_phi(np.linalg.norm(np.zeros((1, 2)), axis=1) / 1.0)[0] == 0.0
 
 
 class TestCarlemanRatio:

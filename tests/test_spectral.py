@@ -13,7 +13,7 @@ from andlab.model import (Bernoulli, Configuration, Uniform01, lattice_sites,
                           sample_configuration)
 from andlab.msa import check_goodness
 from andlab.spectral import (ResolventFactorization, eigenvalue_count, eigs_window,
-                             evolve, full_spectrum, lowest_eigenvalue, worst_pair)
+                             full_spectrum, lowest_eigenvalue, worst_pair)
 
 from conftest import assemble, ensemble, make_box, random_hamiltonian
 from test_discretize import free_dirichlet_eigenvalues
@@ -153,9 +153,6 @@ class TestEigsWindow:
         monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
         with pytest.raises(SolverError):
             eigs_window(H, (-1.0, 1e5))
-        psi0 = np.ones(H.size) / np.sqrt(H.grid.weight() * H.size)
-        with pytest.raises(SolverError):  # full evolution is a whole-spectrum window
-            evolve(H, psi0, 1.0)
 
     def test_capped_window_stays_inside_at_a_tied_edge(self):
         # at an edge that is an eigenvalue to roundoff, the inertia count and
@@ -194,6 +191,9 @@ class TestEigsWindow:
             monkeypatch.setattr(spectral, "DENSE_MAX_VALUES", dense_max)
             for window, max_count in WINDOWS:
                 assert eigs_window(H, window, max_count).solver == "tridiagonal"
+            # the whole spectrum, k = n pairs, is beyond ARPACK on other structures
+            bound = H.norm_bound() + 1.0
+            assert len(eigs_window(H, (-bound, bound)).energies) == H.size
             assert lowest_eigenvalue(H) > 0.0
 
 
@@ -770,54 +770,3 @@ class TestWeylCounting:
         c_fit = max(cs)
         assert all(c_fit <= 2.0 * c or c == 0 for c in cs)
         assert all(c <= c_fit for c in cs)
-
-
-class TestEvolve:
-    def test_t0_identity_and_unitarity(self):
-        H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=12)
-        w = H.grid.weight()
-        psi0 = np.zeros(H.size)
-        psi0[H.size // 2] = 1.0
-        psi0 /= np.sqrt(w) * np.linalg.norm(psi0)
-        psi_t, deficit = evolve(H, psi0, 0.0)
-        assert np.allclose(psi_t, psi0)
-        psi_t, deficit = evolve(H, psi0, 2.7)
-        assert abs(np.sqrt(w) * np.linalg.norm(psi_t) - 1.0) <= 1e-10
-        assert deficit <= 1e-10
-
-    def test_tridiagonal_whole_spectrum_at_any_size(self, monkeypatch):
-        # the whole-spectrum window needs k = n pairs, beyond ARPACK; a
-        # tridiagonal H never reaches the size decision
-        monkeypatch.setattr(spectral, "DENSE_MAX_VECTORS", 0)
-        H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=12)
-        w = H.grid.weight()
-        psi0 = np.zeros(H.size)
-        psi0[H.size // 3] = 1.0
-        psi0 /= np.sqrt(w) * np.linalg.norm(psi0)
-        psi_t, deficit = evolve(H, psi0, 2.7)
-        assert abs(np.sqrt(w) * np.linalg.norm(psi_t) - 1.0) <= 1e-10
-        assert deficit < 1e-10
-
-    def test_two_site_closed_form(self):
-        # two interior nodes: H = [[a, b], [b, a]];
-        # exp(-itH) = e^{-iat} [[cos(bt), -i sin(bt)], [-i sin(bt), cos(bt)]]
-        H = assemble(make_box(1, 1.5), n=2)
-        dense = H.matrix.toarray()
-        assert dense.shape == (2, 2)
-        a, b = dense[0, 0], dense[0, 1]
-        w = H.grid.weight()
-        psi0 = np.array([1.0, 0.0]) / np.sqrt(w)
-        t = 0.37
-        psi_t, _ = evolve(H, psi0, t)
-        expected = np.exp(-1j * a * t) * np.array(
-            [np.cos(b * t), -1j * np.sin(b * t)]) / np.sqrt(w)
-        assert np.allclose(psi_t, expected, atol=1e-12)
-
-    def test_windowed_deficit_flagged(self):
-        H, _ = random_hamiltonian(1, 8.0, 4, Uniform01(), seed=13)
-        w = H.grid.weight()
-        psi0 = np.zeros(H.size)
-        psi0[2] = 1.0
-        psi0 /= np.sqrt(w) * np.linalg.norm(psi0)
-        _, deficit = evolve(H, psi0, 1.0, window=(0.0, 1.0))
-        assert deficit > 1e-6  # a narrow window cannot carry a point mass
