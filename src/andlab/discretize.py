@@ -10,13 +10,18 @@ across meshes.
 
 Potentials are sampled pointwise at grid nodes (no cell averaging); the
 inequalities checked downstream are sandwich-stable under pointwise sampling.
+
+The proof's cubes are open sup-norm cubes: the single-site supports of side
+delta_plus, the unit boxes chi_x of resolvent probes and goodness pairs.
+``Grid.cube_nodes`` selects the nodes of every such cube, for any number of
+centres at once, and ``BoxSpec.holds_cube`` says whether a box holds one.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,21 +103,50 @@ class Grid:
         """h^d-weighted L2 norm."""
         return float(np.sqrt(self.weight()) * np.linalg.norm(vec))
 
+    def cube_nodes(self, centers, side: float) -> tuple:
+        """The nodes of the open cube of side ``side`` around each of ``centers``:
+        ``(flat, counts)``, the flat indices of each centre's nodes in ascending
+        order, centre after centre, and how many nodes each centre holds.
 
-def region_mask(grid: Grid, region: Union[BoxSpec, AnnulusSpec]) -> np.ndarray:
-    """Boolean diagonal mask of grid nodes inside an open region."""
-    return np.asarray(region.contains(grid.points()), dtype=bool)
+        A node is held when ``BoxSpec(d, centre, side).contains`` holds it; no
+        cube wraps around a periodic box, and no centres give no nodes."""
+        d = self.box.dimension
+        centers = np.reshape(np.asarray(centers, dtype=float), (-1, d))
+        half = side / 2.0
+        first = np.empty((d, len(centers)), dtype=np.intp)
+        ext = np.empty((d, len(centers)), dtype=np.intp)
+        for a, axis in enumerate(self.axes):
+            # a window from the node below the rounded lower face to past the
+            # upper one; the held nodes are a run in it, decided by the test
+            # that contains applies, so a face on a node rounds the same way
+            start = np.searchsorted(axis, centers[:, a] - half) - 1
+            idx = start[:, None] + np.arange(int(side / self.h) + 3)
+            held = (np.abs(axis.take(idx, mode="clip") - centers[:, a, None]) < half) \
+                & (idx >= 0) & (idx < len(axis))
+            first[a] = start + held.argmax(axis=1)
+            ext[a] = held.sum(axis=1)
+        counts = np.prod(ext, axis=0)
+        owner = np.repeat(np.arange(len(centers)), counts)
+        # C-order rank of each node inside its cube, unravelled per axis
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        nodes = np.empty((d, owner.size), dtype=np.intp)
+        for a in reversed(range(d)):
+            rank, nodes[a] = np.divmod(rank, ext[a][owner])
+            nodes[a] += first[a][owner]
+        return np.ravel_multi_index(tuple(nodes), self.shape), counts
 
 
 def unit_box_mask(grid: Grid, x) -> np.ndarray:
     """Mask of the unit box centered at ``x`` (the chi_x of resolvent probes)."""
-    return region_mask(grid, BoxSpec(grid.box.dimension, tuple(np.atleast_1d(x)), 1.0))
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[grid.cube_nodes(np.atleast_1d(x), 1.0)[0]] = True
+    return mask
 
 
 def annulus_shell_mask(grid: Grid, x, L: float) -> np.ndarray:
     """Mask of the slightly enlarged annulus of sides (L-1, 2L+1) around x."""
-    return region_mask(grid, AnnulusSpec(grid.box.dimension, tuple(np.atleast_1d(x)),
-                                         L - 1.0, 2.0 * L + 1.0))
+    return AnnulusSpec(grid.box.dimension, tuple(np.atleast_1d(x)),
+                       L - 1.0, 2.0 * L + 1.0).contains(grid.points())
 
 
 def _laplacian_1d(m: int, h: float, periodic: bool) -> sp.csr_matrix:
@@ -198,36 +232,23 @@ def _site_potential(grid: Grid, profile: SiteProfile, sites: np.ndarray,
     """Sum of coupling * u(. - site) sampled on the grid, shape grid.shape.
 
     Supports are open boxes of side delta_plus, so a node on the edge is
-    outside.  They are expanded to node indices in site order and summed by
-    one ``bincount``, which adds in input order: where supports overlap the
-    sum is the one a loop over sites would give, bit for bit."""
-    d = grid.box.dimension
+    outside.  ``Grid.cube_nodes`` expands them to node indices in site order,
+    summed by one ``bincount``, which adds in input order: where supports
+    overlap the sum is the one a loop over sites would give, bit for bit."""
     couplings = np.asarray(couplings, dtype=float)
     live = couplings != 0.0
-    sites, couplings = np.reshape(sites, (-1, d))[live], couplings[live]
-    half = profile.delta_plus / 2.0
-    lo = np.array([np.searchsorted(axis, sites[:, a] - half, side="right")
-                   for a, axis in enumerate(grid.axes)], dtype=np.intp)
-    hi = np.array([np.searchsorted(axis, sites[:, a] + half, side="left")
-                   for a, axis in enumerate(grid.axes)], dtype=np.intp)
-    ext = hi - lo
-    counts = np.prod(ext, axis=0)
-    owner = np.repeat(np.arange(len(couplings)), counts)
-    # C-order rank of each node inside its site's support, unravelled per axis
-    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    nodes = np.empty((d, owner.size), dtype=np.intp)
-    for a in reversed(range(d)):
-        rank, nodes[a] = np.divmod(rank, ext[a][owner])
-        nodes[a] += lo[a][owner]
+    sites, couplings = np.reshape(sites, (-1, grid.box.dimension))[live], couplings[live]
+    flat, counts = grid.cube_nodes(sites, profile.delta_plus)
     if profile.shape is None:
         weights = np.repeat(couplings * profile.u_plus, counts)
-    elif owner.size:
+    elif flat.size:
+        owner = np.repeat(np.arange(len(couplings)), counts)
+        nodes = np.unravel_index(flat, grid.shape)
         offsets = np.stack([axis[nodes[a]] - sites[owner, a]
                             for a, axis in enumerate(grid.axes)], axis=1)
         weights = couplings[owner] * profile.evaluate(offsets)
     else:
         weights = np.zeros(0)
-    flat = np.ravel_multi_index(tuple(nodes), grid.shape)
     return np.bincount(flat, weights=weights, minlength=grid.size).reshape(grid.shape)
 
 
@@ -251,8 +272,7 @@ def assemble_hamiltonian(
         periodic or not, may be passed.
     """
     region = config.region
-    cb, cr = np.asarray(box.center), np.asarray(region.center)
-    if np.any(np.abs(cr - cb) + region.side / 2.0 > box.side / 2.0 + 1e-12):
+    if not box.holds_cube(region.center, region.side):
         raise ValidationError("configuration region is not contained in the box")
 
     if grid_spec.boundary == "periodic" and v_per is not None:

@@ -288,6 +288,12 @@ class BoxSpec:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.max(np.abs(points - np.asarray(self.center)), axis=1) < self.side / 2.0
 
+    def holds_cube(self, center, side: float) -> bool:
+        """Whether the cube of side ``side`` around ``center`` lies in the closed
+        box, up to 1e-12: a flush cube is held."""
+        offset = np.max(np.abs(np.asarray(center, dtype=float) - np.asarray(self.center)))
+        return bool(offset + side / 2.0 <= self.side / 2.0 + 1e-12)
+
 
 @dataclass(frozen=True)
 class AnnulusSpec:

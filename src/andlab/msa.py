@@ -257,7 +257,7 @@ def check_goodness(
 
     ``variant="jgood"`` doubles both right-hand sides.  The probes are the
     unit boxes centered at the integer lattice sites of the box; their node
-    sets come from one ``rint`` pass over the grid (``_unit_box_nodes``).
+    sets come from one ``Grid.cube_nodes`` call.
     Every pair norm of an assembly comes from
     :meth:`~andlab.spectral.ResolventFactorization.pair_norms`.  On a 1-d
     Dirichlet box that is O(n + pairs), from the semiseparable generators of
@@ -316,7 +316,8 @@ def check_goodness(
         if label in ("zeros", "ones"):
             counts.append(int(eigenvalue_count(H, [energy])[0]))
         if nodes is None:  # every t_S shares the grid
-            nodes = _unit_box_nodes(H.grid.points(), box)
+            flat, sizes = H.grid.cube_nodes(centers, 1.0)
+            nodes = np.split(flat, np.cumsum(sizes))[:-1]
         pairs = fac.pair_norms(nodes, first, second, bound)
         measured = pairs.measured                     # NaN: pair not probed
         indeterminate |= pairs.indeterminate
@@ -341,25 +342,6 @@ def check_goodness(
         decay_pass=decay_pass, worst_pair=worst,
         policy_record=[label for label, _ in configs], indeterminate=indeterminate,
         fallbacks=fallbacks)
-
-
-def _unit_box_nodes(points: np.ndarray, box: BoxSpec) -> list:
-    """Sorted indices of the points inside the open unit box around each
-    lattice site of ``box``, in ``lattice_sites`` order.
-
-    A point lies in the open unit box of an integer site exactly when every
-    coordinate rounds to the site's and stays within 1/2 of it, so one
-    ``rint`` pass assigns every point to its site, if any."""
-    sites = lattice_sites(box)
-    if not len(sites):
-        return []
-    nearest = np.rint(points)
-    inside = np.all((np.abs(points - nearest) < 0.5) & (nearest >= sites[0])
-                    & (nearest <= sites[-1]), axis=1)
-    owner = lattice_index(box, nearest[inside].astype(np.int64))
-    order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=len(sites))
-    return np.split(np.flatnonzero(inside)[order], np.cumsum(counts)[:-1])
 
 
 def restrict_configuration(config: Configuration, sub_box: BoxSpec) -> Configuration:

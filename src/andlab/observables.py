@@ -52,37 +52,28 @@ class WProfile:
     outer_factor: Optional[float] = None
 
 
-def w_profile(grid: Grid, energy: float, psi: np.ndarray, x, nu: float,
+def w_profile(grid: Grid, energies: Sequence[float], vectors: np.ndarray, x, nu: float,
               annulus_scale: Optional[float] = None,
-              outer_factor: Optional[float] = None) -> WProfile:
-    """Evaluate W_x (and W_{x,L} when a scale is given) for one eigenpair.
-
-    ``psi`` must be normalized in the h^d-weighted norm.  Acceptance
-    criterion 07 checks these values against its own computation.
+              outer_factor: Optional[float] = None) -> List[WProfile]:
+    """W_x (and W_{x,L} when a scale is given) of each eigenpair of a window:
+    ``energies`` and the columns of ``vectors``, normalized in the h^d-weighted
+    norm.  The probe's bracket weights, unit box and annulus are built once.
+    Acceptance criterion 07 checks these values against its own computation.
     """
-    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
-    w_x, w_xl = _w_values(grid, psi, _w_arrays(grid, x, nu, annulus_scale))
-    return WProfile(energy, x, nu, w_x, w_xl, annulus_scale, outer_factor)
-
-
-def _w_arrays(grid: Grid, x: tuple, nu: float, annulus_scale: Optional[float]) -> tuple:
-    """The bracket weights, the unit-box mask and (given a scale, else None)
-    the annulus mask of the W-functionals at ``x``: they depend on the grid
-    and the probe, not on the eigenpair."""
     if nu <= grid.box.dimension / 2.0:
         raise ValidationError(f"need nu > d/2, got nu={nu}")
+    x = tuple(np.atleast_1d(np.asarray(x, dtype=float)))
+    weights = bracket_weights(grid, x, nu)
+    box = grid.cube_nodes(x, 1.0)[0]
     shell = None if annulus_scale is None else annulus_shell_mask(grid, x, annulus_scale)
-    return bracket_weights(grid, x, nu), unit_box_mask(grid, x), shell
-
-
-def _w_values(grid: Grid, psi: np.ndarray, arrays: tuple) -> tuple:
-    """``(W_x, W_{x,L})`` of one eigenvector from its probe's ``_w_arrays``;
-    W_{x,L} is None without an annulus."""
-    weights, box, shell = arrays
-    denom = grid.norm(psi / weights)
-    assert denom > 0.0, "T^{-1} psi cannot vanish for a normalized psi"
-    w_xl = None if shell is None else float(grid.norm(psi[shell]) / denom)
-    return float(grid.norm(psi[box]) / denom), w_xl
+    profiles = []
+    for energy, psi in zip(energies, np.asarray(vectors).T):
+        denom = grid.norm(psi / weights)
+        assert denom > 0.0, "T^{-1} psi cannot vanish for a normalized psi"
+        w_xl = None if shell is None else float(grid.norm(psi[shell]) / denom)
+        profiles.append(WProfile(float(energy), x, nu, float(grid.norm(psi[box]) / denom),
+                                 w_xl, annulus_scale, outer_factor))
+    return profiles
 
 
 def w_caps(nu: float, annulus_scale: Optional[float] = None) -> tuple:
@@ -119,11 +110,8 @@ def dichotomy_check(H: HamiltonianMatrix, x0, L: float, interval: tuple, M: floa
     energy set is a vacuous pass (no records).
     """
     outer_box = H.grid.box
-    x0 = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
-    L_plus = 1001.0 * L / 500.0
-    for i in range(outer_box.dimension):
-        if abs(x0[i] - outer_box.center[i]) + L_plus / 2.0 > outer_box.side / 2.0:
-            raise GeometryError("outer box too small to contain the L_+ annulus box")
+    if not outer_box.holds_cube(x0, 1001.0 * L / 500.0):
+        raise GeometryError("outer box too small to contain the L_+ annulus box")
     margin = math.exp(-M * L ** vartheta)
     lo, hi = interval
     window = (lo + margin, hi - margin)
@@ -132,15 +120,13 @@ def dichotomy_check(H: HamiltonianMatrix, x0, L: float, interval: tuple, M: floa
     result = eigs_window(H, window)
     if not len(result.energies):
         return []
-    arrays = _w_arrays(H.grid, x0, nu, L)
-    records = []
     factor = outer_box.side / L
-    for energy, psi in zip(result.energies, result.vectors.T):
-        w_x, w_xl = _w_values(H.grid, psi, arrays)
-        b1 = w_x <= math.exp(-M * L ** vartheta)
-        b2 = w_xl <= math.exp(-M * L)
-        prod = w_x * w_xl <= math.exp(-0.5 * M * L ** vartheta)
-        records.append(DichotomyRecord(float(energy), w_x, w_xl, b1, b2, prod, factor))
+    records = []
+    for p in w_profile(H.grid, result.energies, result.vectors, x0, nu, L, factor):
+        b1 = p.w_x <= math.exp(-M * L ** vartheta)
+        b2 = p.w_x_L <= math.exp(-M * L)
+        prod = p.w_x * p.w_x_L <= math.exp(-0.5 * M * L ** vartheta)
+        records.append(DichotomyRecord(p.energy, p.w_x, p.w_x_L, b1, b2, prod, factor))
     return records
 
 
@@ -170,8 +156,10 @@ def localization_center(grid: Grid, psi: np.ndarray) -> LocalizationCenter:
     candidates = lattice_sites(grid.box)
     if len(candidates) == 0:
         raise GeometryError("box holds no integer lattice points")
-    masses = np.array([grid.norm(psi[unit_box_mask(grid, c.astype(float))])
-                       for c in candidates])
+    flat, counts = grid.cube_nodes(candidates, 1.0)
+    owner = np.repeat(np.arange(len(candidates)), counts)
+    masses = np.sqrt(grid.weight() * np.bincount(owner, weights=psi[flat] ** 2,
+                                                 minlength=len(candidates)))
     top = masses.max()
     ties = [tuple(int(v) for v in candidates[i])
             for i in np.flatnonzero(masses >= top * (1.0 - 1e-12))]
@@ -268,20 +256,18 @@ def fermi_kernel_decay(H: HamiltonianMatrix, energy: float, x0,
     x0 = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
     lo = -H.norm_bound() - 1.0
     res = eigs_window(H, (lo, energy))
-    if targets is None:
-        targets = lattice_sites(H.grid.box).astype(float)
-    mask0 = unit_box_mask(H.grid, x0)
-    w = H.grid.weight()
+    targets = lattice_sites(H.grid.box) if targets is None else np.atleast_2d(targets)
+    flat, counts = H.grid.cube_nodes(np.vstack([x0, targets]), 1.0)
+    cols, *boxes = np.split(flat, np.cumsum(counts))[:-1]
+    right = H.grid.weight() * res.vectors[cols, :].T
     rows = []
-    cols = np.flatnonzero(mask0)
-    for y in np.atleast_2d(targets):
-        ymask = unit_box_mask(H.grid, y)
-        if len(res.energies) == 0 or not mask0.any() or not ymask.any():
-            rows.append(FermiDecayRow(tuple(y), float(np.max(np.abs(np.asarray(x0) - y))), 0.0))
+    for y, ynodes in zip(targets.astype(float), boxes):
+        dist = float(np.max(np.abs(np.asarray(x0) - y)))
+        if len(res.energies) == 0 or not len(cols) or not len(ynodes):
+            rows.append(FermiDecayRow(tuple(y), dist, 0.0))
             continue
-        block = (res.vectors[np.flatnonzero(ymask), :]) @ (w * res.vectors[cols, :].T)
-        tn = float(np.sum(la.svdvals(block)))
-        rows.append(FermiDecayRow(tuple(y), float(np.max(np.abs(np.asarray(x0) - y))), tn))
+        tn = float(np.sum(la.svdvals(res.vectors[ynodes, :] @ right)))
+        rows.append(FermiDecayRow(tuple(y), dist, tn))
     pts = [(r.distance, r.trace_norm) for r in rows
            if r.trace_norm > MASS_FLOOR and r.distance > 0]
     if len(pts) >= 2:

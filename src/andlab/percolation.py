@@ -1,8 +1,8 @@
 """Site percolation on the covering-center lattice; bad-cluster extraction.
 
-Vertices are the points ``x0 + alpha*ell*k`` for integer vectors ``k`` inside
-a finite window; two vertices are adjacent when their sup-distance is exactly
-``alpha*ell`` (each interior vertex therefore has ``3^d - 1`` neighbors).
+Vertices are the integer step vectors ``k`` of the centers ``x0 + alpha*ell*k``
+inside a finite window; two vertices are adjacent when their sup-distance is
+exactly one step (each interior vertex therefore has ``3^d - 1`` neighbors).
 The inner seed vertices model the covering centers of the enlarged core box,
 which count as bad with probability one; the bad cluster is the union of
 connected components of the bad subgraph meeting the seed set.
@@ -22,11 +22,9 @@ Vertex = Tuple[int, ...]
 
 @dataclass
 class PercolationGraph:
-    """Finite window of the alpha*ell lattice with good/bad labels."""
+    """Finite window of the alpha*ell lattice, in steps, with good/bad labels."""
 
     dimension: int
-    origin: tuple
-    spacing: float                 # alpha * ell
     window_steps: int              # vertices: |k|_inf <= window_steps
     seed_steps: int                # seeds:    |k|_inf <= seed_steps
     labels: Dict[Vertex, bool] = field(default_factory=dict)  # True means bad

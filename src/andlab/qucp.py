@@ -248,10 +248,8 @@ def qucp_verify(H: HamiltonianMatrix, psi: np.ndarray, energy: float,
     for x in probes:
         x = tuple(float(v) for v in np.atleast_1d(x))
         ball = BallSpec(d, x, delta / 2.0)
-        inside = all(abs(x[i] - grid.box.center[i]) + delta / 2.0
-                     <= grid.box.side / 2.0 + 1e-12 for i in range(d))
         R = euclidean_distance(theta, x)
-        if not inside:
+        if not grid.box.holds_cube(x, delta):
             records.append(UcpRecord(x, delta, K, R, math.nan, rhs, math.nan,
                                      None, "ball not contained in the box"))
             continue

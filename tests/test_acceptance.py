@@ -401,8 +401,7 @@ def test_criterion_07_w_functionals():
             failures += int(np.any(wx > cap_x * (1 + rel)))
             failures += int(np.any(wxl > cap_xl * (1 + rel)))
             # the library's W-functionals and caps reproduce the inline values
-            profiles = [w_profile(H.grid, vals[k], vecs[:, k], (x,), nu, annulus_scale=L_ann)
-                        for k in range(len(vals))]
+            profiles = w_profile(H.grid, vals, vecs, (x,), nu, annulus_scale=L_ann)
             for lib, inline in ((np.array([p.w_x for p in profiles]), wx),
                                 (np.array([p.w_x_L for p in profiles]), wxl),
                                 (np.array(w_caps(nu, L_ann)), np.array([cap_x, cap_xl]))):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from andlab.discretize import (GridSpec, PeriodicField, _laplacian, _site_potential, annulus_shell_mask,
                                assemble_hamiltonian, bloch_blocks, cosine_potential,
-                               empty_configuration,
-                               region_mask, unit_box_mask, Grid)
+                               empty_configuration, unit_box_mask, Grid)
 from andlab.errors import GridError, ValidationError
 from andlab.model import (Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
@@ -93,13 +92,14 @@ class TestMasks:
     def test_identity_mask(self):
         box = make_box(1, 6.0)
         H = assemble(box, n=4)
-        assert region_mask(H.grid, box).all()
+        flat, counts = H.grid.cube_nodes(box.center, box.side)
+        assert np.array_equal(flat, np.arange(H.size)) and list(counts) == [H.size]
 
     def test_outside_region_warns(self):
         box = make_box(1, 6.0)
         H = assemble(box, n=4)
-        far = BoxSpec(1, (100.0,), 1.0)
-        assert not region_mask(H.grid, far).any()
+        flat, counts = H.grid.cube_nodes((100.0,), 1.0)
+        assert flat.size == 0 and list(counts) == [0]
 
     def test_shell_mask_membership_oracle(self):
         # chi_{0,4} on Lambda_20: grid points with 1.5 < |y| < 4.5
@@ -109,6 +109,42 @@ class TestMasks:
         pts = H.grid.points()[:, 0]
         oracle = (np.abs(pts) > 1.5) & (np.abs(pts) < 4.5)
         assert np.array_equal(mask, oracle)
+
+
+# cube centres: integers, half-integers, quarter-integers and arbitrary floats,
+# inside the box, across its faces and outside it
+cube_centres = st.one_of(st.integers(-6, 6).map(float),
+                         st.integers(-12, 12).map(lambda k: k / 2.0),
+                         st.integers(-24, 24).map(lambda k: k / 4.0),
+                         st.floats(-6.0, 6.0, allow_nan=False))
+
+
+@st.composite
+def cube_cases(draw):
+    """A grid and some cubes on it: ``(d, boundary, n, L, shift, side, centres)``."""
+    d = draw(st.sampled_from([1, 2]))
+    return (d, draw(st.sampled_from(["dirichlet", "periodic"])), draw(st.integers(2, 8)),
+            draw(st.integers(2, 6)), draw(st.sampled_from([0.0, 0.5])),
+            draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+            draw(st.lists(st.tuples(*[cube_centres] * d), max_size=6)))
+
+
+class TestCubeNodes:
+    @settings(max_examples=150, deadline=None)
+    @given(case=cube_cases())
+    @example(case=(1, "dirichlet", 4, 4, 0.0, 1.0, [(0.25,), (-1.5,)]))  # faces on nodes
+    @example(case=(1, "periodic", 3, 2, 0.5, 1.0,
+                   [(1.0 / 3.0,), (2.0 / 3.0,)]))                        # faces on rounded nodes
+    @example(case=(2, "dirichlet", 3, 2, 0.5, 2.0,
+                   [(5.0, 0.0), (1.5, 0.5)]))                            # outside, across a face
+    @example(case=(2, "periodic", 2, 2, 0.0, 0.5, []))                   # no centres
+    def test_matches_the_contains_scan(self, case):
+        d, boundary, n, L, shift, side, centres = case
+        grid = Grid(BoxSpec(d, (shift,) * d, float(L)), GridSpec(n, boundary))
+        flat, counts = grid.cube_nodes(np.reshape(centres, (-1, d)), side)
+        scan = [np.flatnonzero(BoxSpec(d, c, side).contains(grid.points())) for c in centres]
+        assert counts.tolist() == [len(nodes) for nodes in scan]
+        assert flat.tolist() == [k for nodes in scan for k in nodes]
 
 
 class TestConvergence:

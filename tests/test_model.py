@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -309,3 +310,55 @@ class TestRegions:
         with pytest.raises(ValidationError, match="dimension must be >= 1"):
             region(0, (), *size)
         assert region(2, np.array([1, 2]), *size).center == (1.0, 2.0)
+
+
+class TestHoldsCube:
+    """``BoxSpec.holds_cube`` and the three checks that call it: a flush cube
+    is held, an overshoot of 1e-13 is forgiven and one of 1e-9 is refused."""
+
+    def test_flush_and_overshoot(self):
+        box = BoxSpec(2, (0.5, -1.0), 10.0)
+        assert box.holds_cube((3.5, -1.0), 4.0) and box.holds_cube((0.5, -6.0), 0.0)
+        assert box.holds_cube((3.5 + 1e-13, -1.0), 4.0)
+        assert not box.holds_cube((3.5 + 1e-9, -1.0), 4.0)
+        assert not box.holds_cube((0.5, -1.0), 10.0 + 2e-9)
+
+    @pytest.mark.parametrize("overshoot, held", [(0.0, True), (1e-13, True), (1e-9, False)])
+    def test_assembly_region(self, overshoot, held):
+        from andlab.discretize import GridSpec, assemble_hamiltonian, empty_configuration
+        region = BoxSpec(1, (3.0 + overshoot,), 4.0)
+        call = partial(assemble_hamiltonian, BoxSpec(1, (0.0,), 10.0), GridSpec(4),
+                       SiteProfile(), empty_configuration(region))
+        if held:
+            assert call().size == 39
+        else:
+            with pytest.raises(ValidationError, match="not contained"):
+                call()
+
+    @pytest.mark.parametrize("overshoot, held", [(0.0, True), (1e-13, True), (1e-9, False)])
+    def test_dichotomy_outer_box(self, overshoot, held):
+        from andlab.discretize import GridSpec, assemble_hamiltonian, empty_configuration
+        from andlab.errors import GeometryError
+        from andlab.observables import dichotomy_check
+        box = BoxSpec(1, (0.0,), 12.0)
+        H = assemble_hamiltonian(box, GridSpec(4), SiteProfile(), empty_configuration(box))
+        x0 = 6.0 - 1001.0 * 5.0 / 1000.0 + overshoot   # the L_+ box of L = 5 is flush
+        call = partial(dichotomy_check, H, (x0,), 5.0, (-2.0, -1.0), 0.05, 0.5, 1.0)
+        if held:
+            assert call() == []                          # no eigenvalue below 0
+        else:
+            with pytest.raises(GeometryError):
+                call()
+
+    @pytest.mark.parametrize("overshoot, held", [(0.0, True), (1e-13, True), (1e-9, False)])
+    def test_qucp_probe_ball(self, overshoot, held):
+        from andlab.discretize import GridSpec, assemble_hamiltonian, empty_configuration
+        from andlab.qucp import qucp_verify
+        from andlab.spectral import eigs_window
+        box = BoxSpec(1, (0.0,), 10.0)
+        H = assemble_hamiltonian(box, GridSpec(4), SiteProfile(), empty_configuration(box))
+        res = eigs_window(H, (0.0, 1.0))
+        fit = qucp_verify(H, res.vectors[:, 0], float(res.energies[0]), BoxSpec(1, (0.0,), 2.0),
+                          1.0, [(4.5 + overshoot,)])
+        skipped = fit.records[0].skipped
+        assert (skipped is None) if held else (skipped == "ball not contained in the box")

@@ -11,7 +11,7 @@ from andlab.errors import ScaleError, ValidationError
 from andlab.model import (Atoms, Bernoulli, BoxSpec, Configuration, SiteProfile,
                           Uniform01, lattice_sites, sample_configuration)
 from andlab.msa import (PAIR_CAP, FreeSitePolicy, GAMMA_CRITICAL, MsaParams, _candidate_pairs,
-                        _unit_box_nodes, check_goodness, goodness_trial, initial_scale_values,
+                        check_goodness, goodness_trial, initial_scale_values,
                         ladder_row, n_hat, reduced_spectrum, restrict_configuration,
                         wilson_interval)
 from andlab.rng import derive_key, uniforms
@@ -405,19 +405,25 @@ class TestUnitBoxNodes:
     @pytest.mark.parametrize("d, L", [(1, 9.0), (2, 5.0), (3, 3.0)])
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_matches_the_contains_scan(self, d, L, boundary):
+        # the unit boxes of check_goodness: one cube_nodes call over the sites
         for offset in (0.0, 0.25, 0.5):
             for n in (2, 3, 4):
                 box = BoxSpec(d, (offset,) * d, L)
-                points = Grid(box, GridSpec(n, boundary)).points()
-                nodes = _unit_box_nodes(points, box)
-                scan = [np.flatnonzero(BoxSpec(d, tuple(c), 1.0).contains(points))
+                grid = Grid(box, GridSpec(n, boundary))
+                flat, counts = grid.cube_nodes(lattice_sites(box), 1.0)
+                nodes = np.split(flat, np.cumsum(counts))[:-1]
+                scan = [np.flatnonzero(BoxSpec(d, tuple(c), 1.0).contains(grid.points()))
                         for c in lattice_sites(box).astype(float)]
                 assert len(nodes) == len(scan) > 0
                 assert all(np.array_equal(a, b) for a, b in zip(nodes, scan))
 
     def test_no_centers(self):
         # (0, 1) holds no integer
-        assert _unit_box_nodes(np.zeros((5, 1)), BoxSpec(1, (0.5,), 1.0)) == []
+        box = BoxSpec(1, (0.5,), 1.0)
+        flat, counts = Grid(BoxSpec(1, (0.5,), 2.0), GridSpec(4)).cube_nodes(
+            lattice_sites(box), 1.0)
+        assert flat.size == 0 and counts.size == 0
+        assert np.split(flat, np.cumsum(counts))[:-1] == []
 
 
 class TestRestrictConfiguration:

@@ -37,7 +37,7 @@ class TestWProfile:
         g = H.grid
         psi = np.ones(g.size)
         psi /= np.sqrt(g.weight()) * np.linalg.norm(psi)
-        prof = w_profile(g, 0.0, psi, (0.0,), 1.0, annulus_scale=4.0)
+        [prof] = w_profile(g, [0.0], psi[:, None], (0.0,), 1.0, annulus_scale=4.0)
         pts = g.points()[:, 0]
         T = np.sqrt(1.0 + np.abs(pts) ** 2)
         denom = np.linalg.norm(psi / T)
@@ -52,7 +52,7 @@ class TestWProfile:
         mask = unit_box_mask(g, (2.0,))
         psi = np.where(mask, 1.0, 0.0)
         psi /= np.sqrt(g.weight()) * np.linalg.norm(psi)
-        prof = w_profile(g, 0.0, psi, (2.0,), 1.5)
+        [prof] = w_profile(g, [0.0], psi[:, None], (2.0,), 1.5)
         cap_x, _ = w_caps(1.5)
         assert prof.w_x <= cap_x
 
@@ -61,7 +61,7 @@ class TestWProfile:
         g = H.grid
         psi = np.where(unit_box_mask(g, (0.0,)), 1.0, 0.0)
         psi /= np.sqrt(g.weight()) * np.linalg.norm(psi)
-        prof = w_profile(g, 0.0, psi, (0.0,), 1.0, annulus_scale=4.0)
+        [prof] = w_profile(g, [0.0], psi[:, None], (0.0,), 1.0, annulus_scale=4.0)
         assert prof.w_x_L == 0.0
 
     def test_caps_and_chain_random_eigenpairs(self):
@@ -71,18 +71,17 @@ class TestWProfile:
             res = eigs_window(H, (0.0, 2.0))
             L = 4.0
             cap_x, cap_xl = w_caps(nu, L)
-            for idx in range(len(res.energies)):
-                psi = res.vectors[:, idx]
-                x = (0.0,)
-                prof = w_profile(H.grid, res.energies[idx], psi, x, nu,
-                                 annulus_scale=L)
+            x = (0.0,)
+            profiles = w_profile(H.grid, res.energies, res.vectors, x, nu, annulus_scale=L)
+            for idx, prof in enumerate(profiles):
                 assert 0.0 <= prof.w_x <= cap_x * (1 + 1e-10)
                 assert 0.0 <= prof.w_x_L <= cap_xl * (1 + 1e-10)
                 # chain inequality for y in the closed (L, 2L) annulus
                 for y in ((2.5,), (-3.0,), (4.0,)):
                     dist = abs(y[0] - x[0])
                     assert L / 2 <= dist <= L
-                    prof_y = w_profile(H.grid, res.energies[idx], psi, y, nu)
+                    [prof_y] = w_profile(H.grid, res.energies[idx:idx + 1],
+                                         res.vectors[:, idx:idx + 1], y, nu)
                     bracket = (1.0 + dist**2) ** (nu / 2.0)
                     bound = 2.0 ** (nu / 2.0) * bracket * prof.w_x_L
                     assert prof_y.w_x <= bound * (1 + 1e-10)
@@ -90,8 +89,7 @@ class TestWProfile:
     def test_monotone_in_nu(self):
         H, _ = random_hamiltonian(1, 12.0, 4, Uniform01(), seed=77)
         res = eigs_window(H, (0.0, 1.0))
-        psi = res.vectors[:, 0]
-        values = [w_profile(H.grid, 0.0, psi, (1.0,), nu, annulus_scale=3.0)
+        values = [w_profile(H.grid, [0.0], res.vectors[:, :1], (1.0,), nu, annulus_scale=3.0)[0]
                   for nu in (0.7, 1.0, 1.5)]
         assert values[0].w_x <= values[1].w_x <= values[2].w_x
         assert values[0].w_x_L <= values[1].w_x_L <= values[2].w_x_L
@@ -100,7 +98,7 @@ class TestWProfile:
         H = assemble(make_box(2, 4.0), n=2)
         psi = normalized_delta(H)
         with pytest.raises(ValidationError):
-            w_profile(H.grid, 0.0, psi, (0.0, 0.0), 0.9)  # d/2 = 1
+            w_profile(H.grid, [0.0], psi[:, None], (0.0, 0.0), 0.9)  # d/2 = 1
 
     def test_sudec_product_consistency(self):
         # |chi_x psi| |chi_y psi| / |T^-1 psi|^2 equals the W product by
@@ -110,7 +108,7 @@ class TestWProfile:
         psi = res.vectors[:, 0]
         g = H.grid
         x, nu = (2.0,), 1.0
-        wx = w_profile(g, 0.0, psi, x, nu).w_x
+        wx = w_profile(g, [0.0], psi[:, None], x, nu)[0].w_x
         weights = bracket_weights(g, x, nu)
         direct = g.norm(psi[unit_box_mask(g, x)]) / g.norm(psi / weights)
         assert wx == pytest.approx(direct, rel=1e-12)
@@ -150,6 +148,19 @@ class TestLocalizationCenter:
         mass = g.norm(psi[unit_box_mask(g, np.asarray(lc.center, float))])
         n_boxes = len(lattice_sites(g.box))
         assert mass >= 1.0 / math.sqrt(2.0 * n_boxes)
+
+    def test_matches_per_site_loop(self):
+        # the unit-box masses summed at once against one mask per site
+        H, _ = random_hamiltonian(2, 6.0, 4, Bernoulli(0.5), seed=81)
+        g = H.grid
+        psi = eigs_window(H, (0.0, 3.0)).vectors[:, 0]
+        sites = lattice_sites(g.box)
+        masses = np.array([g.norm(psi[unit_box_mask(g, c)]) for c in sites])
+        lc = localization_center(g, psi)
+        assert lc.center == tuple(sites[np.argmax(masses)])
+        dists = np.max(np.abs(sites - np.asarray(lc.center)), axis=1)
+        slope = np.polyfit(dists[dists > 0], np.log(masses[dists > 0]), 1)[0]
+        assert lc.reliable and lc.decay_rate == pytest.approx(-slope, rel=1e-9)
 
     def test_flat_profile_unreliable(self):
         H = assemble(make_box(1, 10.0), n=4)

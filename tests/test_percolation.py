@@ -32,7 +32,7 @@ def union_find_oracle(graph):
 
 
 def random_graph(dimension, window, seed_steps, p_bad, key):
-    g = PercolationGraph(dimension, tuple([0.0] * dimension), 1.0, window, seed_steps)
+    g = PercolationGraph(dimension, window, seed_steps)
     ks = [k for k in g.vertices() if not g.is_seed(k)]
     u = uniforms(derive_key(key, 0xBAD), np.arange(len(ks), dtype=np.uint64))
     for k, v in zip(ks, u):
@@ -42,24 +42,24 @@ def random_graph(dimension, window, seed_steps, p_bad, key):
 
 class TestBadCluster:
     def test_all_good_gives_seed_set(self):
-        g = PercolationGraph(2, (0.0, 0.0), 0.75, 5, 2)
+        g = PercolationGraph(2, 5, 2)
         assert bad_cluster(g) == set(g.seeds())
 
     def test_all_bad_gives_window(self):
-        g = PercolationGraph(2, (0.0, 0.0), 0.75, 4, 1)
+        g = PercolationGraph(2, 4, 1)
         for k in g.vertices():
             g.labels[k] = True
         assert bad_cluster(g) == set(g.vertices())
 
     def test_interior_degree(self):
         for d in (1, 2, 3):
-            g = PercolationGraph(d, tuple([0.0] * d), 1.0, 3, 1)
+            g = PercolationGraph(d, 3, 1)
             origin = tuple([0] * d)
             assert len(list(g.neighbors(origin))) == 3**d - 1
 
     def test_seed_must_fit(self):
         with pytest.raises(ValidationError):
-            PercolationGraph(1, (0.0,), 1.0, 2, 3)
+            PercolationGraph(1, 2, 3)
 
     @pytest.mark.parametrize("trial", range(12))
     def test_matches_union_find(self, trial):

@@ -27,7 +27,6 @@ CLAIMS = {
     "observables.fermi_kernel_decay": "decay of Fermi projections",
     "observables.localization_center": "exponential decay about a centre",
     "observables.w_caps": "acceptance 07: W-functional caps",
-    "observables.w_profile": "acceptance 07: W-functionals",
     "percolation.PercolationGraph.vertices": "acceptance 09: bad-cluster extraction",
     "percolation.bad_cluster": "acceptance 09: bad-cluster extraction",
     "qucp.carleman_constant": "acceptance 12: Carleman weight sandwich",
